@@ -39,6 +39,7 @@ from ..store import (
     load_runstate,
 )
 from ..core.bounds import lower_bound
+from ..core.engine import resolve_engine
 from ..core.iar import IARParams, iar
 from ..core.makespan import simulate
 from ..core.model import OCSPInstance
@@ -76,6 +77,18 @@ def table1(scale: float = 0.02) -> List[Dict[str, object]]:
 
 
 ModelFactory = "Callable[[OCSPInstance], CostBenefitModel]"
+
+
+def driver_engine() -> str:
+    """The make-span engine of the paper-scale drivers.
+
+    ``--engine`` / ``$REPRO_ENGINE`` when set, else ``"vector"``.  IAR
+    and every ``simulate`` call of a driver run on it, so they share the
+    one engine cached on each projected instance (its interned call
+    arrays are built once per projection).  All engines give bitwise
+    identical rows.
+    """
+    return resolve_engine(None, fallback="vector")
 
 
 def _model_levels(instance: OCSPInstance, model: CostBenefitModel) -> Dict[str, int]:
@@ -132,6 +145,7 @@ def scheme_comparison(
             ``jikes``, ``base_level``, ``optimizing_level``) so one
             trace file shows the four timelines side by side.
     """
+    engine = driver_engine()
     model = model_factory(instance)
     projected = project_to_model_levels(instance, model)
     lb = lower_bound(projected)
@@ -143,10 +157,10 @@ def scheme_comparison(
     def scoped(process: str):
         return None if tracer is None else tracer.scope(process)
 
-    iar_sched = iar(projected, iar_params, high_levels=high).schedule
+    iar_sched = iar(projected, iar_params, high_levels=high, engine=engine).schedule
     iar_result = simulate(
         projected, iar_sched, compile_threads=compile_threads, validate=False,
-        tracer=scoped("iar"),
+        tracer=scoped("iar"), engine=engine,
     )
 
     default_result = run_jikes(
@@ -160,6 +174,7 @@ def scheme_comparison(
         compile_threads=compile_threads,
         validate=False,
         tracer=scoped("base_level"),
+        engine=engine,
     )
 
     opt_result = simulate(
@@ -168,6 +183,7 @@ def scheme_comparison(
         compile_threads=compile_threads,
         validate=False,
         tracer=scoped("optimizing_level"),
+        engine=engine,
     )
 
     return {
@@ -286,16 +302,20 @@ def figure7(
     threads.  Speed-up is relative to the 1-thread make-span, with the
     default cost-benefit model, as in the paper.
     """
+    engine = driver_engine()
     rows: List[Dict[str, object]] = []
     for name, instance in suite.items():
         model = EstimatedModel(instance, seed=model_seed)
         projected = project_to_model_levels(instance, model)
-        sched = iar(projected).schedule
-        base = simulate(projected, sched, compile_threads=1, validate=False).makespan
+        sched = iar(projected, engine=engine).schedule
+        base = simulate(
+            projected, sched, compile_threads=1, validate=False, engine=engine
+        ).makespan
         row: Dict[str, object] = {"benchmark": name}
         for k in core_counts:
             span = simulate(
-                projected, sched, compile_threads=k, validate=False
+                projected, sched, compile_threads=k, validate=False,
+                engine=engine,
             ).makespan
             row[f"cores_{k}"] = metrics.speedup(base, span)
         rows.append(row)
@@ -334,6 +354,7 @@ def figure8(
             row["faults"] = summary
             rows.append(row)
         return rows
+    engine = driver_engine()
     rows: List[Dict[str, object]] = []
     for name, instance in suite.items():
         tracer = (
@@ -350,17 +371,18 @@ def figure8(
         )
         lb = lower_bound(projected)
         v8_result = run_v8(projected, levels=(0, 1), tracer=scoped("v8"))
-        iar_sched = iar(projected).schedule
+        iar_sched = iar(projected, engine=engine).schedule
         iar_result = simulate(
-            projected, iar_sched, validate=False, tracer=scoped("iar")
+            projected, iar_sched, validate=False, tracer=scoped("iar"),
+            engine=engine,
         )
         base_result = simulate(
             projected, base_level_schedule(projected), validate=False,
-            tracer=scoped("base_level"),
+            tracer=scoped("base_level"), engine=engine,
         )
         opt_result = simulate(
             projected, optimizing_level_schedule(projected), validate=False,
-            tracer=scoped("optimizing_level"),
+            tracer=scoped("optimizing_level"), engine=engine,
         )
         if tracer is not None:
             _write_trace(tracer, trace_dir, "figure8", name)
@@ -409,17 +431,23 @@ def table2(suite: Suite, model_seed: int = 0) -> List[Dict[str, object]]:
     ``percent_of_program`` compares the host seconds spent inside
     :func:`repro.core.iar.iar` against the benchmark's simulated
     make-span (virtual microseconds → seconds), matching the paper's
-    "percentage over whole program time" column.
+    "percentage over whole program time" column.  The timed call
+    includes building IAR's engine: nothing on the fresh projection
+    has built it before.
     """
+    engine = driver_engine()
     rows: List[Dict[str, object]] = []
     for name, instance in suite.items():
         model = EstimatedModel(instance, seed=model_seed)
         projected = project_to_model_levels(instance, model)
         started = time.perf_counter()
-        result = iar(projected)
+        result = iar(projected, engine=engine)
         elapsed = time.perf_counter() - started
         span_seconds = (
-            simulate(projected, result.schedule, validate=False).makespan / 1e6
+            simulate(
+                projected, result.schedule, validate=False, engine=engine
+            ).makespan
+            / 1e6
         )
         rows.append(
             {

@@ -21,10 +21,12 @@ inherit), and finally to the call site's historical fallback.
 
 :func:`make_simulator` can also cache one engine per
 ``(engine, compile_threads, preinstalled)`` combination on the instance
-itself, so repeated ``simulate(..., engine="vector")`` calls pay the
-per-instance interning cost once — the cache is bypassed whenever a
-metrics registry is attached, keeping work counters tied to the run
-that asked for them.
+itself, so repeated ``simulate(..., engine="vector")`` calls — and IAR,
+which takes the same cached engine — pay the per-instance set-up once;
+the cache is bypassed whenever a metrics registry is attached, keeping
+work counters tied to the run that asked for them.  Every engine built
+on an instance, cached or not, shares the instance's interned call
+arrays (:func:`repro.core.fastsim.interned`).
 """
 
 from __future__ import annotations

@@ -9,9 +9,10 @@ and a full replay of the call sequence.
 
 :class:`FastSimulator` splits that work into three tiers:
 
-* **per-instance** (paid once in ``__init__``): function names are
-  interned to dense integer ids, the call sequence becomes an id array,
-  and the cost tables become id-indexed rows;
+* **per-instance** (paid once per instance, by the first engine built
+  on it, and shared by all of them — see :func:`interned`): function
+  names are interned to dense integer ids, the call sequence becomes an
+  id array, and the cost tables become id-indexed rows;
 * **per-schedule** (paid per evaluation): compile-task finish times and
   per-function compile-event lists — ``O(S)`` for ``S`` tasks, which is
   tiny next to the ``N``-call trace;
@@ -103,6 +104,60 @@ class _Prep:
         self.missing: Optional[str] = None
 
 
+class _Interned:
+    """The per-instance tier: names interned to dense ids, the call
+    sequence as an id list, and the cost tables as id-indexed rows.
+
+    It depends on the instance alone, so :func:`interned` builds it once
+    per instance and every engine on that instance (one per thread
+    count, preinstalled set, or engine kind) shares it read-only.
+    ``arrays`` holds the vector engine's numpy views of the same data,
+    built by the first :class:`~repro.core.vecsim.VectorSimulator`.
+    """
+
+    __slots__ = (
+        "fnames",
+        "fid_of",
+        "calls_fid",
+        "exec_rows",
+        "compile_rows",
+        "called_fids",
+        "first_pos",
+        "arrays",
+    )
+
+    def __init__(self, instance: OCSPInstance) -> None:
+        self.fnames: List[str] = list(instance.profiles)
+        fid_of = self.fid_of = {
+            name: fid for fid, name in enumerate(self.fnames)
+        }
+        self.calls_fid: List[int] = list(map(fid_of.__getitem__, instance.calls))
+        self.exec_rows: List[Tuple[float, ...]] = [
+            instance.profiles[name].exec_times for name in self.fnames
+        ]
+        self.compile_rows: List[Tuple[float, ...]] = [
+            instance.profiles[name].compile_times for name in self.fnames
+        ]
+        called = instance.called_functions
+        # Distinct called fids in first-call order (for coverage checks).
+        self.called_fids: List[int] = [fid_of[f] for f in called]
+        # Trace positions of each function's first call, ascending.
+        # Bubbles can only occur there, and between consecutive first
+        # calls (and compile-event crossings) the replay clock is a pure
+        # sequential sum — the segmented replay exploits exactly this.
+        self.first_pos: List[int] = [instance.first_call_index(f) for f in called]
+        self.arrays = None
+
+
+def interned(instance: OCSPInstance) -> _Interned:
+    """The instance's shared :class:`_Interned` tier, built on first use."""
+    shared = getattr(instance, "_interned", None)
+    if shared is None:
+        shared = _Interned(instance)
+        object.__setattr__(instance, "_interned", shared)
+    return shared
+
+
 class FastSimulator:
     """Reusable make-span evaluator for one instance.
 
@@ -145,35 +200,16 @@ class FastSimulator:
         self._preinstalled = dict(preinstalled or {})
         self.metrics = metrics
 
-        # ---- per-instance precomputation -----------------------------
-        self._fnames: List[str] = list(instance.profiles)
-        self._fid_of: Dict[str, int] = {
-            name: fid for fid, name in enumerate(self._fnames)
-        }
-        fid_of = self._fid_of
+        # ---- per-instance precomputation (shared across engines) -----
+        shared = self._shared = interned(instance)
+        self._fnames = shared.fnames
+        self._fid_of = fid_of = shared.fid_of
         self._num_fids = len(self._fnames)
-        self._calls_fid: List[int] = [fid_of[f] for f in instance.calls]
-        self._exec_rows: List[Tuple[float, ...]] = [
-            instance.profiles[name].exec_times for name in self._fnames
-        ]
-        self._compile_rows: List[Tuple[float, ...]] = [
-            instance.profiles[name].compile_times for name in self._fnames
-        ]
-        # Distinct called fids in first-call order (for coverage checks).
-        self._called_fids: List[int] = [
-            fid_of[f] for f in instance.called_functions
-        ]
-        # Trace positions of each function's first call, ascending.
-        # Bubbles can only occur there, and between consecutive first
-        # calls (and compile-event crossings) the replay clock is a pure
-        # sequential sum — the segmented replay exploits exactly this.
-        first_pos: List[int] = []
-        seen = [False] * self._num_fids
-        for index, fid in enumerate(self._calls_fid):
-            if not seen[fid]:
-                seen[fid] = True
-                first_pos.append(index)
-        self._first_pos = first_pos
+        self._calls_fid = shared.calls_fid
+        self._exec_rows = shared.exec_rows
+        self._compile_rows = shared.compile_rows
+        self._called_fids = shared.called_fids
+        self._first_pos = shared.first_pos
         self._pre_events: List[Tuple[Tuple[float, int], ...]] = [
             () for _ in range(self._num_fids)
         ]

@@ -37,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .fastsim import FastSimulator
 from .makespan import iter_calls
 from .model import OCSPInstance
 from .schedule import CompileTask, Schedule
@@ -80,13 +79,14 @@ class IARParams:
             ``"compile_time"`` (cheapest first).
         exact_slack: replace step 3's conservative slack test with
             batch candidate scoring: every eligible upgrade is evaluated
-            individually on the incremental
-            :class:`~repro.core.fastsim.FastSimulator` engine and kept
-            only when it does not lengthen the make-span.  Costs one
-            suffix replay per candidate instead of one closed-form test,
-            but also captures the execution-side speed-up the
-            conservative test ignores.  Off by default (the paper's
-            algorithm).
+            individually through the engine's incremental
+            ``bind``/``propose``/``commit`` interface (on the run's
+            engine — ``"vector"`` by default — built privately for this
+            run, never the per-instance cached one) and kept only when
+            it does not lengthen the make-span.  Costs one suffix replay
+            per candidate instead of one closed-form test, but also
+            captures the execution-side speed-up the conservative test
+            ignores.  Off by default (the paper's algorithm).
     """
 
     k: float = DEFAULT_K
@@ -234,20 +234,24 @@ def iar(
             ``exact_slack`` the ``iar.exact_slack.*`` family) record how
             the schedule was built.
         engine: make-span engine for the trace passes and verification
-            simulations — ``"fast"`` (the default), ``"vector"``, or
+            simulations — ``"vector"`` (the default), ``"fast"``, or
             ``"reference"``; all walk identical schedules (the engines
             are bitwise-exact twins).  ``None`` defers to the session
             default (:func:`repro.core.engine.set_default_engine` /
-            ``$REPRO_ENGINE``), then to ``"fast"``.
+            ``$REPRO_ENGINE``), then to ``"vector"``.
     """
     from .engine import make_simulator
 
     infos = _function_infos(instance, high_levels)
     order = instance.called_functions  # first-appearance order
     # One engine serves every trace pass and verification simulation in
-    # this run; its per-instance arrays (interned call sequence, cost
-    # rows) are built once instead of once per pass.
-    fs = make_simulator(instance, engine, fallback="fast")
+    # this run.  It is the instance's cached engine — the one later
+    # ``simulate(..., engine=...)`` calls on this instance reuse — except
+    # under ``exact_slack``, whose bind/propose/commit mutates engine
+    # state and so gets a private engine.
+    fs = make_simulator(
+        instance, engine, fallback="vector", cached=not params.exact_slack
+    )
 
     # ------------------------------------------------------------ step 1
     init_tasks: List[CompileTask] = [
@@ -378,7 +382,7 @@ def _fill_slack(
     categories: Dict[str, str],
     schedule: Schedule,
     params: IARParams,
-    fs: Optional[FastSimulator] = None,
+    fs,
 ) -> Optional[Tuple[Schedule, List[str]]]:
     """Step 3: upgrade initial low compiles where slack absorbs the cost.
 
@@ -392,8 +396,6 @@ def _fill_slack(
     against the unrefined one and keeps the better.
     """
     m = len(order)
-    if fs is None:
-        fs = FastSimulator(instance)
     first_start, _b, _a, _end = fs.trace_stats(schedule)
 
     # Finish time of each initial compile (single compile thread).
@@ -446,7 +448,7 @@ def _fill_slack_exact(
     infos: Dict[str, _FunctionInfo],
     order: List[str],
     schedule: Schedule,
-    fs: FastSimulator,
+    fs,
     metrics=None,
 ) -> Optional[Tuple[Schedule, List[str]]]:
     """Step 3 variant: score every slack-upgrade candidate exactly.
@@ -496,8 +498,8 @@ def _fill_ending_gap(
     instance: OCSPInstance,
     infos: Dict[str, _FunctionInfo],
     schedule: Schedule,
-    gap_priority: str = "remaining_calls",
-    fs: Optional[FastSimulator] = None,
+    gap_priority: str,
+    fs,
 ) -> Tuple[Schedule, List[str]]:
     """Step 4: append high compiles into the compile/exec ending gap.
 
@@ -509,8 +511,6 @@ def _fill_ending_gap(
     add bubbles.
     """
     compile_end = schedule.total_compile_time(instance)
-    if fs is None:
-        fs = FastSimulator(instance)
     _first, _before, calls_after, exec_end = fs.trace_stats(
         schedule, after_time=compile_end
     )

@@ -325,7 +325,16 @@ class OCSPInstance:
                 compile_times=tuple(prof.compile_times[lvl] for lvl in keep),
                 exec_times=tuple(prof.exec_times[lvl] for lvl in keep),
             )
-        return OCSPInstance(profiles=new_profiles, calls=self.calls, name=self.name)
+        # Same function names, same call sequence: the source's call
+        # counts and first-call indices hold as they are, so the N-call
+        # recount (and profile check) of ``__post_init__`` is skipped.
+        restricted = object.__new__(OCSPInstance)
+        object.__setattr__(restricted, "profiles", new_profiles)
+        object.__setattr__(restricted, "calls", self.calls)
+        object.__setattr__(restricted, "name", self.name)
+        object.__setattr__(restricted, "_call_counts", self._call_counts)
+        object.__setattr__(restricted, "_first_call_index", self._first_call_index)
+        return restricted
 
     def prefix(self, n_calls: int) -> "OCSPInstance":
         """Instance containing only the first ``n_calls`` invocations."""

@@ -71,6 +71,52 @@ def numpy_available() -> bool:
     return _numpy_or_none() is not None
 
 
+class _Arrays:
+    """Static structure-of-arrays state of one instance.
+
+    Built once per instance from its :class:`~repro.core.fastsim._Interned`
+    tier and shared by every vector engine on it: the interned call
+    sequence as one flat id array (replay segments are O(1) views into
+    it), cost tables as dense ``(fid, level)`` matrices (rows padded with
+    their last entry — padding is never indexed because level validity
+    is checked first), first-call positions and fids, per-fid call and
+    level counts, and — built lazily, only when some function's level
+    varies across its calls — the per-fid call-position groups.
+    """
+
+    __slots__ = (
+        "calls_np",
+        "max_levels",
+        "exec_tab",
+        "compile_tab",
+        "nlvl_np",
+        "first_pos_np",
+        "first_fids_np",
+        "call_counts_np",
+        "called_mask_np",
+        "call_groups",
+    )
+
+    def __init__(self, np, shared) -> None:
+        exec_rows = shared.exec_rows
+        self.calls_np = np.asarray(shared.calls_fid, dtype=np.intp)
+        ml = self.max_levels = max((len(row) for row in exec_rows), default=1)
+
+        def table(rows):
+            if not rows:
+                return np.zeros((0, ml))
+            return np.array([row + (row[-1],) * (ml - len(row)) for row in rows])
+
+        self.exec_tab = table(exec_rows)
+        self.compile_tab = table(shared.compile_rows)
+        self.nlvl_np = np.asarray([len(row) for row in exec_rows], dtype=np.int64)
+        self.first_pos_np = np.asarray(shared.first_pos, dtype=np.intp)
+        self.first_fids_np = np.asarray(shared.called_fids, dtype=np.intp)
+        self.call_counts_np = np.bincount(self.calls_np, minlength=len(exec_rows))
+        self.called_mask_np = self.call_counts_np > 0
+        self.call_groups = None
+
+
 class VectorSimulator(FastSimulator):
     """Structure-of-arrays make-span evaluator for one instance.
 
@@ -96,49 +142,24 @@ class VectorSimulator(FastSimulator):
         )
         self._np = _numpy_or_none()
         if self._np is not None:
-            np = self._np
-            # The interned call sequence as one flat id array; replay
-            # segments are O(1) views into it.
-            self._calls_np = np.asarray(self._calls_fid, dtype=np.intp)
-            self._max_levels = max(
-                (len(row) for row in self._exec_rows), default=1
-            )
-            # Static SoA state for the batched evaluate kernel: cost
-            # tables as dense (fid, level) matrices (rows padded with
-            # their last entry — padding is never indexed because level
-            # validity is checked first), first-call positions and fids,
-            # per-fid call counts, and per-fid level counts.
-            ml = self._max_levels
-            self._exec_tab = np.array(
-                [row + (row[-1],) * (ml - len(row)) for row in self._exec_rows]
-            ) if self._exec_rows else np.zeros((0, ml))
-            self._compile_tab = np.array(
-                [
-                    row + (row[-1],) * (ml - len(row))
-                    for row in self._compile_rows
-                ]
-            ) if self._compile_rows else np.zeros((0, ml))
-            self._nlvl_np = np.asarray(
-                [len(row) for row in self._exec_rows], dtype=np.int64
-            )
-            self._first_pos_np = np.asarray(self._first_pos, dtype=np.intp)
-            self._first_fids_np = (
-                self._calls_np[self._first_pos_np]
-                if len(self._calls_np)
-                else np.empty(0, dtype=np.intp)
-            )
-            self._call_counts_np = np.bincount(
-                self._calls_np, minlength=self._num_fids
-            )
-            self._called_mask_np = self._call_counts_np > 0
+            shared = self._shared
+            if shared.arrays is None:
+                shared.arrays = _Arrays(self._np, shared)
+            arrays = self._arrays = shared.arrays
+            self._calls_np = arrays.calls_np
+            self._max_levels = arrays.max_levels
+            self._exec_tab = arrays.exec_tab
+            self._compile_tab = arrays.compile_tab
+            self._nlvl_np = arrays.nlvl_np
+            self._first_pos_np = arrays.first_pos_np
+            self._first_fids_np = arrays.first_fids_np
+            self._call_counts_np = arrays.call_counts_np
+            self._called_mask_np = arrays.called_mask_np
             self._pre_pairs = [
                 (fid, ev[0][1])
                 for fid, ev in enumerate(self._pre_events)
                 if ev
             ]
-            # Per-fid call-position groups, built lazily: only needed
-            # when some function's level varies across its calls.
-            self._call_groups_cache = None
             # One-slot cache of the last Schedule's interned task
             # arrays.  Schedules are immutable, so identity implies
             # equality; local search and the bench loops re-evaluate
@@ -148,14 +169,15 @@ class VectorSimulator(FastSimulator):
     def _call_groups(self):
         """``(order, bounds)``: positions of fid ``f``'s calls, ascending,
         are ``order[bounds[f]:bounds[f + 1]]``.  Cached per instance."""
-        if self._call_groups_cache is None:
+        arrays = self._arrays
+        if arrays.call_groups is None:
             np = self._np
             order = np.argsort(self._calls_np, kind="stable")
             bounds = np.concatenate(
                 ([0], np.cumsum(self._call_counts_np))
             )
-            self._call_groups_cache = (order, bounds)
-        return self._call_groups_cache
+            arrays.call_groups = (order, bounds)
+        return arrays.call_groups
 
     # ------------------------------------------------------------------
     # Full-bookkeeping replay (timelines, incremental bind/commit)
@@ -377,14 +399,23 @@ class VectorSimulator(FastSimulator):
     # Totals-only replay (the stateless evaluate fast path)
     # ------------------------------------------------------------------
     def _replay_totals(
-        self, prep: _Prep, i0: int, t0: float, exec0: float, bubble0: float
+        self, prep: _Prep, thresholds: Sequence[float] = (), totals: bool = True
     ):
-        """Totals-only twin of :meth:`_replay`: no per-call arrays.
+        """Totals-only twin of :meth:`_replay`: no per-call Python objects.
 
-        Returns ``(t, total_exec, total_bubble, calls_at_level)`` with
-        the same floats and the same work counters the full replay
-        would produce; the per-level histogram accumulates through
-        ``numpy.bincount`` instead of per-call appends.
+        Returns ``(t, total_exec, total_bubble, calls_at_level,
+        first_starts, crossings)`` with the same floats the full replay
+        would produce.  Each call's exec time and level land in flat
+        arrays as its chunk commits; one ``numpy.cumsum`` (the
+        reference's sequential left-associated sum from 0.0) and one
+        ``numpy.bincount`` reduce them at the end.  ``first_starts``
+        holds the start of every function's first call (first-call
+        order) and ``crossings[j]`` the index of the first call starting
+        at or after ``thresholds[j]`` (``N`` if none) — call starts
+        never decrease, so the calls before it are exactly those
+        starting before the threshold.  With ``totals=False`` (the
+        trace pass) the exec and level totals are skipped and returned
+        as ``None``.
         """
         np = self._np
         self._check_covered(prep)
@@ -399,20 +430,25 @@ class VectorSimulator(FastSimulator):
         first_fin = prep.first_fin
         first_pos = self._first_pos
         num_firsts = len(first_pos)
-        max_levels = self._max_levels
         bests = np.full(self._num_fids, -1, dtype=np.int64)
         cur_exec = np.zeros(self._num_fids, dtype=np.float64)
-        hist = np.zeros(max_levels, dtype=np.int64)
         empty = np.empty
         cumsum = np.cumsum
         searchsorted = np.searchsorted
-        bincount = np.bincount
-        t = t0
-        total_exec = exec0
-        total_bubble = bubble0
-        i = i0
+        if totals:
+            # execs[i + 1] / levels[i]: exec time and level of call i.
+            execs = empty(n + 1)
+            execs[0] = 0.0
+            levels = empty(n, dtype=np.int64)
+        first_starts = []
+        crossings = [n] * len(thresholds)
+        # Thresholds not yet crossed, lowest first.
+        pending = sorted((thr, j) for j, thr in enumerate(thresholds))
+        t = 0.0
+        total_bubble = 0.0
+        i = 0
         k = 0
-        fb = bisect_left(first_pos, i0)
+        fb = 0
         while i < n:
             while k < num_events and gev_fins[k] <= t:
                 fid = gev_fids[k]
@@ -437,8 +473,12 @@ class VectorSimulator(FastSimulator):
                     start = t
                 e = float(cur_exec[fid])
                 total_bubble += start - t
-                total_exec += e
-                hist[bests[fid]] += 1
+                if totals:
+                    execs[i + 1] = e
+                    levels[i] = bests[fid]
+                first_starts.append(start)
+                while pending and start >= pending[0][0]:
+                    crossings[pending.pop(0)[1]] = i
                 t = start + e
                 i += 1
                 fb += 1
@@ -460,27 +500,28 @@ class VectorSimulator(FastSimulator):
                 else:
                     p = m
                 if p:
-                    hist += bincount(bests[seg[:p]], minlength=max_levels)
-                    ce = empty(p + 1)
-                    ce[0] = total_exec
-                    ce[1:] = ex[:p]
-                    cumsum(ce, out=ce)
-                    total_exec = float(ce[p])
+                    # arr[:p] are the starts of calls i .. i + p - 1.
+                    while pending and arr[p - 1] >= pending[0][0]:
+                        thr, slot = pending.pop(0)
+                        crossings[slot] = i + int(
+                            searchsorted(arr[:p], thr, side="left")
+                        )
+                    if totals:
+                        execs[i + 1 : i + p + 1] = ex[:p]
+                        levels[i : i + p] = bests[seg[:p]]
                     t = float(arr[p])
                     i += p
                 if crossed:
                     break
                 step <<= 1
-        metrics = self.metrics
-        if metrics is not None:
-            metrics.counter("fastsim.replays").inc()
-            metrics.counter("fastsim.calls_replayed").inc(n - i0)
+        if not totals:
+            return t, None, total_bubble, None, first_starts, crossings
+        total_exec = float(cumsum(execs)[n])
+        hist = np.bincount(levels, minlength=self._max_levels).tolist()
         calls_at_level = {
-            level: int(count)
-            for level, count in enumerate(hist.tolist())
-            if count
+            level: count for level, count in enumerate(hist) if count
         }
-        return t, total_exec, total_bubble, calls_at_level
+        return t, total_exec, total_bubble, calls_at_level, first_starts, crossings
 
     # ------------------------------------------------------------------
     # Batched evaluation (the whole trace in O(1) numpy passes)
@@ -560,7 +601,41 @@ class VectorSimulator(FastSimulator):
 
     _MAX_LEVEL_ROUNDS = 20
 
-    def _evaluate_batched(self, schedule):
+    def _task_arrays(self, schedule):
+        """``(tfids, tlvls)``: the schedule's task fids and levels as
+        arrays (cached for the last :class:`Schedule` object)."""
+        np = self._np
+        cached = self._sched_arrays
+        if (
+            cached is not None
+            and isinstance(schedule, Schedule)
+            and cached[0] is schedule
+        ):
+            return cached[1], cached[2]
+        tasks = self._as_tasks(schedule)
+        fid_of = self._fid_of
+        tfids = np.asarray(
+            [fid_of[task.function] for task in tasks], dtype=np.intp
+        )
+        tlvls = np.asarray([task.level for task in tasks], dtype=np.int64)
+        if isinstance(schedule, Schedule):
+            self._sched_arrays = (schedule, tfids, tlvls)
+        return tfids, tlvls
+
+    # The batched kernel re-derives the levels of every function whose
+    # level changes mid-trace in a fixpoint loop (numpy passes over the
+    # function's calls, per round), while the chunked path pays per
+    # first call and per compile event instead.  Measured on a 2.1 GHz
+    # Xeon: the perf suite's scale-1.0 single-level workload (no level
+    # changes) evaluates in 5.0 ms batched against 110 ms chunked;
+    # jython's scale-0.01 IAR schedule (140 level-changing functions)
+    # in 57 ms batched against 8.4 ms chunked.  Over the 378
+    # single-thread evaluations and trace passes of ``repro study``,
+    # limits 0 to 2 take 1.32-1.34 s, 4 takes 1.38 s, 16 takes 1.48 s
+    # and 32 takes 3.05 s (1.23 s with every call on its faster path).
+    BATCHED_MAX_VARYING = 2
+
+    def _batched_timeline(self, tfids, tlvls):
         """Whole-trace totals in a fixed number of numpy passes.
 
         The replay clock is a single float chain that *restarts* — at a
@@ -583,29 +658,18 @@ class VectorSimulator(FastSimulator):
         method returns ``None`` — before touching any counter — and the
         caller falls back to the chunked exact path.  Results that do
         return are bitwise identical to the reference by construction.
+
+        Returns ``(result, first_starts, segments)``: the
+        :class:`MakespanResult` totals, the exact start of every first
+        call (first-call order), and the timeline as
+        ``(seg_a, lens, seeds, e)`` — segment ``r`` runs calls
+        ``seg_a[r] .. seg_a[r] + lens[r] - 1`` back to back from
+        ``seeds[r]``, call ``i`` taking ``e[i]``.
         """
         np = self._np
         calls_np = self._calls_np
         n = len(calls_np)
         num_fids = self._num_fids
-        cached = self._sched_arrays
-        if (
-            cached is not None
-            and isinstance(schedule, Schedule)
-            and cached[0] is schedule
-        ):
-            _, tfids, tlvls = cached
-        else:
-            tasks = self._as_tasks(schedule)
-            fid_of = self._fid_of
-            tfids = np.asarray(
-                [fid_of[task.function] for task in tasks], dtype=np.intp
-            )
-            tlvls = np.asarray(
-                [task.level for task in tasks], dtype=np.int64
-            )
-            if isinstance(schedule, Schedule):
-                self._sched_arrays = (schedule, tfids, tlvls)
         num_tasks = len(tfids)
         if num_tasks and (
             int(tlvls.min()) < 0 or bool(np.any(tlvls >= self._nlvl_np[tfids]))
@@ -788,18 +852,58 @@ class VectorSimulator(FastSimulator):
             for level, count in enumerate(hist.tolist())
             if count
         }
-        if metrics is not None:
-            metrics.counter("fastsim.prepares").inc()
-            metrics.counter("fastsim.tasks_prepared").inc(num_tasks)
-            metrics.counter("fastsim.replays").inc()
-            metrics.counter("fastsim.calls_replayed").inc(n)
-        return MakespanResult(
+        result = MakespanResult(
             makespan=t,
             compile_end=compile_end,
             total_bubble_time=total_bubble,
             total_exec_time=total_exec,
             calls_at_level=calls_at_level,
         )
+        first_starts = np.empty(len(fp))
+        first_starts[binding] = first_F[binding]
+        first_starts[~binding] = qvals[:nnb]
+        return result, first_starts, (seg_a, lens, seeds, e)
+
+    def _segment_crossing(self, segments, thr) -> int:
+        """Index of the first call starting at or after ``thr`` on a
+        batched timeline (``N`` if none).
+
+        A non-empty segment's first call starts at its seed and starts
+        never decrease, so the crossing lies inside the last segment
+        starting before ``thr`` — one exact cumsum of that segment — or
+        at the start of the next one.
+        """
+        np = self._np
+        seg_a, lens, seeds, e = segments
+        live = np.nonzero(lens)[0]
+        before = int(np.searchsorted(seeds[live], thr, side="left"))
+        if not before:
+            return 0
+        r = int(live[before - 1])
+        a = int(seg_a[r])
+        ln = int(lens[r])
+        arr = np.empty(ln + 1)
+        arr[0] = seeds[r]
+        arr[1:] = e[a : a + ln]
+        np.cumsum(arr, out=arr)
+        return a + int(np.searchsorted(arr[:ln], thr, side="left"))
+
+    def _batched_or_none(self, schedule):
+        """The batched timeline when the schedule suits the batched
+        kernel — one compile thread, and at most
+        :attr:`BATCHED_MAX_VARYING` functions changing level (compiled
+        more than once, or on top of a preinstalled level) — and its
+        verification holds; else ``None`` (take the chunked path)."""
+        if self._compile_threads != 1:
+            return None
+        np = self._np
+        tfids, tlvls = self._task_arrays(schedule)
+        counts = np.bincount(tfids, minlength=self._num_fids)
+        for fid, _level in self._pre_pairs:
+            counts[fid] += 1
+        if np.count_nonzero(counts > 1) > self.BATCHED_MAX_VARYING:
+            return None
+        return self._batched_timeline(tfids, tlvls)
 
     # ------------------------------------------------------------------
     # Full (stateless) evaluation
@@ -819,8 +923,10 @@ class VectorSimulator(FastSimulator):
 
         Timeline and tracer requests take the inherited path (whose
         :meth:`_replay` is already vectorized); plain evaluations use
-        the totals-only kernel, which skips per-call list
-        materialization entirely.
+        a totals-only kernel, which skips per-call list materialization
+        entirely: the batched kernel when the schedule suits it
+        (:meth:`_batched_or_none`), else the chunked exact replay.  Both
+        give the same floats and the same work counters.
         """
         if self._np is None or record_timeline or tracer is not None:
             return super().evaluate(
@@ -832,18 +938,27 @@ class VectorSimulator(FastSimulator):
                 task_installs=task_installs,
                 tracer=tracer,
             )
-        if self.metrics is not None:
-            self.metrics.counter("fastsim.evaluations").inc()
+        metrics = self.metrics
+        if metrics is not None:
+            metrics.counter("fastsim.evaluations").inc()
         if (
             not validate
-            and self._compile_threads == 1
             and release_times is None
             and task_compile_times is None
             and task_installs is None
         ):
-            result = self._evaluate_batched(schedule)
-            if result is not None:
-                return result
+            batched = self._batched_or_none(schedule)
+            if batched is not None:
+                if metrics is not None:
+                    metrics.counter("fastsim.prepares").inc()
+                    metrics.counter("fastsim.tasks_prepared").inc(
+                        len(schedule)
+                    )
+                    metrics.counter("fastsim.replays").inc()
+                    metrics.counter("fastsim.calls_replayed").inc(
+                        len(self._calls_fid)
+                    )
+                return batched[0]
         prep = self._prepare(
             schedule, release_times, task_compile_times, task_installs
         )
@@ -851,9 +966,12 @@ class VectorSimulator(FastSimulator):
             validate_for_simulation(
                 self._instance, Schedule(prep.tasks), self._preinstalled
             )
-        t, total_exec, total_bubble, calls_at_level = self._replay_totals(
-            prep, 0, 0.0, 0.0, 0.0
+        t, total_exec, total_bubble, calls_at_level, _f, _c = (
+            self._replay_totals(prep)
         )
+        if metrics is not None:
+            metrics.counter("fastsim.replays").inc()
+            metrics.counter("fastsim.calls_replayed").inc(len(self._calls_fid))
         return MakespanResult(
             makespan=t,
             compile_end=prep.finishes[-1] if prep.finishes else 0.0,
@@ -861,6 +979,56 @@ class VectorSimulator(FastSimulator):
             total_exec_time=total_exec,
             calls_at_level=calls_at_level,
         )
+
+    # ------------------------------------------------------------------
+    # Streaming statistics (IAR's trace pass)
+    # ------------------------------------------------------------------
+    def trace_stats(
+        self,
+        schedule: TaskSeq,
+        before_time: Optional[float] = None,
+        after_time: Optional[float] = None,
+    ):
+        """Vectorized :meth:`FastSimulator.trace_stats`: same floats and
+        counts, and no per-call Python objects.
+
+        Call starts never decrease, so the calls starting before a
+        threshold are a prefix of the trace: each threshold costs one
+        crossing index, and the per-function counts one
+        ``numpy.bincount`` over the prefix or suffix.  The batched
+        kernel serves the schedules it suits (as in :meth:`evaluate`);
+        the rest replay on the chunked totals kernel.
+        """
+        np = self._np
+        if np is None:
+            return super().trace_stats(schedule, before_time, after_time)
+        wanted = [thr for thr in (before_time, after_time) if thr is not None]
+        batched = self._batched_or_none(schedule)
+        if batched is not None:
+            result, first_starts, segments = batched
+            t = result.makespan
+            crossings = [self._segment_crossing(segments, thr) for thr in wanted]
+            first_starts = first_starts.tolist()
+            if self.metrics is not None:
+                self.metrics.counter("fastsim.prepares").inc()
+                self.metrics.counter("fastsim.tasks_prepared").inc(len(schedule))
+        else:
+            prep = self._prepare(schedule)
+            t, _e, _b, _h, first_starts, crossings = self._replay_totals(
+                prep, wanted, totals=False
+            )
+        fnames = self._fnames
+        calls_np = self._calls_np
+
+        def counted(calls):
+            counts = np.bincount(calls, minlength=self._num_fids).tolist()
+            return {fnames[fid]: c for fid, c in enumerate(counts) if c}
+
+        crossing = iter(crossings)
+        before = {} if before_time is None else counted(calls_np[: next(crossing)])
+        after = {} if after_time is None else counted(calls_np[next(crossing) :])
+        firsts = dict(zip((fnames[fid] for fid in self._called_fids), first_starts))
+        return firsts, before, after, t
 
     # ------------------------------------------------------------------
     # Due-date objectives (vectorized aggregation)

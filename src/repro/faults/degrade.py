@@ -219,16 +219,20 @@ def simulate_with_faults(
             degradation decisions, which happen before any engine runs.
             ``None`` defers to the session default
             (:func:`repro.core.engine.set_default_engine` /
-            ``$REPRO_ENGINE``), then to ``"reference"``.
-        metrics: optional metrics registry, passed to the engine and —
-            when ``faults`` is not already an injector — the injector.
+            ``$REPRO_ENGINE``), then to ``"reference"``.  The plan is
+            measured through :func:`~repro.core.makespan.simulate`, so
+            non-reference engines come from the instance's engine cache.
+        metrics: optional metrics registry, passed to
+            :func:`~repro.core.makespan.simulate` (its ``makespan.*``
+            counters) and — when ``faults`` is not already an injector —
+            the injector.
 
     Returns:
         ``(result, plan)``: the measured timings and the degraded plan
         that produced them.  A null spec takes the untouched clean
         path, so its result is bitwise equal to a fault-free run.
     """
-    from ..core.engine import make_simulator, resolve_engine
+    from ..core.engine import resolve_engine
 
     engine = resolve_engine(engine, fallback="reference")
     injector = _as_injector(faults, metrics=metrics)
@@ -243,46 +247,19 @@ def simulate_with_faults(
             ),
             installs=(True,) * len(schedule),
         )
-        if engine != "reference":
-            sim = make_simulator(
-                instance, engine, compile_threads=compile_threads,
-                metrics=metrics,
-            )
-            return sim.evaluate(schedule, record_timeline=record_timeline), plan
-        return (
-            simulate(
-                instance,
-                schedule,
-                compile_threads=compile_threads,
-                record_timeline=record_timeline,
-                validate=False,
-                metrics=metrics,
-            ),
-            plan,
-        )
-    plan = apply_to_schedule(instance, schedule, injector)
-    if engine != "reference":
-        sim = make_simulator(
-            instance, engine, compile_threads=compile_threads,
-            metrics=metrics,
-        )
-        result = sim.evaluate(
-            plan.tasks,
-            record_timeline=record_timeline,
-            task_compile_times=plan.compile_times,
-            task_installs=plan.installs,
-        )
     else:
-        result = simulate(
-            instance,
-            plan.tasks,
-            compile_threads=compile_threads,
-            record_timeline=record_timeline,
-            validate=False,
-            task_compile_times=plan.compile_times,
-            task_installs=plan.installs,
-            metrics=metrics,
-        )
+        plan = apply_to_schedule(instance, schedule, injector)
+    result = simulate(
+        instance,
+        plan.tasks,
+        compile_threads=compile_threads,
+        record_timeline=record_timeline,
+        validate=False,
+        task_compile_times=None if injector.null else plan.compile_times,
+        task_installs=None if injector.null else plan.installs,
+        metrics=metrics,
+        engine=engine,
+    )
     return result, plan
 
 
@@ -313,7 +290,11 @@ def faulty_scheme_comparison(
         zero-rate results bitwise equal to the fault-free path.
     """
     from ..analysis import metrics as ametrics
-    from ..analysis.experiments import project_to_model_levels, scheme_comparison
+    from ..analysis.experiments import (
+        driver_engine,
+        project_to_model_levels,
+        scheme_comparison,
+    )
 
     injector = _as_injector(faults, metrics=metrics)
     if injector.null:
@@ -335,11 +316,16 @@ def faulty_scheme_comparison(
     # What the schedulers believe the costs are; the simulators keep
     # charging ``projected`` (the truth).
     view = injector.scheduler_view(projected)
+    engine = driver_engine()
 
-    iar_sched = iar(view, iar_params, high_levels=high).schedule
+    iar_sched = iar(view, iar_params, high_levels=high, engine=engine).schedule
     iar_result, _ = simulate_with_faults(
-        projected, iar_sched, injector,
-        compile_threads=compile_threads, validate=False,
+        projected,
+        iar_sched,
+        injector,
+        compile_threads=compile_threads,
+        validate=False,
+        engine=engine,
     )
 
     default_result = run_jikes(
@@ -350,13 +336,21 @@ def faulty_scheme_comparison(
     )
 
     base_result, _ = simulate_with_faults(
-        projected, base_level_schedule(projected), injector,
-        compile_threads=compile_threads, validate=False,
+        projected,
+        base_level_schedule(projected),
+        injector,
+        compile_threads=compile_threads,
+        validate=False,
+        engine=engine,
     )
 
     opt_result, _ = simulate_with_faults(
-        projected, optimizing_level_schedule(projected, levels=high), injector,
-        compile_threads=compile_threads, validate=False,
+        projected,
+        optimizing_level_schedule(projected, levels=high),
+        injector,
+        compile_threads=compile_threads,
+        validate=False,
+        engine=engine,
     )
 
     row = {
@@ -384,8 +378,10 @@ def faulty_v8_comparison(
     numbers are bitwise equal to the clean Figure 8 computation.
     """
     from ..analysis import metrics as ametrics
+    from ..analysis.experiments import driver_engine
 
     injector = _as_injector(faults, metrics=metrics)
+    engine = driver_engine()
     low, high = levels
     projected = instance.restricted_to_levels(
         {fname: [low, high] for fname in instance.profiles}
@@ -397,18 +393,30 @@ def faulty_v8_comparison(
         projected, levels=(0, 1), compile_threads=compile_threads,
         faults=injector,
     )
-    iar_sched = iar(view).schedule
+    iar_sched = iar(view, engine=engine).schedule
     iar_result, _ = simulate_with_faults(
-        projected, iar_sched, injector,
-        compile_threads=compile_threads, validate=False,
+        projected,
+        iar_sched,
+        injector,
+        compile_threads=compile_threads,
+        validate=False,
+        engine=engine,
     )
     base_result, _ = simulate_with_faults(
-        projected, base_level_schedule(projected), injector,
-        compile_threads=compile_threads, validate=False,
+        projected,
+        base_level_schedule(projected),
+        injector,
+        compile_threads=compile_threads,
+        validate=False,
+        engine=engine,
     )
     opt_result, _ = simulate_with_faults(
-        projected, optimizing_level_schedule(projected), injector,
-        compile_threads=compile_threads, validate=False,
+        projected,
+        optimizing_level_schedule(projected),
+        injector,
+        compile_threads=compile_threads,
+        validate=False,
+        engine=engine,
     )
 
     row = {

@@ -168,6 +168,15 @@ class TestOCSPInstance:
         assert restricted.profiles["b"].num_levels == 1
         assert restricted.profiles["b"].compile_times == (3.0,)
         assert restricted.profiles["a"].num_levels == 1  # untouched
+        # The call counts and first-call indices carried over from the
+        # source equal a fresh recount of the trace.
+        fresh = OCSPInstance(restricted.profiles, inst.calls, name=inst.name)
+        assert restricted == fresh
+        assert restricted.called_functions == fresh.called_functions
+        for fname in ("a", "b", "unused"):
+            assert restricted.call_count(fname) == fresh.call_count(fname)
+        assert restricted.first_call_index("b") == fresh.first_call_index("b")
+        assert restricted.summary() == fresh.summary()
 
     def test_restricted_to_levels_rejects_empty(self):
         inst = self._instance()

@@ -35,7 +35,9 @@ from repro.core import (
     simulate,
 )
 from repro.core.engine import ENGINES, ReferenceSimulator, resolve_engine
+from repro.core.iar import _trace_stats, iar
 from repro.core.localsearch import _propose, improve_schedule
+from repro.core.vecsim import numpy_available
 from repro.faults import simulate_with_faults
 from repro.observability import MetricsRegistry
 from repro.perf.harness import counters_of
@@ -243,17 +245,162 @@ def test_evaluate_counters_identical():
         assert counters_of(mv) == counters_of(mf)
 
 
-def test_trace_stats_matches_fast():
+def force_path(monkeypatch, path):
+    """Pin the vector engine's batched/chunked choice for one test."""
+    limit = {"batched": 1 << 30, "chunked": -1}[path]
+    monkeypatch.setattr(VectorSimulator, "BATCHED_MAX_VARYING", limit)
+
+
+def edge_thresholds(instance, schedule, threads=1, preinstalled=None):
+    """Every exact call start (where ``<`` and ``>=`` part ways), 0.0,
+    the make-span and a point past it."""
+    timings = simulate(
+        instance,
+        schedule,
+        compile_threads=threads,
+        preinstalled=preinstalled,
+        record_timeline=True,
+    ).call_timings
+    span = timings[-1].finish if timings else 0.0
+    return sorted({t.start for t in timings}) + [0.0, span, span + 1.0]
+
+
+def threshold_pairs(thr):
+    """Both thresholds, then only ``before_time``, then only
+    ``after_time``."""
+    return ((thr, thr), (thr, None), (None, thr))
+
+
+def test_trace_stats_matches_fast(monkeypatch):
+    """One compile thread, both kernel paths: the vector trace pass
+    equals the reference ``iar._trace_stats`` at every edge threshold."""
     rng = random.Random(31)
     for _ in range(20):
         instance = random_instance(rng)
         schedule = random_schedule(instance, rng)
-        span = simulate(instance, schedule).makespan
-        t = span * rng.random()
-        fast = FastSimulator(instance)
-        vec = VectorSimulator(instance)
-        assert vec.trace_stats(schedule, before_time=t, after_time=t) == \
-            fast.trace_stats(schedule, before_time=t, after_time=t)
+        for path in ("batched", "chunked"):
+            force_path(monkeypatch, path)
+            vec = VectorSimulator(instance)
+            for thr in edge_thresholds(instance, schedule):
+                for before, after in threshold_pairs(thr):
+                    assert vec.trace_stats(schedule, before, after) == _trace_stats(
+                        instance, schedule, before, after
+                    )
+
+
+@pytest.mark.parametrize("threads", [2, 4])
+def test_trace_stats_multithread_matches_fast(threads):
+    rng = random.Random(310 + threads)
+    for _ in range(15):
+        instance = random_instance(rng)
+        schedule = random_schedule(instance, rng)
+        fast = FastSimulator(instance, compile_threads=threads)
+        vec = VectorSimulator(instance, compile_threads=threads)
+        for thr in edge_thresholds(instance, schedule, threads):
+            for before, after in threshold_pairs(thr):
+                assert vec.trace_stats(schedule, before, after) == fast.trace_stats(
+                    schedule, before, after
+                )
+
+
+@pytest.mark.parametrize("path", ["batched", "chunked"])
+def test_trace_stats_preinstalled_matches_fast(monkeypatch, path):
+    force_path(monkeypatch, path)
+    rng = random.Random(313)
+    for _ in range(15):
+        instance = random_instance(rng)
+        pre = {
+            fname: rng.randrange(instance.profiles[fname].num_levels)
+            for fname in instance.called_functions
+            if rng.random() < 0.5
+        }
+        schedule = Schedule(
+            tuple(t for t in random_schedule(instance, rng) if t.function not in pre)
+        )
+        fast = FastSimulator(instance, preinstalled=pre)
+        vec = VectorSimulator(instance, preinstalled=pre)
+        for thr in edge_thresholds(instance, schedule, preinstalled=pre):
+            for before, after in threshold_pairs(thr):
+                assert vec.trace_stats(schedule, before, after) == fast.trace_stats(
+                    schedule, before, after
+                )
+
+
+# ---------------------------------------------------------------------------
+# the evaluate path choice (batched kernel vs chunked exact replay)
+# ---------------------------------------------------------------------------
+
+
+def spy_kernels(monkeypatch):
+    """Record which totals kernel each evaluation enters."""
+    entered = []
+    for name in ("_batched_timeline", "_replay_totals"):
+        original = getattr(VectorSimulator, name)
+
+        def spy(self, *args, _name=name, _original=original, **kwargs):
+            entered.append(_name)
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(VectorSimulator, name, spy)
+    return entered
+
+
+def single_level_input():
+    """The perf suite's engine workload with its single-level schedule
+    (what ``core_simulate_vector`` / ``vecsim_evaluate`` evaluate)."""
+    from repro.core.single_level import base_level_schedule
+    from repro.perf.suites import _workload
+
+    instance = _workload(0.01)
+    return instance, base_level_schedule(instance)
+
+
+def level_varying_input():
+    """A scale-0.002 DaCapo benchmark's IAR schedule, many of whose
+    functions change level."""
+    from repro.analysis.experiments import project_to_model_levels
+    from repro.vm.costbenefit import EstimatedModel
+    from repro.workloads import dacapo
+
+    instance = dacapo.load("pmd", scale=0.002)
+    projected = project_to_model_levels(instance, EstimatedModel(instance, seed=0))
+    schedule = iar(projected).schedule
+    compiled = [task.function for task in schedule]
+    varying = {f for f in compiled if compiled.count(f) > 1}
+    assert len(varying) > VectorSimulator.BATCHED_MAX_VARYING
+    return projected, schedule
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy kernels disabled")
+@pytest.mark.parametrize(
+    "make_input,expected",
+    [
+        (single_level_input, "_batched_timeline"),
+        (level_varying_input, "_replay_totals"),
+    ],
+    ids=["single-level", "level-varying"],
+)
+def test_evaluate_path_choice(monkeypatch, make_input, expected):
+    instance, schedule = make_input()
+    entered = spy_kernels(monkeypatch)
+    VectorSimulator(instance).evaluate(schedule)
+    assert entered == [expected]
+    # Both paths give bitwise-equal totals and the fast engine's exact
+    # fastsim.* counters, so the committed engine baselines hold on
+    # whichever path the choice takes.
+    fast_metrics = MetricsRegistry()
+    reference = FastSimulator(instance, metrics=fast_metrics).evaluate(schedule)
+    for path in ("batched", "chunked"):
+        force_path(monkeypatch, path)
+        del entered[:]
+        metrics = MetricsRegistry()
+        result = VectorSimulator(instance, metrics=metrics).evaluate(schedule)
+        assert entered[0] == {
+            "batched": "_batched_timeline",
+            "chunked": "_replay_totals",
+        }[path]
+        assert_results_equal(result, reference)
+        assert counters_of(metrics) == counters_of(fast_metrics)
 
 
 # ---------------------------------------------------------------------------
