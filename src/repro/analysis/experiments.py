@@ -462,6 +462,20 @@ def table2(suite: Suite, model_seed: int = 0) -> List[Dict[str, object]]:
     return rows
 
 
+def _astar_instance(functions: int, calls: int = 50, seed: int = 7) -> OCSPInstance:
+    """One instance of the A* table: two levels, ``functions`` unique
+    functions, ``calls`` calls (the table's defaults)."""
+    spec = WorkloadSpec(
+        name=f"astar-m{functions}",
+        num_functions=functions,
+        num_calls=calls,
+        num_levels=2,
+        base_compile_us=200.0,
+        mean_exec_us=50.0,
+    )
+    return generate(spec, seed=seed)
+
+
 def astar_scaling(
     function_counts: Sequence[int] = (2, 3, 4, 5, 6, 7),
     calls_per_instance: int = 50,
@@ -477,15 +491,7 @@ def astar_scaling(
     """
     rows: List[Dict[str, object]] = []
     for m in function_counts:
-        spec = WorkloadSpec(
-            name=f"astar-m{m}",
-            num_functions=m,
-            num_calls=calls_per_instance,
-            num_levels=2,
-            base_compile_us=200.0,
-            mean_exec_us=50.0,
-        )
-        instance = generate(spec, seed=seed)
+        instance = _astar_instance(m, calls_per_instance, seed)
         row: Dict[str, object] = {"functions": m, "calls": instance.num_calls}
         try:
             result = astar_schedule(instance, max_frontier=max_frontier)

@@ -27,7 +27,10 @@ path to ``v``:
 Both components are already incurred by any completion of the path
 (future tasks finish after ``t(v)`` and cannot unblock or accelerate
 calls that started inside it), so ``f`` never overestimates and the
-search is optimal.  It is *not* practical: the frontier grows
+search is optimal.  The same fact makes ``f`` incremental: an expansion
+replays its own window once, and each child resumes that replay where
+it stopped (:func:`_replay`).  A frontier node is a parent pointer plus
+one task.  The search is still *not* practical: the frontier grows
 exponentially and the paper reports out-of-memory beyond six functions —
 behaviour reproduced by ``benchmarks/bench_astar_search.py``.
 """
@@ -36,8 +39,9 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Sequence, Tuple
 
 from .bounds import lower_bound
 from .makespan import simulate
@@ -93,46 +97,128 @@ def _count_paths(level_counts: List[int]) -> int:
     return paths
 
 
-def _heuristic(instance: OCSPInstance, tasks: Tuple[CompileTask, ...]) -> float:
-    """``f(v) = b(v) + e(v)`` for the partial schedule ``tasks``."""
-    profiles = instance.profiles
-    # Compile finish times (single compile thread, as in the paper's
-    # search formulation).
-    finish_of: Dict[str, List[Tuple[float, int]]] = {}
-    t = 0.0
-    for task in tasks:
-        t += profiles[task.function].compile_times[task.level]
-        finish_of.setdefault(task.function, []).append((t, task.level))
-    t_end = t
+#: A compile event on a path: (finish time, exec time at its level,
+#: that exec time minus the function's fastest).
+_Event = Tuple[float, float, float]
 
-    bubbles = 0.0
-    extra_exec = 0.0
-    now = 0.0
-    for fname in instance.calls:
-        if now >= t_end:
+#: A replay cursor: the next call to replay, the clock, and the bubble
+#: and extra-exec sums, all taken before ``f(v)``'s final
+#: ``t_end - now`` addition.
+_Cursor = Tuple[int, float, float, float]
+_START: _Cursor = (0, 0.0, 0.0, 0.0)
+
+#: Task column of a terminal node: stop after the parent's tasks.
+_STOP = -1
+
+
+def _replay(
+    calls: Sequence[int],
+    events: Sequence[Sequence[_Event]],
+    t_end: float,
+    cursor: _Cursor,
+) -> Tuple[float, _Cursor]:
+    """``f(v) = b(v) + e(v)`` for the window ``t(v) = t_end``, from ``cursor``.
+
+    ``calls`` is the call sequence as function indices and
+    ``events[fn]`` lists that function's compiles on the path, in path
+    order.  From :data:`_START` this is the heuristic of the whole path.
+    A child (its parent's path plus one task) may resume from the cursor
+    its parent returned and gets the same value and cursor, bitwise:
+    every call the parent replayed started before the parent's
+    ``t_end``, and the child's new task finishes at or after it, so it
+    can neither unblock nor accelerate any of them — the same reason
+    ``f`` is admissible.
+
+    Returns ``f`` and the cursor where the replay stopped.
+    """
+    i, now, bubbles, extra = cursor
+    n = len(calls)
+    while i < n and now < t_end:
+        fevents = events[calls[i]]
+        if not fevents:
             break
-        events = finish_of.get(fname)
-        prof = profiles[fname]
-        if not events:
-            # Blocked until after the window ends: the remaining window
-            # is pure bubble for any completion of this path.
-            bubbles += t_end - now
-            break
-        ready = events[0][0]
+        ready = fevents[0][0]
         start = now if now >= ready else ready
         if start >= t_end:
-            bubbles += t_end - now
             break
         bubbles += start - now
-        best = max(lvl for f_time, lvl in events if f_time <= start)
-        exec_time = prof.exec_times[best]
-        # A call that starts inside the window has committed to its
-        # level: tasks appended after t_end cannot retroactively
-        # accelerate it, so its full slowdown is incurred by every
-        # completion.
-        extra_exec += exec_time - prof.exec_times[-1]
+        # Finish times and levels both rise along the path, so the last
+        # compile finished by ``start`` is the highest level the call
+        # runs at.  A call that starts inside the window has committed
+        # to that level: tasks appended after t_end cannot accelerate it.
+        k = len(fevents) - 1
+        while fevents[k][0] > start:
+            k -= 1
+        _, exec_time, slowdown = fevents[k]
+        extra += slowdown
         now = start + exec_time
-    return bubbles + extra_exec
+        i += 1
+    cursor = (i, now, bubbles, extra)
+    if i < n and now < t_end:
+        # Call ``i`` is blocked until after the window ends: the rest of
+        # the window is pure bubble for any completion of this path.
+        bubbles += t_end - now
+    return bubbles + extra, cursor
+
+
+class _Tree:
+    """Per-instance tables shared by every node of one search.
+
+    A task id numbers one ``(function, level)`` pair, which has one
+    shared :class:`CompileTask`, compile time and exec times; the ids of
+    function ``fn`` run from ``first[fn]`` up to ``first[fn + 1]``.
+    """
+
+    def __init__(self, instance: OCSPInstance):
+        functions = instance.called_functions
+        index = {fname: fn for fn, fname in enumerate(functions)}
+        self.calls = [index[fname] for fname in instance.calls]
+        self.first: List[int] = []
+        self.fn: List[int] = []
+        self.level: List[int] = []
+        self.task: List[CompileTask] = []
+        self.compile: List[float] = []
+        self.exec: List[Tuple[float, float]] = []
+        for fn, fname in enumerate(functions):
+            prof = instance.profiles[fname]
+            self.first.append(len(self.task))
+            for level in range(prof.num_levels):
+                exec_time = prof.exec_times[level]
+                self.fn.append(fn)
+                self.level.append(level)
+                self.task.append(CompileTask(fname, level))
+                self.compile.append(prof.compile_times[level])
+                self.exec.append((exec_time, exec_time - prof.exec_times[-1]))
+        self.first.append(len(self.task))
+
+    def window(
+        self, path: Sequence[int]
+    ) -> Tuple[List[List[_Event]], List[int], float]:
+        """:func:`_replay`'s events, each function's last level (``-1``
+        if absent) and ``t(v)`` for the task-id ``path``.
+
+        Compiles finish back to back on one compile thread, as in the
+        paper's search formulation.
+        """
+        events: List[List[_Event]] = [[] for _ in range(len(self.first) - 1)]
+        last = [-1] * len(events)
+        t = 0.0
+        for tid in path:
+            t += self.compile[tid]
+            fn = self.fn[tid]
+            events[fn].append((t,) + self.exec[tid])
+            last[fn] = self.level[tid]
+        return events, last, t
+
+
+def _path(parent: Sequence[int], task_of: Sequence[int], node: int) -> List[int]:
+    """Task ids from the root (node 0) to ``node``, in path order."""
+    path: List[int] = []
+    while node:
+        path.append(task_of[node])
+        node = parent[node]
+    path.reverse()
+    return path
 
 
 def astar_schedule(
@@ -159,23 +245,26 @@ def astar_schedule(
         raise ValueError("instance has no calls; nothing to schedule")
     level_counts = [instance.profiles[f].num_levels for f in functions]
     lb = lower_bound(instance)
+    tree = _Tree(instance)
+    calls = tree.calls
 
-    # Frontier entries:
-    # (f_value, tiebreak, is_terminal, tasks, last_level_per_function)
+    # Heap entries are (f, counter).  A node is a parent pointer plus one
+    # task id in columns indexed by its counter, which also breaks ties
+    # in push order.  Node 0 is the root, where the path walk stops; a
+    # terminal node's task is _STOP.
+    frontier: List[Tuple[float, int]] = [(0.0, 0)]
+    parent = array("q", [0])
+    task_of = array("i", [0])
     counter = 0
-    start_state = tuple(-1 for _ in functions)
-    frontier: List[
-        Tuple[float, int, bool, Tuple[CompileTask, ...], Tuple[int, ...]]
-    ] = [(0.0, counter, False, (), start_state)]
     nodes_expanded = 0
     max_frontier_seen = 1
 
     while frontier:
-        f_value, _tie, is_terminal, tasks, state = heapq.heappop(frontier)
-        if is_terminal:
-            schedule = Schedule(tasks)
+        f_value, node = heapq.heappop(frontier)
+        if task_of[node] == _STOP:
+            path = _path(parent, task_of, parent[node])
             return AStarResult(
-                schedule=schedule,
+                schedule=Schedule(tuple(tree.task[tid] for tid in path)),
                 makespan=f_value + lb,
                 nodes_expanded=nodes_expanded,
                 max_frontier=max_frontier_seen,
@@ -185,27 +274,29 @@ def astar_schedule(
         if nodes_expanded > max_expansions:
             raise RuntimeError(f"A* exceeded {max_expansions} node expansions")
 
-        if all(last >= 0 for last in state):
+        path = _path(parent, task_of, node)
+        events, last, t_end = tree.window(path)
+        _, cursor = _replay(calls, events, t_end, _START)
+
+        if min(last) >= 0:
             # Stopping here is a legal schedule: attach its exact cost.
+            tasks = tuple(tree.task[tid] for tid in path)
             exact = simulate(instance, Schedule(tasks), validate=False).makespan - lb
             counter += 1
-            heapq.heappush(frontier, (exact, counter, True, tasks, state))
+            heapq.heappush(frontier, (exact, counter))
+            parent.append(node)
+            task_of.append(_STOP)
 
-        for i, fname in enumerate(functions):
-            for next_level in range(state[i] + 1, level_counts[i]):
-                child_tasks = tasks + (CompileTask(fname, next_level),)
-                child_state = state[:i] + (next_level,) + state[i + 1 :]
+        for fn, fevents in enumerate(events):
+            for tid in range(tree.first[fn] + last[fn] + 1, tree.first[fn + 1]):
+                t_child = t_end + tree.compile[tid]
+                fevents.append((t_child,) + tree.exec[tid])
+                f_child, _ = _replay(calls, events, t_child, cursor)
+                fevents.pop()
                 counter += 1
-                heapq.heappush(
-                    frontier,
-                    (
-                        _heuristic(instance, child_tasks),
-                        counter,
-                        False,
-                        child_tasks,
-                        child_state,
-                    ),
-                )
+                heapq.heappush(frontier, (f_child, counter))
+                parent.append(node)
+                task_of.append(tid)
         if len(frontier) > max_frontier_seen:
             max_frontier_seen = len(frontier)
         if len(frontier) > max_frontier:

@@ -9,9 +9,9 @@ baseline — results at different scales never compare.
 
 The ``quick`` suite covers every instrumented hot path: the reference
 simulator, the fast engine (full and incremental), the vector engine,
-local search, the priority-queue co-simulation, the result store,
-tracing, and the parallel experiment runner.  It is sized to finish in
-seconds at the default scale so CI can gate on it.
+local search, the A* search, the priority-queue co-simulation, the
+result store, tracing, and the parallel experiment runner.  It is sized
+to finish in seconds at the default scale so CI can gate on it.
 
 Two narrower suites serve the engine-equivalence story:
 
@@ -304,6 +304,34 @@ def _bench_localsearch(scale: float):
     def fn(metrics: MetricsRegistry) -> None:
         improve_schedule(
             instance, schedule, iterations=200, seed=3, metrics=metrics
+        )
+
+    return fn
+
+
+@register(
+    "astar_search",
+    description="A* search on the Section 6.2.5 table's 2-6 function instances",
+)
+def _bench_astar_search(scale: float):
+    from ..analysis.experiments import _astar_instance
+    from ..core.astar import astar_schedule
+
+    # The table's instances are fixed whatever the scale.  Its
+    # 7-function row, the out-of-memory point, is left out so the quick
+    # suite stays quick.
+    instances = [_astar_instance(m) for m in range(2, 7)]
+
+    def fn(metrics: MetricsRegistry) -> None:
+        results = [
+            astar_schedule(instance, max_frontier=200_000)
+            for instance in instances
+        ]
+        metrics.counter("astar.nodes_expanded").inc(
+            sum(r.nodes_expanded for r in results)
+        )
+        metrics.counter("astar.max_frontier").inc(
+            sum(r.max_frontier for r in results)
         )
 
     return fn

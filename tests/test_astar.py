@@ -4,10 +4,12 @@ import math
 
 import pytest
 
+from repro.analysis.experiments import _astar_instance
 from repro.core import (
     AStarMemoryExceeded,
     FunctionProfile,
     OCSPInstance,
+    Schedule,
     astar_schedule,
     optimal_schedule,
     simulate,
@@ -44,12 +46,70 @@ class TestOptimality:
         astar = astar_schedule(inst)
         assert astar.makespan == pytest.approx(exact.makespan)
 
-    def test_prunes_search_space(self, fig2_instance):
-        result = astar_schedule(fig2_instance)
-        # The tree has paths_total full permutations; A* should expand
-        # far fewer nodes than 5! would suggest.
-        assert result.paths_total == 30  # 5!/(1!*2!*2!)
-        assert result.nodes_expanded < 200
+
+# The whole search, pinned: status, nodes expanded, the largest frontier
+# (or the frontier size at the out-of-memory abort), the exact make-span,
+# paths_total and the schedule, on the Figure 1-2 examples and the six
+# instances of the Section 6.2.5 table (astar_scaling's defaults).  A
+# faster search must reproduce every value exactly, the node counts too.
+SEARCH_PINS = {
+    "fig1": (
+        "optimal", 29, 52, 10.0, 30,
+        (("f0", 0), ("f1", 0), ("f2", 0), ("f1", 1)),
+    ),
+    # The tree has 30 = 5!/(1!*2!*2!) full permutations; A* expands far
+    # fewer nodes than 5! would suggest.
+    "fig2": (
+        "optimal", 43, 68, 12.0, 30,
+        (("f0", 0), ("f1", 0), ("f2", 1)),
+    ),
+    "m2": (
+        "optimal", 16, 21, 2165.1305426308936, 6,
+        (("f0000", 0), ("f0001", 1)),
+    ),
+    "m3": (
+        "optimal", 47, 120, 2953.2637166952622, 90,
+        (("f0001", 0), ("f0002", 0), ("f0000", 0), ("f0002", 1)),
+    ),
+    "m4": (
+        "optimal", 159, 526, 2324.2174173497397, 2520,
+        (("f0002", 0), ("f0003", 0), ("f0001", 0), ("f0000", 0), ("f0001", 1)),
+    ),
+    "m5": (
+        "optimal", 392, 2104, 1906.3107338379664, 113400,
+        (("f0000", 0), ("f0001", 0), ("f0003", 0), ("f0002", 0), ("f0004", 0)),
+    ),
+    "m6": (
+        "optimal", 3365, 20844, 1735.6986484951071, 7484400,
+        (
+            ("f0001", 0), ("f0000", 0), ("f0002", 0),
+            ("f0004", 0), ("f0005", 0), ("f0003", 0),
+        ),
+    ),
+    "m7": ("out-of-memory", 27968, 200006, None, None, None),
+}
+
+
+class TestSearchPins:
+    @pytest.mark.parametrize("case", sorted(SEARCH_PINS))
+    def test_search_is_pinned(self, case, request):
+        if case.startswith("fig"):
+            instance = request.getfixturevalue(f"{case}_instance")
+        else:
+            instance = _astar_instance(int(case[1:]))
+        status, expanded, frontier, makespan, paths, tasks = SEARCH_PINS[case]
+        if status == "out-of-memory":
+            with pytest.raises(AStarMemoryExceeded) as info:
+                astar_schedule(instance, max_frontier=200_000)
+            assert info.value.nodes_expanded == expanded
+            assert info.value.frontier_size == frontier
+            return
+        result = astar_schedule(instance, max_frontier=200_000)
+        assert result.nodes_expanded == expanded
+        assert result.max_frontier == frontier
+        assert result.makespan == makespan
+        assert result.paths_total == paths
+        assert result.schedule == Schedule.of(*tasks)
 
 
 class TestPathsTotal:

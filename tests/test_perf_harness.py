@@ -127,6 +127,7 @@ class TestSuiteRegistry:
             "fastsim_evaluate",
             "fastsim_incremental",
             "localsearch_moves",
+            "astar_search",
             "priorityqueue_hotness",
             "store_roundtrip",
             "trace_record",

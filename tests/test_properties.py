@@ -28,17 +28,22 @@ from repro.core.singlecore import (
 from repro.workloads import traces
 
 times = st.floats(min_value=0.1, max_value=50.0, allow_nan=False)
+# validate_monotone_levels accepts zero compile and exec times; equal
+# finish times are the edge of A*'s resumable replay.
+zero_times = st.one_of(st.just(0.0), times)
 
 
 @st.composite
-def profiles_strategy(draw, max_functions=4, max_levels=3):
+def profiles_strategy(draw, max_functions=4, max_levels=3, values=times):
     n_funcs = draw(st.integers(min_value=1, max_value=max_functions))
     profiles: Dict[str, FunctionProfile] = {}
     for i in range(n_funcs):
         n_levels = draw(st.integers(min_value=1, max_value=max_levels))
-        compile_times = sorted(draw(st.lists(times, min_size=n_levels, max_size=n_levels)))
+        compile_times = sorted(
+            draw(st.lists(values, min_size=n_levels, max_size=n_levels))
+        )
         exec_times = sorted(
-            draw(st.lists(times, min_size=n_levels, max_size=n_levels)),
+            draw(st.lists(values, min_size=n_levels, max_size=n_levels)),
             reverse=True,
         )
         name = f"f{i}"
@@ -47,8 +52,8 @@ def profiles_strategy(draw, max_functions=4, max_levels=3):
 
 
 @st.composite
-def instances(draw, max_functions=4, max_levels=3, max_calls=12):
-    profiles = draw(profiles_strategy(max_functions, max_levels))
+def instances(draw, max_functions=4, max_levels=3, max_calls=12, values=times):
+    profiles = draw(profiles_strategy(max_functions, max_levels, values))
     names = sorted(profiles)
     calls = draw(
         st.lists(st.sampled_from(names), min_size=1, max_size=max_calls)
@@ -189,13 +194,82 @@ def test_iar_never_beats_true_optimum(inst):
 
 
 @settings(max_examples=30, deadline=None)
-@given(instances(max_functions=3, max_levels=2, max_calls=8))
+@given(
+    st.one_of(
+        instances(max_functions=3, max_levels=2, max_calls=8),
+        instances(max_functions=3, max_levels=2, max_calls=8, values=zero_times),
+    )
+)
 def test_astar_matches_bruteforce(inst):
     from repro.core import astar_schedule
 
     exact = optimal_schedule(inst)
     astar = astar_schedule(inst)
     assert astar.makespan == pytest.approx(exact.makespan)
+
+
+@st.composite
+def instance_and_task_path(draw):
+    """A zero-time instance and a random path of A*'s tree: tasks in
+    which each function's levels only rise, possibly skipping some."""
+    inst = draw(instances(max_functions=3, max_levels=3, values=zero_times))
+    last = {fname: -1 for fname in inst.called_functions}
+    path: List[CompileTask] = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        open_functions = [f for f in sorted(last) if last[f] < inst.max_level(f)]
+        if not open_functions:
+            break
+        fname = draw(st.sampled_from(open_functions))
+        level = draw(
+            st.integers(min_value=last[fname] + 1, max_value=inst.max_level(fname))
+        )
+        path.append(CompileTask(fname, level))
+        last[fname] = level
+    return inst, path
+
+
+@settings(max_examples=200, deadline=None)
+@given(instance_and_task_path())
+def test_astar_resumed_replay_equals_full_replay(case):
+    """Resuming a prefix's f(v) replay with the next task gives the same
+    f and cursor, bitwise, as replaying the longer path from the start."""
+    from repro.core.astar import _START, _Tree, _replay
+
+    inst, path = case
+    tree = _Tree(inst)
+    ids = [tree.task.index(task) for task in path]
+
+    def bits(f, cursor):
+        i, now, bubbles, extra = cursor
+        return f.hex(), i, now.hex(), bubbles.hex(), extra.hex()
+
+    for j in range(len(ids)):
+        events, _, t_end = tree.window(ids[:j])
+        _, cursor = _replay(tree.calls, events, t_end, _START)
+        events, _, t_end = tree.window(ids[: j + 1])
+        resumed = _replay(tree.calls, events, t_end, cursor)
+        replayed = _replay(tree.calls, events, t_end, _START)
+        assert bits(*resumed) == bits(*replayed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(instance_and_task_path())
+def test_astar_heuristic_never_overestimates(case):
+    """f(v) + LB is at most the make-span of any completion of v, here v
+    itself once it compiles every called function (ties in finish and
+    start times included)."""
+    from repro.core.astar import _START, _Tree, _replay
+
+    inst, path = case
+    tree = _Tree(inst)
+    ids = [tree.task.index(task) for task in path]
+    for j in range(1, len(ids) + 1):
+        events, last, t_end = tree.window(ids[:j])
+        if min(last) < 0:
+            continue
+        f, _ = _replay(tree.calls, events, t_end, _START)
+        exact = simulate(inst, Schedule(tuple(path[:j])), validate=False).makespan
+        assert f + lower_bound(inst) <= exact + 1e-9 * max(1.0, exact)
 
 
 @settings(max_examples=60, deadline=None)
