@@ -111,8 +111,8 @@ _SEED_HELP = (
 
 _ENGINE_HELP = (
     "make-span engine: 'reference' (pure-Python oracle), 'fast' "
-    "(incremental), or 'vector' (numpy structure-of-arrays; falls back "
-    "to pure Python without numpy) — all bitwise identical.  Without "
+    "(incremental), or 'vector' (numpy structure-of-arrays; pure "
+    "Python under $REPRO_NO_NUMPY) — all bitwise identical.  Without "
     "this flag, $REPRO_ENGINE picks it when set; otherwise IAR and the "
     "study/fault-sweep drivers use 'vector' and simulate() (evaluate, "
     "diagnose) uses 'reference'.  The flag overrides both defaults and "

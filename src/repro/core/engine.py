@@ -32,6 +32,7 @@ arrays (:func:`repro.core.fastsim.interned`).
 from __future__ import annotations
 
 import os
+import weakref
 from typing import Dict, Optional, Sequence, Tuple
 
 from .fastsim import FastSimulator
@@ -132,7 +133,9 @@ class ReferenceSimulator:
             raise ValueError(
                 f"compile_threads must be >= 1, got {compile_threads}"
             )
-        self._instance = instance
+        # Weak reference plus a keep-alive, as in FastSimulator.
+        self._instance_ref = weakref.ref(instance)
+        self._owner: Optional[OCSPInstance] = instance
         self._compile_threads = compile_threads
         self._preinstalled = dict(preinstalled or {})
         for fname, level in self._preinstalled.items():
@@ -145,6 +148,10 @@ class ReferenceSimulator:
         self._b_tasks: Optional[Tuple[CompileTask, ...]] = None
         self._b_makespan = 0.0
         self._cand: Optional[Tuple[Tuple[CompileTask, ...], float]] = None
+
+    @property
+    def _instance(self) -> OCSPInstance:
+        return self._instance_ref()
 
     @staticmethod
     def _as_tasks(schedule) -> Tuple[CompileTask, ...]:
@@ -286,6 +293,9 @@ def make_simulator(
             preinstalled)`` key, memoized on the instance — safe for
             stateless ``evaluate`` loops, which is what the cache
             serves; incremental users should build their own engine.
+            A cached engine holds its instance weakly (the instance
+            owns it), so keep the instance alive while using it; an
+            uncached engine holds it strongly.
 
     Raises:
         ValueError: for an unknown engine name or invalid engine
@@ -309,6 +319,11 @@ def make_simulator(
                 compile_threads=compile_threads,
                 preinstalled=preinstalled,
             )
+            # The instance owns the engine through its cache, so the
+            # engine holds it weakly: a strong back-reference would
+            # leave the pair (and the interned arrays) to the cyclic
+            # collector instead of freeing them with the last reference.
+            sim._owner = None
             cache[key] = sim
         return sim
     return _SIMULATORS[name](

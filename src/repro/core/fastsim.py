@@ -44,7 +44,9 @@ from __future__ import annotations
 
 import heapq
 import math
+import weakref
 from bisect import bisect_left
+from collections import deque
 from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -65,6 +67,15 @@ __all__ = ["FastSimulator"]
 TaskSeq = Union[Schedule, Sequence[CompileTask]]
 
 _INF = math.inf
+
+
+def _left_sum(values, start: float) -> float:
+    """``start + v0 + v1 + ...``, added strictly left to right.
+
+    Builtin ``sum`` compensates float rounding since Python 3.12, so it
+    can differ in the last bits from the reference's sequential adds.
+    """
+    return deque(accumulate(values, initial=start), maxlen=1)[0]
 
 
 class _Prep:
@@ -195,7 +206,11 @@ class FastSimulator:
             raise ValueError(
                 f"compile_threads must be >= 1, got {compile_threads}"
             )
-        self._instance = instance
+        # The instance is reached through a weak reference and kept
+        # alive by ``_owner``, which the instance's own engine cache
+        # drops (see repro.core.engine.make_simulator).
+        self._instance_ref = weakref.ref(instance)
+        self._owner: Optional[OCSPInstance] = instance
         self._compile_threads = compile_threads
         self._preinstalled = dict(preinstalled or {})
         self.metrics = metrics
@@ -230,6 +245,10 @@ class FastSimulator:
         self._b_cum_bubble: List[float] = []
         self._b_makespan = 0.0
         self._cand: Optional[Tuple[_Prep, int, float]] = None
+
+    @property
+    def _instance(self) -> OCSPInstance:
+        return self._instance_ref()
 
     # ------------------------------------------------------------------
     # Per-schedule precomputation
@@ -564,11 +583,10 @@ class FastSimulator:
             b = first_pos[fb] if fb < num_firsts else n
             if k >= num_events:
                 # No pending compile events: the whole stretch to the
-                # next boundary is one sequential sum.  ``sum(it, t)``
-                # performs the identical left-associated float additions
-                # at C speed; the clock is monotone, so checking the
-                # cutoff once at the stretch end is equivalent.
-                t = sum(map(exec_of, calls[i:b]), t)
+                # next boundary is one sequential sum, at C speed; the
+                # clock is monotone, so checking the cutoff once at the
+                # stretch end is equivalent.
+                t = _left_sum(map(exec_of, calls[i:b]), t)
                 i = b
                 if t > cutoff:
                     return _INF, i
@@ -577,7 +595,7 @@ class FastSimulator:
             while i < b:
                 j = b if b - i <= step else i + step
                 seg = calls[i:j]
-                end = sum(map(exec_of, seg), t)
+                end = _left_sum(map(exec_of, seg), t)
                 if gev_fins[k] <= end:
                     # The event lands in this chunk: rebuild the prefix
                     # sums (same additions) to locate the crossing call.

@@ -242,6 +242,15 @@ class OCSPInstance:
         object.__setattr__(self, "_call_counts", counts)
         object.__setattr__(self, "_first_call_index", first_index)
 
+    def __getstate__(self) -> Dict[str, object]:
+        # The engines' per-instance caches stay in their process: they
+        # rebuild on first use, and a cached engine's weak reference back
+        # to the instance cannot be pickled.
+        state = dict(self.__dict__)
+        state.pop("_interned", None)
+        state.pop("_engine_cache", None)
+        return state
+
     # ------------------------------------------------------------------
     # Derived views
     # ------------------------------------------------------------------

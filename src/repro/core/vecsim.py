@@ -22,10 +22,10 @@ reference's exact float operations in the exact order:
 * ``numpy.searchsorted(..., side="left")`` locates compile-event
   crossings exactly like ``bisect.bisect_left``.
 
-numpy is an *optional* dependency: when it is missing (or the
-``REPRO_NO_NUMPY`` environment variable is set), every override falls
-back to the inherited pure-Python structure-of-arrays path, so the
-``"vector"`` engine degrades gracefully instead of failing to import.
+numpy is a required dependency of the package.  Setting the
+``REPRO_NO_NUMPY`` environment variable makes every override fall back
+to the inherited pure-Python structure-of-arrays path instead (same
+numbers, no array kernel), which keeps that path tested.
 
 Work counters are identical to the fast engine's — including
 ``fastsim.span_calls_replayed``, whose value depends on the galloping
@@ -42,7 +42,9 @@ import os
 from bisect import bisect_left
 from typing import Optional, Sequence, Tuple
 
-from .fastsim import _INF, FastSimulator, TaskSeq, _Prep
+import numpy as np
+
+from .fastsim import _INF, FastSimulator, TaskSeq, _Prep, interned
 from .makespan import (
     DueDateObjectives,
     DueDateTable,
@@ -52,18 +54,13 @@ from .makespan import (
 from .model import OCSPInstance
 from .schedule import Schedule, ScheduleError
 
-__all__ = ["VectorSimulator", "numpy_available"]
+__all__ = ["VectorSimulator", "instance_arrays", "numpy_available"]
 
 
 def _numpy_or_none():
-    """The numpy module, or ``None`` when unavailable or disabled."""
-    if os.environ.get("REPRO_NO_NUMPY"):
-        return None
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - exercised via REPRO_NO_NUMPY
-        return None
-    return numpy
+    """The numpy module, or ``None`` when ``REPRO_NO_NUMPY`` switches the
+    array kernels off."""
+    return None if os.environ.get("REPRO_NO_NUMPY") else np
 
 
 def numpy_available() -> bool:
@@ -75,13 +72,14 @@ class _Arrays:
     """Static structure-of-arrays state of one instance.
 
     Built once per instance from its :class:`~repro.core.fastsim._Interned`
-    tier and shared by every vector engine on it: the interned call
-    sequence as one flat id array (replay segments are O(1) views into
-    it), cost tables as dense ``(fid, level)`` matrices (rows padded with
-    their last entry — padding is never indexed because level validity
-    is checked first), first-call positions and fids, per-fid call and
-    level counts, and — built lazily, only when some function's level
-    varies across its calls — the per-fid call-position groups.
+    tier (see :func:`instance_arrays`) and shared by every vector engine
+    and reactive-runtime replay on it: the interned call sequence as one
+    flat id array (replay segments are O(1) views into it), cost tables
+    as dense ``(fid, level)`` matrices (rows padded with their last entry
+    — padding is never indexed because level validity is checked first),
+    first-call positions and fids, per-fid call and level counts, and —
+    built lazily by :meth:`call_groups` — the per-fid call-position
+    groups.
     """
 
     __slots__ = (
@@ -94,10 +92,10 @@ class _Arrays:
         "first_fids_np",
         "call_counts_np",
         "called_mask_np",
-        "call_groups",
+        "_groups",
     )
 
-    def __init__(self, np, shared) -> None:
+    def __init__(self, shared) -> None:
         exec_rows = shared.exec_rows
         self.calls_np = np.asarray(shared.calls_fid, dtype=np.intp)
         ml = self.max_levels = max((len(row) for row in exec_rows), default=1)
@@ -114,7 +112,33 @@ class _Arrays:
         self.first_fids_np = np.asarray(shared.called_fids, dtype=np.intp)
         self.call_counts_np = np.bincount(self.calls_np, minlength=len(exec_rows))
         self.called_mask_np = self.call_counts_np > 0
-        self.call_groups = None
+        self._groups = None
+
+    def call_groups(self):
+        """``(order, bounds)``: positions of fid ``f``'s calls, ascending,
+        are ``order[bounds[f]:bounds[f + 1]]``.  Built on first use."""
+        if self._groups is None:
+            calls = self.calls_np
+            if len(self.nlvl_np) <= 1 << 16:
+                # Same stable order; numpy radix-sorts 16-bit keys,
+                # several times faster than its 64-bit merge sort.
+                calls = calls.astype(np.uint16)
+            order = np.argsort(calls, kind="stable")
+            bounds = np.concatenate(([0], np.cumsum(self.call_counts_np)))
+            self._groups = (order, bounds)
+        return self._groups
+
+
+def instance_arrays(instance: OCSPInstance) -> _Arrays:
+    """The instance's shared :class:`_Arrays`, built on first use.
+
+    Always array-backed (numpy is required): ``REPRO_NO_NUMPY`` switches
+    off the vector engine's kernels, not this shared data.
+    """
+    shared = interned(instance)
+    if shared.arrays is None:
+        shared.arrays = _Arrays(shared)
+    return shared.arrays
 
 
 class VectorSimulator(FastSimulator):
@@ -142,10 +166,7 @@ class VectorSimulator(FastSimulator):
         )
         self._np = _numpy_or_none()
         if self._np is not None:
-            shared = self._shared
-            if shared.arrays is None:
-                shared.arrays = _Arrays(self._np, shared)
-            arrays = self._arrays = shared.arrays
+            arrays = self._arrays = instance_arrays(instance)
             self._calls_np = arrays.calls_np
             self._max_levels = arrays.max_levels
             self._exec_tab = arrays.exec_tab
@@ -165,19 +186,6 @@ class VectorSimulator(FastSimulator):
             # equality; local search and the bench loops re-evaluate
             # the same Schedule object many times.
             self._sched_arrays = None
-
-    def _call_groups(self):
-        """``(order, bounds)``: positions of fid ``f``'s calls, ascending,
-        are ``order[bounds[f]:bounds[f + 1]]``.  Cached per instance."""
-        arrays = self._arrays
-        if arrays.call_groups is None:
-            np = self._np
-            order = np.argsort(self._calls_np, kind="stable")
-            bounds = np.concatenate(
-                ([0], np.cumsum(self._call_counts_np))
-            )
-            arrays.call_groups = (order, bounds)
-        return arrays.call_groups
 
     # ------------------------------------------------------------------
     # Full-bookkeeping replay (timelines, incremental bind/commit)
@@ -744,7 +752,7 @@ class VectorSimulator(FastSimulator):
         pre_lookup = dict(self._pre_pairs)
         var_state = []
         for fid in varying.tolist():
-            ogroups, obounds = self._call_groups()
+            ogroups, obounds = self._arrays.call_groups()
             pos = ogroups[obounds[fid] : obounds[fid + 1]]
             evf = gfins[tb[fid] : tb[fid + 1]]
             cum = cummax_lvl[tb[fid] : tb[fid + 1]]

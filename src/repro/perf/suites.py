@@ -9,8 +9,9 @@ baseline — results at different scales never compare.
 
 The ``quick`` suite covers every instrumented hot path: the reference
 simulator, the fast engine (full and incremental), the vector engine,
-local search, the A* search, the priority-queue co-simulation, the
-result store, tracing, and the parallel experiment runner.  It is sized
+local search, the A* search, the reactive runtime replays, the
+priority-queue co-simulation, the result store, tracing, and the
+parallel experiment runner.  It is sized
 to finish in seconds at the default scale so CI can gate on it.
 
 Two narrower suites serve the engine-equivalence story:
@@ -354,6 +355,43 @@ def _bench_priorityqueue(scale: float):
             JikesScheme(EstimatedModel(instance, seed=0)),
             policy="hotness",
             metrics=metrics,
+        )
+
+    return fn
+
+
+@register(
+    "runtime_replay",
+    description=(
+        "reactive runtime replays: Jikes (estimated model), V8, and Jikes "
+        "under compile and sampler-tick faults"
+    ),
+)
+def _bench_runtime_replay(scale: float):
+    from ..faults import FaultInjector
+    from ..vm.costbenefit import EstimatedModel
+    from ..vm.jikes import run_jikes
+    from ..vm.v8 import run_v8
+
+    instance = _workload(scale, calls_at_full=200_000)
+
+    def fn(metrics: MetricsRegistry) -> None:
+        # The runtime takes no registry; its exact counts come from the
+        # results (emergent ticks and compile tasks) and the injector.
+        faults = FaultInjector("compile_fail=0.2,tick_drop=0.1,tick_dup=0.1")
+        runs = [
+            run_jikes(instance, model=EstimatedModel(instance, seed=0)),
+            run_v8(instance),
+            run_jikes(instance, faults=faults),
+        ]
+        metrics.counter("runtime.samples_taken").inc(
+            sum(run.samples_taken for run in runs)
+        )
+        metrics.counter("runtime.tasks").inc(
+            sum(len(run.schedule.tasks) for run in runs)
+        )
+        metrics.counter("runtime.compile_failures").inc(
+            faults.tally["compile_failures"]
         )
 
     return fn

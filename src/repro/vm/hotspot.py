@@ -45,19 +45,14 @@ class TieredScheme(RuntimeScheme):
     def initial_level(self, fname: str) -> int:
         return 0
 
-    def on_call_start(
-        self,
-        runtime: RuntimeSimulator,
-        fname: str,
-        invocation: int,
-        time: float,
-    ) -> None:
-        levels = runtime.instance.profiles[fname].num_levels
-        for level, threshold in enumerate(self.thresholds):
-            if level == 0 or level >= levels:
-                continue
-            if invocation == threshold:
-                runtime.enqueue(fname, level, time)
+    def promotions(
+        self, fname: str, num_levels: int
+    ) -> Tuple[Tuple[int, int], ...]:
+        return tuple(
+            (threshold, level)
+            for level, threshold in enumerate(self.thresholds)
+            if 0 < level < num_levels
+        )
 
 
 def run_tiered(

@@ -14,6 +14,25 @@ provided); the simulator handles timing: queue waits, compiler-thread
 occupancy, execution bubbles, and which compiled version each call
 runs.  Enqueue times are monotone (they follow execution), so FIFO
 dispatch can be resolved greedily with no global event queue.
+
+The replay is event-driven over the instance's shared interned arrays
+(:func:`repro.core.vecsim.instance_arrays`) and keeps the vector
+engine's exactness rules, so every number is bitwise what a
+call-at-a-time loop computes:
+
+* between events the clock is a ``numpy.cumsum`` seeded with the
+  running clock (a sequential left-to-right sum);
+* every install a request records is applied once the clock crosses its
+  finish, and ``searchsorted(side="left")`` ends a chunk of calls at the
+  first call starting at or after the earliest pending install;
+* only a function's first call (its blocking compile, the only place a
+  bubble can occur) and a call that triggers a count-based promotion
+  (:meth:`RuntimeScheme.promotions`) are replayed one at a time.
+
+Sampler ticks never cut the timeline.  One ``searchsorted`` per chunk
+finds the call each tick lands on, and the ticks reach the scheme in
+order; a tick whose request installs inside the chunk shrinks the chunk
+to the calls that start before that install.
 """
 
 from __future__ import annotations
@@ -21,10 +40,14 @@ from __future__ import annotations
 import heapq
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from ..core.fastsim import interned
 from ..core.model import OCSPInstance
 from ..core.schedule import CompileTask, Schedule
+from ..core.vecsim import instance_arrays
 
 __all__ = [
     "RuntimeScheme",
@@ -32,6 +55,11 @@ __all__ = [
     "RuntimeSimulator",
     "default_sample_period",
 ]
+
+# Calls in the first chunk after an event; a chunk that commits whole
+# doubles the next one, up to the cap (which bounds the scratch arrays).
+_CHUNK = 1024
+_MAX_CHUNK = 1 << 16
 
 
 def default_sample_period(instance: OCSPInstance, ticks: int = 1000) -> float:
@@ -41,9 +69,12 @@ def default_sample_period(instance: OCSPInstance, ticks: int = 1000) -> float:
     size the period so a run sees on the order of ``ticks`` samples of
     level-0 execution.
     """
-    total_base_exec = sum(
-        instance.profiles[f].exec_times[0] for f in instance.calls
-    )
+    arrays = instance_arrays(instance)
+    if not len(arrays.calls_np):
+        return 1.0
+    # ``cumsum`` adds left to right; builtin ``sum`` compensates float
+    # rounding since Python 3.12 and would move the period.
+    total_base_exec = float(np.cumsum(arrays.exec_tab[arrays.calls_np, 0])[-1])
     if total_base_exec <= 0:
         return 1.0
     return total_base_exec / ticks
@@ -89,6 +120,20 @@ class RuntimeScheme(ABC):
     def initial_level(self, fname: str) -> int:
         """Level of the blocking first-encounter compilation."""
 
+    def promotions(
+        self, fname: str, num_levels: int
+    ) -> Sequence[Tuple[int, int]]:
+        """Count-based requests for ``fname``: ``(invocation, level)``
+        pairs, each enqueueing ``level`` when the ``invocation``-th call
+        (1-based) starts, in the order given.
+
+        ``num_levels`` is the function's level count; declare only
+        levels below it.  The answer must depend on the arguments alone:
+        the replay reads it once per function and run.  The default
+        declares none.
+        """
+        return ()
+
     def on_call_start(
         self,
         runtime: "RuntimeSimulator",
@@ -96,7 +141,18 @@ class RuntimeScheme(ABC):
         invocation: int,
         time: float,
     ) -> None:
-        """Hook at each invocation start (``invocation`` is 1-based)."""
+        """Per-call adapter over :meth:`promotions`, for simulators that
+        replay one call at a time
+        (:class:`~repro.vm.priorityqueue.PriorityRuntimeSimulator`).
+
+        Not a hook to override: :class:`RuntimeSimulator` reads
+        :meth:`promotions` directly and rejects a scheme that overrides
+        this method.
+        """
+        num_levels = runtime.instance.profiles[fname].num_levels
+        for at, level in self.promotions(fname, num_levels):
+            if at == invocation:
+                runtime.enqueue(fname, level, time)
 
     def on_sample(
         self, runtime: "RuntimeSimulator", fname: str, k: int, time: float
@@ -110,7 +166,9 @@ class RuntimeSimulator:
 
     Args:
         instance: the workload (true times are used for all timing).
-        scheme: the reactive policy.
+        scheme: the reactive policy.  Count-based requests come from
+            :meth:`RuntimeScheme.promotions`; a scheme that overrides
+            :meth:`RuntimeScheme.on_call_start` is rejected.
         compile_threads: number of compiler threads serving the queue.
         sample_period: sampler tick interval; ``None`` derives one via
             :func:`default_sample_period`.  Ticks that land while the
@@ -124,6 +182,9 @@ class RuntimeSimulator:
             duplicated.  A null injector (every rate zero) is
             normalized to ``None``, keeping zero-fault-rate runs
             bitwise equal to fault-free ones.
+
+    Raises:
+        TypeError: if ``scheme`` overrides ``on_call_start``.
     """
 
     def __init__(
@@ -137,6 +198,13 @@ class RuntimeSimulator:
     ):
         if compile_threads < 1:
             raise ValueError("compile_threads must be >= 1")
+        hook = getattr(type(scheme), "on_call_start", RuntimeScheme.on_call_start)
+        if hook is not RuntimeScheme.on_call_start:
+            raise TypeError(
+                f"{type(scheme).__name__} overrides on_call_start; "
+                "RuntimeSimulator takes count-based requests from "
+                "RuntimeScheme.promotions() instead"
+            )
         self.instance = instance
         self.scheme = scheme
         self.compile_threads = compile_threads
@@ -158,6 +226,9 @@ class RuntimeSimulator:
         self._enqueue_times: List[float] = []
         self._finish_events: Dict[str, List[Tuple[float, int]]] = {}
         self._requested_level: Dict[str, int] = {}
+        # Recorded installs the replay has not applied yet, as a heap of
+        # (finish, level, function).
+        self._pending: List[Tuple[float, int, str]] = []
 
     # ------------------------------------------------------------------
     # API for schemes
@@ -183,9 +254,7 @@ class RuntimeSimulator:
         start = start_free if start_free > time else time
         finish = start + prof.compile_times[level]
         heapq.heappush(self._thread_free, (finish, tid))
-        self._tasks.append(CompileTask(fname, level))
-        self._enqueue_times.append(time)
-        self._finish_events.setdefault(fname, []).append((finish, level))
+        self._record_install(fname, level, time, finish)
         if self.tracer is not None:
             self.tracer.instant(
                 f"enqueue {fname} L{level}",
@@ -206,6 +275,16 @@ class RuntimeSimulator:
                     "queue_wait": start - time,
                 },
             )
+
+    def _record_install(
+        self, fname: str, level: int, time: float, finish: float
+    ) -> None:
+        """Record a compile that installs ``level`` at ``finish``; the
+        replay applies it once its clock reaches ``finish``."""
+        self._tasks.append(CompileTask(fname, level))
+        self._enqueue_times.append(time)
+        self._finish_events.setdefault(fname, []).append((finish, level))
+        heapq.heappush(self._pending, (finish, level, fname))
 
     def _enqueue_faulty(self, fname: str, level: int, time: float, prof) -> None:
         """The degradation chain of one request under fault injection.
@@ -281,9 +360,7 @@ class RuntimeSimulator:
             if not failed:
                 if must_install and attempt > spec.retries:
                     faults.note_forced_install()
-                self._tasks.append(CompileTask(fname, lvl))
-                self._enqueue_times.append(time)
-                self._finish_events.setdefault(fname, []).append((finish, lvl))
+                self._record_install(fname, lvl, time, finish)
                 return
             faults.note_wasted(c)
             if tracer is not None:
@@ -324,107 +401,239 @@ class RuntimeSimulator:
         self._enqueue_times = []
         self._finish_events = {}
         self._requested_level = {}
+        pending = self._pending = []
 
         instance = self.instance
         scheme = self.scheme
         period = self.sample_period
         tracer = self.tracer
+        faults = self.faults
+        shared = interned(instance)
+        arrays = instance_arrays(instance)
+        fnames = shared.fnames
+        fid_of = shared.fid_of
+        exec_rows = shared.exec_rows
+        calls_fid = shared.calls_fid
+        calls = arrays.calls_np
+        exec_tab = arrays.exec_tab
+        n = len(calls_fid)
+        # Level each function runs at and its exec time, as of the
+        # installs applied so far (-1 before the first).
+        level_of = np.full(len(fnames), -1, dtype=np.intp)
+        exec_of = np.zeros(len(fnames))
 
-        invocations: Dict[str, int] = {}
+        # The calls replayed one at a time: first calls, and the calls
+        # at which a scheme's declared promotions fire.
+        first_calls = set(shared.first_pos)
+        promoted: Dict[int, List[int]] = {}
+        for fid in shared.called_fids:
+            fname = fnames[fid]
+            declared = scheme.promotions(fname, len(exec_rows[fid]))
+            if not declared:
+                continue
+            order, bounds = arrays.call_groups()
+            lo = int(bounds[fid])
+            count = int(bounds[fid + 1]) - lo
+            for invocation, level in declared:
+                if 1 <= invocation <= count:
+                    pos = int(order[lo + invocation - 1])
+                    promoted.setdefault(pos, []).append(level)
+        singles = sorted(first_calls.union(promoted))
+        num_singles = len(singles)
+
         samples: Dict[str, int] = {}
         samples_taken = 0
         calls_at_level: Dict[int, int] = {}
+        # Invocation counts, kept only for the traced call spans.
+        invocations = [0] * len(fnames) if tracer is not None else None
         total_bubble = 0.0
         total_exec = 0.0
         t = 0.0
-        # Sampler tick ``i`` fires at ``i * period`` (i >= 1).  Indexing
-        # ticks (rather than accumulating ``next_tick += period``) lets
-        # non-observing ticks — bubbles, stretches between calls — be
-        # skipped arithmetically in O(1) instead of looped over.
+        # Sampler tick ``k`` fires at ``k * period`` (k >= 1); ``tick``
+        # is always the first one after the clock.
         tick = 1
 
-        for fname in instance.calls:
-            invocation = invocations.get(fname, 0) + 1
-            invocations[fname] = invocation
-            if invocation == 1:
-                # First encounter: request the baseline compilation now.
-                self.enqueue(fname, scheme.initial_level(fname), t)
-            scheme.on_call_start(self, fname, invocation, t)
+        def apply(until: float) -> None:
+            """Apply every recorded install finishing by ``until``."""
+            while pending and pending[0][0] <= until:
+                _finish, level, fname = heapq.heappop(pending)
+                fid = fid_of[fname]
+                if level > level_of[fid]:
+                    level_of[fid] = level
+                    exec_of[fid] = exec_tab[fid, level]
 
-            events = self._finish_events[fname]
-            first_ready = events[0][0]
-            start = t if t >= first_ready else first_ready
-            total_bubble += start - t
-            best = -1
-            for finish_time, level in events:
-                if finish_time <= start and level > best:
-                    best = level
-            exec_time = instance.profiles[fname].exec_times[best]
-            finish = start + exec_time
-            total_exec += exec_time
-            calls_at_level[best] = calls_at_level.get(best, 0) + 1
-            if tracer is not None:
-                if start > t:
-                    tracer.span(
-                        "bubble", "execute", t, start,
-                        category="bubble",
-                        args={"function": fname, "bubble": start - t},
+        def committed(clock, p: int) -> int:
+            """How many of the first ``p`` calls of a chunk (``clock``:
+            their seeded cumsum) start before the earliest pending
+            install."""
+            if pending and pending[0][0] <= clock[p - 1]:
+                return int(np.searchsorted(clock, pending[0][0], side="left"))
+            return p
+
+        def deliver(fname: str, k: int, t_tick: float) -> None:
+            """Sampler tick ``k`` at ``t_tick``, observing ``fname``."""
+            nonlocal samples_taken
+            if faults is not None and faults.drop_tick(k):
+                if tracer is not None:
+                    tracer.instant(
+                        f"tick-drop {fname}", "sampler", t_tick,
+                        category="fault",
+                        args={"function": fname, "tick": k},
                     )
-                    tracer.counter("bubble_total", "bubbles", start, total_bubble)
-                tracer.span(
-                    fname, "execute", start, finish,
-                    category="call",
-                    args={"level": best, "invocation": invocation},
-                )
+                return
+            deliveries = (
+                2 if faults is not None and faults.duplicate_tick(k) else 1
+            )
+            for _ in range(deliveries):
+                ks = samples.get(fname, 0) + 1
+                samples[fname] = ks
+                samples_taken += 1
+                scheme.on_sample(self, fname, ks, t_tick)
+                if tracer is not None:
+                    tracer.instant(
+                        f"sample {fname}", "sampler", t_tick,
+                        category="sample",
+                        args={"function": fname, "k": ks},
+                    )
 
-            # Sampler ticks: those inside (start, finish] observe fname;
-            # ticks inside the bubble observe a stalled thread and are
-            # jumped over without iterating (the former per-period walk
-            # made long bubbles O(duration / period)).
-            if tick * period <= finish:
-                if tick * period <= start:
-                    # First tick strictly after `start`, computed
-                    # arithmetically; the two nudge loops absorb float
-                    # rounding of the division and run O(1) times.
-                    k = int(start / period) + 1
-                    while (k - 1) * period > start:
-                        k -= 1
-                    while k * period <= start:
-                        k += 1
-                    if k > tick:
-                        tick = k
-                t_tick = tick * period
-                faults = self.faults
-                while t_tick <= finish:
-                    if faults is not None and faults.drop_tick(tick):
-                        if tracer is not None:
-                            tracer.instant(
-                                f"tick-drop {fname}", "sampler", t_tick,
-                                category="fault",
-                                args={"function": fname, "tick": tick},
-                            )
+        i = 0
+        s = 0
+        while i < n:
+            if s < num_singles and singles[s] == i:
+                s += 1
+                fid = calls_fid[i]
+                fname = fnames[fid]
+                if i in first_calls:
+                    # First encounter: request the baseline compilation now.
+                    self.enqueue(fname, scheme.initial_level(fname), t)
+                for level in promoted.get(i, ()):
+                    self.enqueue(fname, level, t)
+                first_ready = self._finish_events[fname][0][0]
+                start = t if t >= first_ready else first_ready
+                apply(start)
+                best = int(level_of[fid])
+                exec_time = exec_rows[fid][best]
+                finish = start + exec_time
+                total_bubble += start - t
+                total_exec += exec_time
+                calls_at_level[best] = calls_at_level.get(best, 0) + 1
+                if tracer is not None:
+                    if start > t:
+                        tracer.span(
+                            "bubble", "execute", t, start,
+                            category="bubble",
+                            args={"function": fname, "bubble": start - t},
+                        )
+                        tracer.counter(
+                            "bubble_total", "bubbles", start, total_bubble
+                        )
+                    invocations[fid] += 1
+                    tracer.span(
+                        fname, "execute", start, finish,
+                        category="call",
+                        args={"level": best, "invocation": invocations[fid]},
+                    )
+                # Ticks inside (start, finish] observe fname; ticks
+                # inside the bubble observe a stalled thread and are
+                # jumped over arithmetically.
+                if tick * period <= finish:
+                    if tick * period <= start:
+                        # First tick strictly after `start`; the nudge
+                        # loops absorb float rounding of the division.
+                        k = int(start / period) + 1
+                        while (k - 1) * period > start:
+                            k -= 1
+                        while k * period <= start:
+                            k += 1
+                        if k > tick:
+                            tick = k
+                    t_tick = tick * period
+                    while t_tick <= finish:
+                        deliver(fname, tick, t_tick)
                         tick += 1
                         t_tick = tick * period
-                        continue
-                    deliveries = (
-                        2
-                        if faults is not None and faults.duplicate_tick(tick)
-                        else 1
-                    )
-                    for _ in range(deliveries):
-                        ks = samples.get(fname, 0) + 1
-                        samples[fname] = ks
-                        samples_taken += 1
-                        scheme.on_sample(self, fname, ks, t_tick)
-                        if tracer is not None:
-                            tracer.instant(
-                                f"sample {fname}", "sampler", t_tick,
-                                category="sample",
-                                args={"function": fname, "k": ks},
-                            )
-                    tick += 1
-                    t_tick = tick * period
-            t = finish
+                t = finish
+                i += 1
+                continue
+
+            # A chunk of calls with no first call or promotion among
+            # them: every one starts at the previous one's finish.
+            b = singles[s] if s < num_singles else n
+            apply(t)
+            step = _CHUNK
+            while i < b:
+                j = b if b - i <= step else i + step
+                seg = calls[i:j]
+                ex = exec_of[seg]
+                m = j - i
+                # clock[c] / clock[c + 1]: start / finish of call i + c.
+                clock = np.empty(m + 1)
+                clock[0] = t
+                clock[1:] = ex
+                np.cumsum(clock, out=clock)
+                p = committed(clock, m)
+                end = float(clock[p])
+                if tick * period <= end:
+                    last = int(end / period)
+                    while last * period > end:
+                        last -= 1
+                    while (last + 1) * period <= end:
+                        last += 1
+                    owners = np.searchsorted(
+                        clock[1 : p + 1],
+                        np.arange(tick, last + 1) * period,
+                        side="left",
+                    ).tolist()
+                    for owner in owners:
+                        t_tick = tick * period
+                        if t_tick > end:
+                            break
+                        deliver(fnames[calls_fid[i + owner]], tick, t_tick)
+                        tick += 1
+                        # A request that installs inside the chunk keeps
+                        # only the calls that start before it.
+                        p = committed(clock, p)
+                        end = float(clock[p])
+                levels = level_of[seg[:p]]
+                acc = np.empty(p + 1)
+                acc[0] = total_exec
+                acc[1:] = ex[:p]
+                np.cumsum(acc, out=acc)
+                total_exec = float(acc[p])
+                hist = np.bincount(levels).tolist()
+                # A level new to the histogram enters it in the order of
+                # its first call, as a call-at-a-time count would add it.
+                fresh = [
+                    lvl for lvl, c in enumerate(hist)
+                    if c and lvl not in calls_at_level
+                ]
+                if len(fresh) > 1:
+                    fresh.sort(key=lambda lvl: int(np.argmax(levels == lvl)))
+                for lvl in fresh:
+                    calls_at_level[lvl] = 0
+                for lvl, c in enumerate(hist):
+                    if c:
+                        calls_at_level[lvl] += c
+                if tracer is not None:
+                    times = clock[: p + 1].tolist()
+                    for c, (fid, level) in enumerate(
+                        zip(seg[:p].tolist(), levels.tolist())
+                    ):
+                        invocations[fid] += 1
+                        tracer.span(
+                            fnames[fid], "execute", times[c], times[c + 1],
+                            category="call",
+                            args={
+                                "level": level,
+                                "invocation": invocations[fid],
+                            },
+                        )
+                t = end
+                i += p
+                if pending and pending[0][0] <= t:
+                    break  # apply the install, then restart small
+                if step < _MAX_CHUNK:
+                    step <<= 1
 
         return RuntimeRunResult(
             schedule=Schedule(tuple(self._tasks)),

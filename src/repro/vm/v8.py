@@ -35,17 +35,10 @@ class V8Scheme(RuntimeScheme):
     def initial_level(self, fname: str) -> int:
         return self.low
 
-    def on_call_start(
-        self,
-        runtime: RuntimeSimulator,
-        fname: str,
-        invocation: int,
-        time: float,
-    ) -> None:
-        if invocation == 2:
-            prof = runtime.instance.profiles[fname]
-            if self.high < prof.num_levels:
-                runtime.enqueue(fname, self.high, time)
+    def promotions(
+        self, fname: str, num_levels: int
+    ) -> Tuple[Tuple[int, int], ...]:
+        return ((2, self.high),) if self.high < num_levels else ()
 
 
 def run_v8(

@@ -293,6 +293,28 @@ def test_propose_cutoff_returns_inf_when_worse():
     assert seen_inf > 0  # the early exit actually fires
 
 
+@pytest.mark.parametrize("recompile", [False, True])
+def test_propose_cutoff_replay_adds_left_to_right(recompile):
+    """The span replay sums each stretch of calls in call order, like
+    the reference: fifty 1.0 calls after a 1e16 call add nothing.  A
+    compensated sum (builtin ``sum`` since Python 3.12) would keep them.
+    ``recompile`` leaves a compile pending across the stretch, which
+    sends the replay down its chunked path."""
+    profiles = {
+        "big": FunctionProfile("big", (1.0,), (1e16,)),
+        "small": FunctionProfile("small", (1.0, 2e16), (1.0, 0.5)),
+    }
+    inst = OCSPInstance(profiles, ("big",) + ("small",) * 50, name="fp")
+    base = [CompileTask("big", 0), CompileTask("small", 0)]
+    if recompile:
+        base.append(CompileTask("small", 1))
+    swapped = [base[1], base[0]] + base[2:]
+    engine = FastSimulator(inst)
+    engine.bind(Schedule(tuple(base)))
+    span = engine.propose(swapped, cutoff=1e17)
+    assert span == simulate(inst, Schedule(tuple(swapped))).makespan
+
+
 def test_trace_stats_matches_iar_helper():
     from repro.core.iar import _trace_stats
 

@@ -129,6 +129,7 @@ class TestSuiteRegistry:
             "localsearch_moves",
             "astar_search",
             "priorityqueue_hotness",
+            "runtime_replay",
             "store_roundtrip",
             "trace_record",
             "runner_serial",

@@ -172,6 +172,20 @@ class TestRuntimeSimulator:
         inst = OCSPInstance({}, ())
         assert default_sample_period(inst) == 1.0
 
+    def test_default_sample_period_adds_left_to_right(self):
+        # Each 1.0 vanishes into 1e16 when added in call order; a
+        # compensated sum (builtin ``sum`` since Python 3.12) keeps all
+        # fifty and gives 1.000000000000005e13.
+        profiles = {
+            "big": FunctionProfile("big", (1.0,), (1e16,)),
+            "small": FunctionProfile("small", (1.0,), (1.0,)),
+        }
+        inst = OCSPInstance(profiles, ("big",) + ("small",) * 50, name="fp")
+        total = 0.0
+        for fname in inst.calls:
+            total += profiles[fname].exec_times[0]
+        assert default_sample_period(inst) == total / 1000 == 1e13
+
     def test_schedule_is_simulatable(self, small_synthetic):
         """The emergent schedule is a legal OCSP schedule."""
         result = run_jikes(small_synthetic)

@@ -17,8 +17,11 @@ and the whole battery must still pass (CI runs it both ways).
 
 from __future__ import annotations
 
+import gc
 import math
+import pickle
 import random
+import weakref
 from typing import List
 
 import pytest
@@ -41,6 +44,9 @@ from repro.core.vecsim import numpy_available
 from repro.faults import simulate_with_faults
 from repro.observability import MetricsRegistry
 from repro.perf.harness import counters_of
+from repro.vm.jikes import run_jikes
+from repro.vm.v8 import run_v8
+from repro.workloads import dacapo
 
 from test_fast_simulator import (
     assert_results_equal,
@@ -499,6 +505,63 @@ def test_engine_cache_reused_and_bypassed_with_metrics():
     m = MetricsRegistry()
     simulate(instance, schedule, engine="vector", metrics=m)
     assert len(cache) == 1  # metrics runs never enter the cache
+
+
+@pytest.fixture()
+def no_cyclic_gc():
+    """Freeing must happen by reference counting alone."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def test_cached_engines_do_not_keep_their_instance_alive(no_cyclic_gc):
+    """A projection driven through the cached vector engine (IAR and
+    ``simulate``) and both runtimes is freed with its last reference:
+    the engine cache it owns holds it only weakly."""
+    instance = dacapo.load("antlr", scale=0.002)
+    projected = instance.restricted_to_levels(
+        {fname: [0, 1] for fname in instance.profiles}
+    )
+    schedule = iar(projected, engine="vector").schedule
+    simulate(projected, schedule, engine="vector")
+    run_jikes(projected)
+    run_v8(projected)
+    assert projected._engine_cache and projected._interned.arrays is not None
+    ref = weakref.ref(projected)
+    del projected
+    assert ref() is None
+
+
+def test_instance_pickles_without_its_engine_cache():
+    """Cached engines hold their instance weakly, which pickle cannot
+    ship; the per-process caches stay behind and rebuild on first use."""
+    rng = random.Random(14)
+    instance = random_instance(rng)
+    schedule = random_schedule(instance, rng)
+    expected = simulate(instance, schedule, engine="vector")
+    clone = pickle.loads(pickle.dumps(instance))
+    assert clone == instance
+    assert not hasattr(clone, "_engine_cache")
+    assert_results_equal(simulate(clone, schedule, engine="vector"), expected)
+
+
+def test_uncached_engine_keeps_its_instance(no_cyclic_gc):
+    rng = random.Random(13)
+    instance = random_instance(rng)
+    schedule = random_schedule(instance, rng)
+    expected = simulate(instance, schedule)
+    ref = weakref.ref(instance)
+    engines = [
+        make_simulator(instance, engine=name, cached=False) for name in ENGINES
+    ]
+    del instance
+    assert ref() is not None
+    for engine in engines:
+        assert_results_equal(engine.evaluate(schedule), expected)
 
 
 # ---------------------------------------------------------------------------
