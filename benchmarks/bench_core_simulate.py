@@ -7,7 +7,7 @@ experiment goes through.
 
 import random
 
-from repro.core import FastSimulator, iar_schedule, simulate
+from repro.core import VectorSimulator, iar_schedule, simulate
 from repro.core.localsearch import _propose
 from repro.core.single_level import base_level_schedule
 from repro.workloads import WorkloadSpec, generate
@@ -42,21 +42,21 @@ def test_simulate_16_threads_throughput(benchmark):
     assert result.makespan > 0
 
 
-def test_fast_evaluate_throughput(benchmark):
+def test_vector_evaluate_throughput(benchmark):
     """Full (non-incremental) evaluation on the precomputed engine."""
-    fast = FastSimulator(INSTANCE)
-    result = benchmark(fast.evaluate, SCHEDULE)
+    engine = VectorSimulator(INSTANCE)
+    result = benchmark(engine.evaluate, SCHEDULE)
     assert result.makespan == simulate(INSTANCE, SCHEDULE, validate=False).makespan
 
 
-def test_fast_incremental_throughput(benchmark):
+def test_vector_incremental_throughput(benchmark):
     """Per-move cost of the propose/commit path local search runs on.
 
     Each round scores (and occasionally commits) one random schedule
     mutation; the engine replays only the affected call suffix.
     """
-    fast = FastSimulator(INSTANCE)
-    fast.bind(SCHEDULE)
+    engine = VectorSimulator(INSTANCE)
+    engine.bind(SCHEDULE)
     rng = random.Random(7)
     state = {"tasks": list(SCHEDULE)}
 
@@ -64,9 +64,9 @@ def test_fast_incremental_throughput(benchmark):
         proposal = None
         while proposal is None:
             proposal = _propose(INSTANCE, state["tasks"], rng)
-        span = fast.propose(proposal, cutoff=fast.baseline_makespan)
-        if span <= fast.baseline_makespan:
-            fast.commit()
+        span = engine.propose(proposal, cutoff=engine.baseline_makespan)
+        if span <= engine.baseline_makespan:
+            engine.commit()
             state["tasks"] = proposal
         return span
 

@@ -110,9 +110,8 @@ _SEED_HELP = (
 
 
 _ENGINE_HELP = (
-    "make-span engine: 'reference' (pure-Python oracle), 'fast' "
-    "(incremental), or 'vector' (numpy structure-of-arrays; pure "
-    "Python under $REPRO_NO_NUMPY) — all bitwise identical.  Without "
+    "make-span engine: 'reference' (pure-Python oracle) or 'vector' "
+    "(numpy structure-of-arrays) — bitwise identical.  Without "
     "this flag, $REPRO_ENGINE picks it when set; otherwise IAR and the "
     "study/fault-sweep drivers use 'vector' and simulate() (evaluate, "
     "diagnose) uses 'reference'.  The flag overrides both defaults and "

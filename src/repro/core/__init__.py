@@ -13,9 +13,10 @@ This package implements the paper's primary contribution:
 * :mod:`repro.core.bruteforce` — exhaustive ground truth;
 * :mod:`repro.core.complexity` — NP-completeness reductions (Theorem 2);
 * :mod:`repro.core.online` — noisy-estimate extensions (Section 8);
-* :mod:`repro.core.vecsim` — structure-of-arrays numpy kernel;
+* :mod:`repro.core.vecsim` — the production make-span engine
+  (structure-of-arrays numpy kernels);
 * :mod:`repro.core.engine` — engine selection seam
-  (``reference`` / ``fast`` / ``vector``).
+  (``reference`` / ``vector``).
 """
 
 from .astar import AStarMemoryExceeded, AStarResult, astar_schedule
@@ -48,7 +49,6 @@ from .engine import (
     resolve_engine,
     set_default_engine,
 )
-from .fastsim import FastSimulator
 from .iar import DEFAULT_K, IARParams, IARResult, iar, iar_schedule
 from .interp_tier import interpreter_prelude, lift_schedule, with_interpreter_tier
 from .localsearch import SearchStats, improve_schedule
@@ -87,7 +87,7 @@ from .singlecore import (
     single_core_optimal_makespan,
     single_core_optimal_schedule,
 )
-from .vecsim import VectorSimulator, numpy_available
+from .vecsim import VectorSimulator
 
 __all__ = [
     # model
@@ -103,7 +103,6 @@ __all__ = [
     "simulate",
     "simulate_single_core",
     "iter_calls",
-    "FastSimulator",
     "VectorSimulator",
     "ReferenceSimulator",
     "MakespanResult",
@@ -119,7 +118,6 @@ __all__ = [
     "resolve_engine",
     "set_default_engine",
     "get_default_engine",
-    "numpy_available",
     # bounds
     "lower_bound",
     "compile_aware_lower_bound",

@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Tuple
 
-from .model import OCSPInstance
+from .model import OCSPInstance, _left_sum
 from .schedule import CompileTask, Schedule
 
 __all__ = [
@@ -124,7 +124,7 @@ def greedy_budget_schedule(
     tasks: List[CompileTask] = [
         CompileTask(fname, 0) for fname in instance.called_functions
     ]
-    total_exec0 = sum(
+    total_exec0 = _left_sum(
         instance.profiles[f].exec_times[0] for f in instance.calls
     )
     budget = budget_fraction * total_exec0

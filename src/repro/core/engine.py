@@ -1,16 +1,13 @@
-"""Engine selection seam: ``engine={"reference", "fast", "vector"}``.
+"""Engine selection seam: ``engine={"reference", "vector"}``.
 
-Every measurement in this repo funnels through one of three bitwise
+Every measurement in this repo funnels through one of two bitwise
 identical make-span engines:
 
 * ``"reference"`` — the pure-Python oracle,
   :func:`repro.core.makespan.simulate` (per-call dict lookups; the
-  semantics every other engine is tested against);
-* ``"fast"`` — :class:`repro.core.fastsim.FastSimulator` (interned ids,
-  segmented replay, incremental propose/commit);
-* ``"vector"`` — :class:`repro.core.vecsim.VectorSimulator` (the
-  structure-of-arrays numpy kernel; falls back to the fast engine's
-  pure-Python path when numpy is unavailable).
+  semantics the production engine is tested against);
+* ``"vector"`` — :class:`repro.core.vecsim.VectorSimulator` (interned
+  ids, numpy structure-of-arrays kernels, incremental propose/commit).
 
 This module is the one place the mapping lives.  Callers thread an
 ``engine`` argument (``makespan.simulate``, ``localsearch``, ``iar``,
@@ -24,9 +21,9 @@ inherit), and finally to the call site's historical fallback.
 itself, so repeated ``simulate(..., engine="vector")`` calls — and IAR,
 which takes the same cached engine — pay the per-instance set-up once;
 the cache is bypassed whenever a metrics registry is attached, keeping
-work counters tied to the run that asked for them.  Every engine built
-on an instance, cached or not, shares the instance's interned call
-arrays (:func:`repro.core.fastsim.interned`).
+work counters tied to the run that asked for them.  Every vector engine
+built on an instance, cached or not, shares the instance's interned call
+arrays (:func:`repro.core.vecsim.interned`).
 """
 
 from __future__ import annotations
@@ -35,7 +32,6 @@ import os
 import weakref
 from typing import Dict, Optional, Sequence, Tuple
 
-from .fastsim import FastSimulator
 from .makespan import (
     DueDateObjectives,
     DueDateTable,
@@ -57,7 +53,7 @@ __all__ = [
     "set_default_engine",
 ]
 
-ENGINES = ("reference", "fast", "vector")
+ENGINES = ("reference", "vector")
 
 _default_engine: Optional[str] = None
 
@@ -108,9 +104,9 @@ def resolve_engine(
 class ReferenceSimulator:
     """The pure-Python oracle behind the engine-object interface.
 
-    Adapts :func:`repro.core.makespan.simulate` to the evaluator API the
-    fast and vector engines share (``evaluate`` / ``bind`` / ``propose``
-    / ``commit`` / ``preview`` / ``result`` / ``trace_stats``), so every
+    Adapts :func:`repro.core.makespan.simulate` to the vector engine's
+    evaluator API (``evaluate`` / ``bind`` / ``propose`` / ``commit`` /
+    ``preview`` / ``result`` / ``trace_stats``), so every
     engine-threaded code path can run against the oracle without a
     special case.  There is no incremental machinery: ``propose`` runs a
     full simulation (its ``cutoff`` is accepted but ignored — the true
@@ -119,7 +115,7 @@ class ReferenceSimulator:
 
     ``trace_stats`` does not support ``preinstalled`` functions (the
     underlying :func:`~repro.core.makespan.iter_calls` stream has no
-    notion of them); the fast and vector engines are the tools for that.
+    notion of them); the vector engine is the tool for that.
     """
 
     def __init__(
@@ -133,7 +129,7 @@ class ReferenceSimulator:
             raise ValueError(
                 f"compile_threads must be >= 1, got {compile_threads}"
             )
-        # Weak reference plus a keep-alive, as in FastSimulator.
+        # Weak reference plus a keep-alive, as in VectorSimulator.
         self._instance_ref = weakref.ref(instance)
         self._owner: Optional[OCSPInstance] = instance
         self._compile_threads = compile_threads
@@ -208,6 +204,7 @@ class ReferenceSimulator:
             Schedule(self._as_tasks(schedule)),
             before_time=before_time,
             after_time=after_time,
+            compile_threads=self._compile_threads,
         )
 
     # -- incremental interface (full re-evaluation each time) ----------
@@ -263,7 +260,6 @@ class ReferenceSimulator:
 
 _SIMULATORS = {
     "reference": ReferenceSimulator,
-    "fast": FastSimulator,
     "vector": VectorSimulator,
 }
 
@@ -274,7 +270,7 @@ def make_simulator(
     compile_threads: int = 1,
     preinstalled: Optional[Dict[str, int]] = None,
     metrics=None,
-    fallback: str = "fast",
+    fallback: str = "vector",
     cached: bool = False,
 ):
     """Build (or fetch) the evaluator for ``engine`` on ``instance``.

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .makespan import iter_calls
-from .model import OCSPInstance
+from .model import OCSPInstance, _left_sum
 from .schedule import CompileTask, Schedule
 
 __all__ = ["IARParams", "IARResult", "iar", "iar_schedule", "DEFAULT_K"]
@@ -189,19 +189,23 @@ def _trace_stats(
     schedule: Schedule,
     before_time: Optional[float] = None,
     after_time: Optional[float] = None,
+    compile_threads: int = 1,
 ) -> Tuple[Dict[str, float], Dict[str, int], Dict[str, int], float]:
     """One streaming pass over the execution under ``schedule``.
 
     Returns ``(first_call_start, calls_before, calls_after, exec_end)``
     where ``calls_before[f]`` counts invocations of ``f`` starting
     strictly before ``before_time`` and ``calls_after[f]`` counts those
-    starting at or after ``after_time``.
+    starting at or after ``after_time``, with ``compile_threads``
+    compiler threads.
     """
     first_start: Dict[str, float] = {}
     before: Dict[str, int] = {}
     after: Dict[str, int] = {}
     end = 0.0
-    for fname, _level, start, finish, _bubble in iter_calls(instance, schedule):
+    for fname, _level, start, finish, _bubble in iter_calls(
+        instance, schedule, compile_threads
+    ):
         if fname not in first_start:
             first_start[fname] = start
         if before_time is not None and start < before_time:
@@ -234,8 +238,8 @@ def iar(
             ``exact_slack`` the ``iar.exact_slack.*`` family) record how
             the schedule was built.
         engine: make-span engine for the trace passes and verification
-            simulations — ``"vector"`` (the default), ``"fast"``, or
-            ``"reference"``; all walk identical schedules (the engines
+            simulations — ``"vector"`` (the default) or
+            ``"reference"``; both walk identical schedules (the engines
             are bitwise-exact twins).  ``None`` defers to the session
             default (:func:`repro.core.engine.set_default_engine` /
             ``$REPRO_ENGINE``), then to ``"vector"``.
@@ -258,7 +262,7 @@ def iar(
         CompileTask(fname, infos[fname].low) for fname in order
     ]
     init_schedule = Schedule(tuple(init_tasks))
-    t_init = sum(infos[fname].cl for fname in order)
+    t_init = _left_sum(infos[fname].cl for fname in order)
     _first, calls_during_init, _after, _end = fs.trace_stats(
         init_schedule, before_time=t_init
     )

@@ -19,14 +19,14 @@ Moves (all preserve validity by construction):
 Simulated-annealing acceptance is optional; the default is strict
 hill-climbing with random restarts of the move kind.
 
-Move evaluation runs on the :class:`~repro.core.fastsim.FastSimulator`
+Move evaluation runs on the :class:`~repro.core.vecsim.VectorSimulator`
 incremental engine by default: each candidate replays only the call
 suffix its mutation can affect, and (under strict hill-climbing) aborts
 as soon as it is provably worse than the incumbent.  The engine is
-bitwise-exact against the reference simulator, so ``engine="fast"`` and
-``engine="reference"`` walk identical search trajectories and return
-identical schedules — ``engine="reference"`` exists for benchmarking
-and differential testing.
+bitwise-exact against the reference simulator, so ``engine="vector"``
+and ``engine="reference"`` walk identical search trajectories and
+return identical schedules — ``engine="reference"`` exists for
+benchmarking and differential testing.
 """
 
 from __future__ import annotations
@@ -36,15 +36,11 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .fastsim import FastSimulator
-from .makespan import simulate
+from .engine import make_simulator
 from .model import OCSPInstance
 from .schedule import CompileTask, Schedule
-from .vecsim import VectorSimulator
 
 __all__ = ["SearchStats", "improve_schedule"]
-
-ENGINES = ("fast", "vector", "reference")
 
 
 @dataclass(frozen=True)
@@ -180,14 +176,13 @@ def improve_schedule(
             initial acceptance scale, relative to the starting
             make-span).
         compile_threads: compiler threads for evaluation.
-        engine: ``"fast"`` (incremental :class:`FastSimulator`, the
-            default), ``"vector"`` (incremental
-            :class:`~repro.core.vecsim.VectorSimulator`, the numpy
-            structure-of-arrays kernel), or ``"reference"`` (one full
-            :func:`simulate` per move).  All produce identical results;
-            ``None`` defers to the session default
-            (:func:`repro.core.engine.set_default_engine` /
-            ``$REPRO_ENGINE``), then to ``"fast"``.
+        engine: ``"vector"`` (incremental
+            :class:`~repro.core.vecsim.VectorSimulator`, the default) or
+            ``"reference"`` (one full
+            :func:`~repro.core.makespan.simulate` per move).  Both
+            produce identical results; ``None`` defers to the session
+            default (:func:`repro.core.engine.set_default_engine` /
+            ``$REPRO_ENGINE``), then to ``"vector"``.
         metrics: optional
             :class:`repro.observability.MetricsRegistry`; records move
             outcomes (``localsearch.proposed`` / ``fizzled`` /
@@ -207,26 +202,17 @@ def improve_schedule(
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    if engine is None:
-        from .engine import get_default_engine
-
-        engine = get_default_engine() or "fast"
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
+    sim = make_simulator(
+        instance,
+        engine,
+        compile_threads=compile_threads,
+        metrics=metrics,
+        fallback="vector",
+    )
     schedule.validate(instance)
     rng = random.Random(seed)
 
-    fast: Optional[FastSimulator] = None
-    if engine in ("fast", "vector"):
-        cls = FastSimulator if engine == "fast" else VectorSimulator
-        fast = cls(
-            instance, compile_threads=compile_threads, metrics=metrics
-        )
-        current_span = fast.bind(schedule)
-    else:
-        current_span = simulate(
-            instance, schedule, compile_threads=compile_threads, validate=False
-        ).makespan
+    current_span = sim.bind(schedule)
     current = list(schedule.tasks)
     best = list(current)
     best_span = current_span
@@ -253,17 +239,9 @@ def improve_schedule(
             if metrics is not None:
                 metrics.counter("localsearch.invalid").inc()
             continue
-        if fast is not None:
-            span = fast.propose(
-                proposal, cutoff=current_span if use_cutoff else None
-            )
-        else:
-            span = simulate(
-                instance,
-                Schedule(tuple(proposal)),
-                compile_threads=compile_threads,
-                validate=False,
-            ).makespan
+        span = sim.propose(
+            proposal, cutoff=current_span if use_cutoff else None
+        )
         if metrics is not None:
             metrics.counter("localsearch.evaluated").inc()
             if span == math.inf:
@@ -274,8 +252,7 @@ def improve_schedule(
             if cooling > 0:
                 take = rng.random() < math.exp((current_span - span) / cooling)
         if take:
-            if fast is not None:
-                fast.commit()
+            sim.commit()
             if metrics is not None:
                 metrics.counter("localsearch.accepted").inc()
                 metrics.histogram("localsearch.gain").record(

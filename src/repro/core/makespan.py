@@ -603,11 +603,9 @@ def simulate(
             body is untouched and ``metrics=None`` (the default) costs
             a single branch.
         engine: ``"reference"`` (this module's pure-Python loop, the
-            default), ``"fast"``
-            (:class:`~repro.core.fastsim.FastSimulator`), or
-            ``"vector"`` (:class:`~repro.core.vecsim.VectorSimulator`,
-            the numpy structure-of-arrays kernel).  All three are
-            bitwise identical; ``None`` defers to the session default
+            default) or ``"vector"``
+            (:class:`~repro.core.vecsim.VectorSimulator`, the numpy
+            structure-of-arrays kernel).  Both are bitwise identical; ``None`` defers to the session default
             (:func:`repro.core.engine.set_default_engine` /
             ``$REPRO_ENGINE``), then to ``"reference"``.  Non-reference
             engines are cached per instance, so tight loops pay the

@@ -21,7 +21,9 @@ these types, so that all comparisons run through identical code paths.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
@@ -30,6 +32,16 @@ __all__ = [
     "ModelError",
     "validate_monotone_levels",
 ]
+
+
+def _left_sum(values: Iterable[float], start: float = 0.0) -> float:
+    """``start + v0 + v1 + ...``, added strictly left to right.
+
+    Builtin ``sum`` compensates float rounding since Python 3.12, so it
+    can differ in the last bits from the simulators' sequential adds
+    and between interpreter versions.
+    """
+    return deque(accumulate(values, initial=start), maxlen=1)[0]
 
 
 class ModelError(ValueError):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .model import OCSPInstance
+from .model import OCSPInstance, _left_sum
 
 __all__ = ["CompileTask", "Schedule", "ScheduleError"]
 
@@ -167,8 +167,8 @@ class Schedule:
         return True
 
     def total_compile_time(self, instance: OCSPInstance) -> float:
-        """Sum of the compile times of all tasks."""
-        return sum(
+        """Sum of the compile times of all tasks, in schedule order."""
+        return _left_sum(
             instance.profiles[t.function].compile_times[t.level] for t in self.tasks
         )
 

@@ -1,77 +1,168 @@
-"""Structure-of-arrays simulation kernel (the ``"vector"`` engine).
+"""The make-span engine (``engine="vector"``).
 
-The paper's real call sequences span hundreds of thousands to tens of
-millions of calls (Table 1); the pure-Python replay loops dominate wall
-time long before that.  :class:`VectorSimulator` keeps the replay state
-in flat arrays — the interned call sequence as ``int64`` ids, the
-current per-function level and execution time as dense vectors — and
-evaluates the bulk call segments with numpy prefix sums instead of
-per-call Python bytecode.
+:func:`repro.core.makespan.simulate` is the measurement component every
+experiment funnels through — the limit studies (Figures 5–8), the
+local-search optimality bracket, and the ablations all call it thousands
+of times on the *same* instance, and it re-derives everything per call.
+:class:`VectorSimulator` splits that work into three tiers:
 
-Exactness contract (same as :class:`~repro.core.fastsim.FastSimulator`,
-which this class extends): every number is **bitwise identical** to the
-reference :func:`~repro.core.makespan.simulate`.  The vector kernel
-earns this the same way the fast engine does — by performing the
-reference's exact float operations in the exact order:
+* **per-instance** (paid once per instance, by the first engine built
+  on it, and shared by every engine and runtime replay on it — see
+  :func:`interned` and :func:`instance_arrays`): function names are
+  interned to dense integer ids, the call sequence becomes a flat id
+  array, and the cost tables become id-indexed rows and matrices;
+* **per-schedule** (paid per evaluation): compile-task finish times and
+  per-function compile-event lists — ``O(S)`` for ``S`` tasks, which is
+  tiny next to the ``N``-call trace;
+* **per-call** (the replay): numpy prefix sums over the bulk call
+  segments between first calls and compile-event crossings, instead of
+  per-call Python bytecode.
+
+On top of the full evaluation sits an **incremental mode** for local
+search: :meth:`~VectorSimulator.bind` caches the per-call trajectory of
+a baseline schedule, and :meth:`~VectorSimulator.propose` evaluates a
+mutated task list by replaying only the *suffix* of calls that can
+observe the change.  A mutation's earliest observable effect is the
+earliest compile-event finish time at which the old and new schedules
+diverge (``t_min``); every call starting before ``t_min`` behaves
+identically, so the replay resumes from the first call whose start is
+``>= t_min`` (found by bisection over the cached, monotone start times).
+
+Exactness contract: every quantity this engine produces — make-span,
+bubbles, execution totals, per-level call histograms, per-call and
+per-task timelines — is **bitwise identical** to the reference, including
+after incremental updates.  The kernels perform the reference's exact
+float operations in the exact order:
 
 * ``numpy.cumsum`` over a 1-D float64 array is a sequential
-  left-associated accumulation, exactly like ``itertools.accumulate``
+  left-associated accumulation, like the reference's ``t += e`` loop
   (pairwise ``numpy.sum`` would NOT be — it is never used here);
 * chaining is done by seeding element 0 of the cumsum buffer with the
   running clock, so chunk boundaries cannot perturb rounding;
 * ``numpy.searchsorted(..., side="left")`` locates compile-event
   crossings exactly like ``bisect.bisect_left``.
 
-numpy is a required dependency of the package.  Setting the
-``REPRO_NO_NUMPY`` environment variable makes every override fall back
-to the inherited pure-Python structure-of-arrays path instead (same
-numbers, no array kernel), which keeps that path tested.
-
-Work counters are identical to the fast engine's — including
-``fastsim.span_calls_replayed``, whose value depends on the galloping
-chunk schedule of the cutoff replay; the vector override therefore
-mirrors that schedule chunk for chunk.
-
-``tests/test_vecsim_differential.py`` enforces all of this
+``tests/test_vecsim_differential.py`` enforces the contract
 differentially on hypothesis-generated instances.
 """
 
 from __future__ import annotations
 
-import os
+import heapq
+import math
+import weakref
 from bisect import bisect_left
-from typing import Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .fastsim import _INF, FastSimulator, TaskSeq, _Prep, interned
 from .makespan import (
+    CallTiming,
     DueDateObjectives,
     DueDateTable,
     MakespanResult,
+    TaskTiming,
+    objectives_from_timeline,
     validate_for_simulation,
 )
 from .model import OCSPInstance
-from .schedule import Schedule, ScheduleError
+from .schedule import CompileTask, Schedule, ScheduleError
 
-__all__ = ["VectorSimulator", "instance_arrays", "numpy_available"]
+__all__ = ["VectorSimulator", "instance_arrays", "interned"]
 
+TaskSeq = Union[Schedule, Sequence[CompileTask]]
 
-def _numpy_or_none():
-    """The numpy module, or ``None`` when ``REPRO_NO_NUMPY`` switches the
-    array kernels off."""
-    return None if os.environ.get("REPRO_NO_NUMPY") else np
+_INF = math.inf
 
 
-def numpy_available() -> bool:
-    """True when the vector engine will actually vectorize."""
-    return _numpy_or_none() is not None
+class _Prep:
+    """Per-schedule precomputation: task timings and compile events."""
+
+    __slots__ = (
+        "tasks",
+        "starts",
+        "finishes",
+        "threads",
+        "events",
+        "gev_fins",
+        "gev_fids",
+        "gev_levels",
+        "first_fin",
+        "missing",
+    )
+
+    def __init__(self) -> None:
+        self.tasks: Tuple[CompileTask, ...] = ()
+        self.starts: List[float] = []
+        self.finishes: List[float] = []
+        self.threads: List[int] = []
+        self.events: List[List[Tuple[float, int]]] = []
+        # The same events flattened globally, sorted by finish time —
+        # the replay applies them eagerly as the clock crosses them.
+        self.gev_fins: List[float] = []
+        self.gev_fids: List[int] = []
+        self.gev_levels: List[int] = []
+        self.first_fin: List[float] = []
+        self.missing: Optional[str] = None
+
+
+class _Interned:
+    """The per-instance tier: names interned to dense ids, the call
+    sequence as an id list, and the cost tables as id-indexed rows.
+
+    It depends on the instance alone, so :func:`interned` builds it once
+    per instance and every engine on that instance (one per thread
+    count or preinstalled set) shares it read-only.  ``arrays`` holds
+    the numpy views of the same data, built by :func:`instance_arrays`.
+    """
+
+    __slots__ = (
+        "fnames",
+        "fid_of",
+        "calls_fid",
+        "exec_rows",
+        "compile_rows",
+        "called_fids",
+        "first_pos",
+        "arrays",
+    )
+
+    def __init__(self, instance: OCSPInstance) -> None:
+        self.fnames: List[str] = list(instance.profiles)
+        fid_of = self.fid_of = {
+            name: fid for fid, name in enumerate(self.fnames)
+        }
+        self.calls_fid: List[int] = list(map(fid_of.__getitem__, instance.calls))
+        self.exec_rows: List[Tuple[float, ...]] = [
+            instance.profiles[name].exec_times for name in self.fnames
+        ]
+        self.compile_rows: List[Tuple[float, ...]] = [
+            instance.profiles[name].compile_times for name in self.fnames
+        ]
+        called = instance.called_functions
+        # Distinct called fids in first-call order (for coverage checks).
+        self.called_fids: List[int] = [fid_of[f] for f in called]
+        # Trace positions of each function's first call, ascending.
+        # Bubbles can only occur there, and between consecutive first
+        # calls (and compile-event crossings) the replay clock is a pure
+        # sequential sum — the segmented replay exploits exactly this.
+        self.first_pos: List[int] = [instance.first_call_index(f) for f in called]
+        self.arrays = None
+
+
+def interned(instance: OCSPInstance) -> _Interned:
+    """The instance's shared :class:`_Interned` tier, built on first use."""
+    shared = getattr(instance, "_interned", None)
+    if shared is None:
+        shared = _Interned(instance)
+        object.__setattr__(instance, "_interned", shared)
+    return shared
 
 
 class _Arrays:
     """Static structure-of-arrays state of one instance.
 
-    Built once per instance from its :class:`~repro.core.fastsim._Interned`
+    Built once per instance from its :class:`_Interned`
     tier (see :func:`instance_arrays`) and shared by every vector engine
     and reactive-runtime replay on it: the interned call sequence as one
     flat id array (replay segments are O(1) views into it), cost tables
@@ -130,62 +221,225 @@ class _Arrays:
 
 
 def instance_arrays(instance: OCSPInstance) -> _Arrays:
-    """The instance's shared :class:`_Arrays`, built on first use.
-
-    Always array-backed (numpy is required): ``REPRO_NO_NUMPY`` switches
-    off the vector engine's kernels, not this shared data.
-    """
+    """The instance's shared :class:`_Arrays`, built on first use."""
     shared = interned(instance)
     if shared.arrays is None:
         shared.arrays = _Arrays(shared)
     return shared.arrays
 
 
-class VectorSimulator(FastSimulator):
-    """Structure-of-arrays make-span evaluator for one instance.
+class VectorSimulator:
+    """Reusable make-span evaluator for one instance.
 
-    A drop-in :class:`~repro.core.fastsim.FastSimulator` whose replay
-    loops run on flat numpy arrays.  The public API, the exactness
-    contract, and the ``fastsim.*`` work counters are identical; only
-    wall time differs.  Without numpy every method transparently uses
-    the inherited pure-Python path.
+    Args:
+        instance: the OCSP instance every evaluation runs against.
+        compile_threads: compiler-thread count (fixed per engine; build
+            one engine per thread count, they share nothing mutable).
+        preinstalled: functions whose code at the given level exists
+            from t = 0 (see :func:`~repro.core.makespan.simulate`).
+        metrics: optional
+            :class:`repro.observability.MetricsRegistry` (also settable
+            later via the public ``metrics`` attribute); records the
+            deterministic work counters ``vecsim.prepares`` /
+            ``tasks_prepared`` / ``evaluations`` / ``binds`` /
+            ``proposals`` / ``commits`` / ``replays`` /
+            ``calls_replayed`` / ``span_replays`` /
+            ``span_calls_replayed``.  All increments happen at call
+            boundaries (never inside the replay loops), so a detached
+            registry (``None``, the default) costs one branch per
+            method call and counting never changes the numbers.
+
+    Raises:
+        ValueError: if ``compile_threads < 1`` or a preinstalled level
+            is out of range.
     """
 
     def __init__(
         self,
         instance: OCSPInstance,
         compile_threads: int = 1,
-        preinstalled=None,
+        preinstalled: Optional[Dict[str, int]] = None,
         metrics=None,
     ) -> None:
-        super().__init__(
-            instance,
-            compile_threads=compile_threads,
-            preinstalled=preinstalled,
-            metrics=metrics,
-        )
-        self._np = _numpy_or_none()
-        if self._np is not None:
-            arrays = self._arrays = instance_arrays(instance)
-            self._calls_np = arrays.calls_np
-            self._max_levels = arrays.max_levels
-            self._exec_tab = arrays.exec_tab
-            self._compile_tab = arrays.compile_tab
-            self._nlvl_np = arrays.nlvl_np
-            self._first_pos_np = arrays.first_pos_np
-            self._first_fids_np = arrays.first_fids_np
-            self._call_counts_np = arrays.call_counts_np
-            self._called_mask_np = arrays.called_mask_np
-            self._pre_pairs = [
-                (fid, ev[0][1])
-                for fid, ev in enumerate(self._pre_events)
-                if ev
-            ]
-            # One-slot cache of the last Schedule's interned task
-            # arrays.  Schedules are immutable, so identity implies
-            # equality; local search and the bench loops re-evaluate
-            # the same Schedule object many times.
-            self._sched_arrays = None
+        if compile_threads < 1:
+            raise ValueError(
+                f"compile_threads must be >= 1, got {compile_threads}"
+            )
+        # The instance is reached through a weak reference and kept
+        # alive by ``_owner``, which the instance's own engine cache
+        # drops (see repro.core.engine.make_simulator).
+        self._instance_ref = weakref.ref(instance)
+        self._owner: Optional[OCSPInstance] = instance
+        self._compile_threads = compile_threads
+        self._preinstalled = dict(preinstalled or {})
+        self.metrics = metrics
+
+        # ---- per-instance precomputation (shared across engines) -----
+        shared = interned(instance)
+        self._fnames = shared.fnames
+        self._fid_of = fid_of = shared.fid_of
+        self._num_fids = len(self._fnames)
+        self._calls_fid = shared.calls_fid
+        self._exec_rows = shared.exec_rows
+        self._compile_rows = shared.compile_rows
+        self._called_fids = shared.called_fids
+        self._first_pos = shared.first_pos
+        self._arrays = instance_arrays(instance)
+        self._calls_np = self._arrays.calls_np
+        self._pre_events: List[Tuple[Tuple[float, int], ...]] = [
+            () for _ in range(self._num_fids)
+        ]
+        for fname, level in self._preinstalled.items():
+            prof = instance.profiles.get(fname)
+            if prof is None or not 0 <= level < prof.num_levels:
+                raise ValueError(
+                    f"preinstalled level {level} invalid for {fname!r}"
+                )
+            self._pre_events[fid_of[fname]] = ((0.0, level),)
+        self._pre_pairs = [
+            (fid, ev[0][1]) for fid, ev in enumerate(self._pre_events) if ev
+        ]
+        # One-slot cache of the last Schedule's interned task arrays.
+        # Schedules are immutable, so identity implies equality; local
+        # search and the bench loops re-evaluate the same Schedule
+        # object many times.
+        self._sched_arrays = None
+
+        # ---- incremental baseline state ------------------------------
+        self._b_prep: Optional[_Prep] = None
+        self._b_start: List[float] = []
+        self._b_finish: List[float] = []
+        self._b_level: List[int] = []
+        self._b_cum_exec: List[float] = []
+        self._b_cum_bubble: List[float] = []
+        self._b_makespan = 0.0
+        self._cand: Optional[Tuple[_Prep, int, float]] = None
+
+    @property
+    def _instance(self) -> OCSPInstance:
+        return self._instance_ref()
+
+    # ------------------------------------------------------------------
+    # Per-schedule precomputation
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _as_tasks(schedule: TaskSeq) -> Tuple[CompileTask, ...]:
+        tasks = getattr(schedule, "tasks", schedule)
+        return tuple(tasks)
+
+    def _prepare(
+        self,
+        schedule: TaskSeq,
+        release_times: Optional[Sequence[float]] = None,
+        task_compile_times: Optional[Sequence[float]] = None,
+        task_installs: Optional[Sequence[bool]] = None,
+    ) -> _Prep:
+        """Compute task timings and per-function event lists: ``O(S)``.
+
+        Replicates the reference FIFO thread assignment bit-for-bit
+        (ties broken by thread id) so finish times are identical.  With
+        ``release_times``, task ``i`` cannot start before
+        ``release_times[i]``; ``task_compile_times`` / ``task_installs``
+        are the fault layer's per-task overrides (see
+        :func:`~repro.core.makespan.simulate`).
+        """
+        tasks = self._as_tasks(schedule)
+        if release_times is not None and len(release_times) != len(tasks):
+            raise ValueError(
+                f"release_times has {len(release_times)} entries for "
+                f"{len(tasks)} tasks"
+            )
+        if task_compile_times is not None and len(task_compile_times) != len(
+            tasks
+        ):
+            raise ValueError(
+                f"task_compile_times has {len(task_compile_times)} entries "
+                f"for {len(tasks)} tasks"
+            )
+        if task_installs is not None and len(task_installs) != len(tasks):
+            raise ValueError(
+                f"task_installs has {len(task_installs)} entries for "
+                f"{len(tasks)} tasks"
+            )
+        prep = _Prep()
+        prep.tasks = tasks
+        fid_of = self._fid_of
+        compile_rows = self._compile_rows
+        starts = prep.starts
+        finishes = prep.finishes
+        threads = prep.threads
+        if self._compile_threads == 1:
+            t = 0.0
+            for i, task in enumerate(tasks):
+                c = (
+                    task_compile_times[i]
+                    if task_compile_times is not None
+                    else compile_rows[fid_of[task.function]][task.level]
+                )
+                if release_times is not None:
+                    rel = release_times[i]
+                    if t < rel:
+                        t = rel
+                starts.append(t)
+                t += c
+                finishes.append(t)
+                threads.append(0)
+        else:
+            free_at = [(0.0, tid) for tid in range(self._compile_threads)]
+            heapq.heapify(free_at)
+            for i, task in enumerate(tasks):
+                c = (
+                    task_compile_times[i]
+                    if task_compile_times is not None
+                    else compile_rows[fid_of[task.function]][task.level]
+                )
+                start, tid = heapq.heappop(free_at)
+                if release_times is not None:
+                    rel = release_times[i]
+                    if start < rel:
+                        start = rel
+                starts.append(start)
+                finishes.append(start + c)
+                threads.append(tid)
+                heapq.heappush(free_at, (start + c, tid))
+
+        events: List[List[Tuple[float, int]]] = [
+            list(pre) for pre in self._pre_events
+        ]
+        for i, (task, finish) in enumerate(zip(tasks, finishes)):
+            if task_installs is not None and not task_installs[i]:
+                continue  # failed attempt: thread time, no code
+            events[fid_of[task.function]].append((finish, task.level))
+        prep.events = events
+
+        first_fin = [0.0] * self._num_fids
+        flat: List[Tuple[float, int, int]] = []
+        for fid, ev in enumerate(events):
+            if not ev:
+                continue
+            ev.sort()
+            first_fin[fid] = ev[0][0]
+            flat.extend((finish, fid, level) for finish, level in ev)
+        flat.sort()
+        prep.gev_fins = [g[0] for g in flat]
+        prep.gev_fids = [g[1] for g in flat]
+        prep.gev_levels = [g[2] for g in flat]
+        prep.first_fin = first_fin
+        for fid in self._called_fids:
+            if not events[fid]:
+                prep.missing = self._fnames[fid]
+                break
+        metrics = self.metrics
+        if metrics is not None:
+            metrics.counter("vecsim.prepares").inc()
+            metrics.counter("vecsim.tasks_prepared").inc(len(tasks))
+        return prep
+
+    def _check_covered(self, prep: _Prep) -> None:
+        if prep.missing is not None:
+            raise ScheduleError(
+                f"function {prep.missing!r} is never compiled"
+            )
 
     # ------------------------------------------------------------------
     # Full-bookkeeping replay (timelines, incremental bind/commit)
@@ -193,9 +447,12 @@ class VectorSimulator(FastSimulator):
     def _replay(
         self, prep: _Prep, i0: int, t0: float, exec0: float, bubble0: float
     ):
-        np = self._np
-        if np is None:
-            return super()._replay(prep, i0, t0, exec0, bubble0)
+        """Full-bookkeeping replay of calls ``i0..N-1`` from state
+        ``(t0, exec0, bubble0)``.
+
+        Returns ``(starts, finishes, levels, cum_exec, cum_bubble)``
+        suffix lists; the final totals are the lists' last entries.
+        """
         self._check_covered(prep)
         calls = self._calls_fid
         calls_np = self._calls_np
@@ -300,23 +557,39 @@ class VectorSimulator(FastSimulator):
                 step <<= 1
         metrics = self.metrics
         if metrics is not None:
-            metrics.counter("fastsim.replays").inc()
-            metrics.counter("fastsim.calls_replayed").inc(n - i0)
+            metrics.counter("vecsim.replays").inc()
+            metrics.counter("vecsim.calls_replayed").inc(n - i0)
         return starts_out, fins_out, lvls_out, cum_exec, cum_bubble
 
-    # ------------------------------------------------------------------
-    # Make-span-only replay (local search's propose path)
-    # ------------------------------------------------------------------
+    def _replay_span(
+        self, prep: _Prep, i0: int, t0: float, cutoff: float
+    ) -> float:
+        """Make-span-only replay of calls ``i0..N-1``.
+
+        Returns ``math.inf`` once the running clock exceeds ``cutoff``
+        (checked per segment) — the clock is monotone, so the final
+        make-span is then guaranteed to exceed it too.
+        """
+        span, reached = self._replay_span_impl(prep, i0, t0, cutoff)
+        metrics = self.metrics
+        if metrics is not None:
+            metrics.counter("vecsim.span_replays").inc()
+            metrics.counter("vecsim.span_calls_replayed").inc(
+                reached - i0
+            )
+        return span
+
     def _replay_span_impl(
         self, prep: _Prep, i0: int, t0: float, cutoff: float
     ) -> Tuple[float, int]:
-        # Mirrors the inherited chunk schedule (base 128, doubling,
-        # reset per outer iteration) *exactly*: the bail-out index —
-        # and with it the ``fastsim.span_calls_replayed`` counter — is
-        # chunk-boundary-dependent, and the engines must agree on it.
-        np = self._np
-        if np is None:
-            return super()._replay_span_impl(prep, i0, t0, cutoff)
+        """:meth:`_replay_span` body; also returns the call index reached
+        (``n``, or the cutoff bail-out position) for work accounting.
+
+        The bail-out index depends on the chunk schedule (base 128,
+        doubling, reset per outer iteration), and the committed
+        ``localsearch_moves`` baseline pins it through the
+        ``vecsim.span_calls_replayed`` counter.
+        """
         self._check_covered(prep)
         calls = self._calls_fid
         calls_np = self._calls_np
@@ -425,7 +698,6 @@ class VectorSimulator(FastSimulator):
         trace pass) the exec and level totals are skipped and returned
         as ``None``.
         """
-        np = self._np
         self._check_covered(prep)
         calls = self._calls_fid
         calls_np = self._calls_np
@@ -525,7 +797,7 @@ class VectorSimulator(FastSimulator):
         if not totals:
             return t, None, total_bubble, None, first_starts, crossings
         total_exec = float(cumsum(execs)[n])
-        hist = np.bincount(levels, minlength=self._max_levels).tolist()
+        hist = np.bincount(levels, minlength=self._arrays.max_levels).tolist()
         calls_at_level = {
             level: count for level, count in enumerate(hist) if count
         }
@@ -548,7 +820,6 @@ class VectorSimulator(FastSimulator):
         trailing ``+ 0.0`` padding is bitwise neutral), long ones as
         individual 1-D cumsums.
         """
-        np = self._np
         num_segs = len(lens)
         ends = np.empty(num_segs)
         nq = len(qpos)
@@ -612,7 +883,6 @@ class VectorSimulator(FastSimulator):
     def _task_arrays(self, schedule):
         """``(tfids, tlvls)``: the schedule's task fids and levels as
         arrays (cached for the last :class:`Schedule` object)."""
-        np = self._np
         cached = self._sched_arrays
         if (
             cached is not None
@@ -674,20 +944,20 @@ class VectorSimulator(FastSimulator):
         ``seg_a[r] .. seg_a[r] + lens[r] - 1`` back to back from
         ``seeds[r]``, call ``i`` taking ``e[i]``.
         """
-        np = self._np
+        arrays = self._arrays
         calls_np = self._calls_np
         n = len(calls_np)
         num_fids = self._num_fids
         num_tasks = len(tfids)
         if num_tasks and (
-            int(tlvls.min()) < 0 or bool(np.any(tlvls >= self._nlvl_np[tfids]))
+            int(tlvls.min()) < 0 or bool(np.any(tlvls >= arrays.nlvl_np[tfids]))
         ):
-            return None  # out-of-range level: defer to the legacy path
+            return None  # out-of-range level: defer to the chunked path
         metrics = self.metrics
 
         # ---- per-task chain (single thread, no releases) -------------
         if num_tasks:
-            fins = np.cumsum(self._compile_tab[tfids, tlvls])
+            fins = np.cumsum(arrays.compile_tab[tfids, tlvls])
             compile_end = float(fins[num_tasks - 1])
         else:
             fins = np.empty(0)
@@ -710,7 +980,7 @@ class VectorSimulator(FastSimulator):
         # Segmented running max of levels: fid groups ascend, so keying
         # by fid * K + level makes one global maximum.accumulate reset
         # at every group boundary.
-        K = self._max_levels + 1
+        K = arrays.max_levels + 1
         cummax_lvl = np.maximum.accumulate(gfids * K + glvls) - gfids * K
         lvl_first = np.full(num_fids, -1, dtype=np.int64)
         lvl_final = np.full(num_fids, -1, dtype=np.int64)
@@ -723,11 +993,11 @@ class VectorSimulator(FastSimulator):
             lvl_first[fid] = plvl
             if lvl_final[fid] < plvl:
                 lvl_final[fid] = plvl
-        missing = self._called_mask_np & ~has_event
+        missing = arrays.called_mask_np & ~has_event
         if bool(missing.any()):
             if metrics is not None:
-                metrics.counter("fastsim.prepares").inc()
-                metrics.counter("fastsim.tasks_prepared").inc(num_tasks)
+                metrics.counter("vecsim.prepares").inc()
+                metrics.counter("vecsim.tasks_prepared").inc(num_tasks)
             for fid in self._called_fids:
                 if missing[fid]:
                     raise ScheduleError(
@@ -736,23 +1006,23 @@ class VectorSimulator(FastSimulator):
 
         # ---- per-call levels and exec times --------------------------
         varying = np.nonzero(
-            self._called_mask_np & (lvl_first != lvl_final)
+            arrays.called_mask_np & (lvl_first != lvl_final)
         )[0]
         lvl_uni = lvl_final.copy()
         if varying.size:
             lvl_uni[varying] = lvl_first[varying]
         # Uncalled fids may carry level -1 here; the gather below only
         # ever reads called fids' rows (and -1 wraps, harmlessly).
-        e_fid = self._exec_tab[np.arange(num_fids), lvl_uni]
+        e_fid = arrays.exec_tab[np.arange(num_fids), lvl_uni]
         e = e_fid[calls_np]
 
-        fp = self._first_pos_np
-        ffids = self._first_fids_np
+        fp = arrays.first_pos_np
+        ffids = arrays.first_fids_np
         first_F = first_fin[ffids]
         pre_lookup = dict(self._pre_pairs)
         var_state = []
         for fid in varying.tolist():
-            ogroups, obounds = self._arrays.call_groups()
+            ogroups, obounds = arrays.call_groups()
             pos = ogroups[obounds[fid] : obounds[fid + 1]]
             evf = gfins[tb[fid] : tb[fid + 1]]
             cum = cummax_lvl[tb[fid] : tb[fid + 1]]
@@ -787,7 +1057,7 @@ class VectorSimulator(FastSimulator):
                     if not np.array_equal(new, cur):
                         changed = True
                         var_state[idx_v] = (fid, pos, evf, cum, new)
-                        e[pos] = self._exec_tab[fid][new]
+                        e[pos] = arrays.exec_tab[fid][new]
                 if not changed:
                     break
             else:
@@ -828,7 +1098,7 @@ class VectorSimulator(FastSimulator):
             return None
         # Level-varying functions: re-derive every level from the exact
         # start times; any drift from the guessed levels is a mismatch.
-        hist = np.zeros(self._max_levels, dtype=np.int64)
+        hist = np.zeros(arrays.max_levels, dtype=np.int64)
         qoff = nnb
         for _fid, pos, evf, cum, cur in var_state:
             exact = cum[
@@ -840,7 +1110,7 @@ class VectorSimulator(FastSimulator):
             qoff += len(pos)
             if not np.array_equal(exact, cur):
                 return None
-            hist += np.bincount(exact, minlength=self._max_levels)
+            hist += np.bincount(exact, minlength=arrays.max_levels)
 
         # ---- totals (all single exact passes) ------------------------
         t = float(ends[len(ends) - 1])
@@ -851,10 +1121,10 @@ class VectorSimulator(FastSimulator):
             total_bubble = float(np.cumsum(bubbles)[nbind - 1])
         else:
             total_bubble = 0.0
-        uni = np.nonzero(self._called_mask_np)[0]
+        uni = np.nonzero(arrays.called_mask_np)[0]
         if varying.size:
             uni = uni[lvl_first[uni] == lvl_final[uni]]
-        np.add.at(hist, lvl_final[uni], self._call_counts_np[uni])
+        np.add.at(hist, lvl_final[uni], arrays.call_counts_np[uni])
         calls_at_level = {
             level: int(count)
             for level, count in enumerate(hist.tolist())
@@ -881,7 +1151,6 @@ class VectorSimulator(FastSimulator):
         starting before ``thr`` — one exact cumsum of that segment — or
         at the start of the next one.
         """
-        np = self._np
         seg_a, lens, seeds, e = segments
         live = np.nonzero(lens)[0]
         before = int(np.searchsorted(seeds[live], thr, side="left"))
@@ -904,7 +1173,6 @@ class VectorSimulator(FastSimulator):
         verification holds; else ``None`` (take the chunked path)."""
         if self._compile_threads != 1:
             return None
-        np = self._np
         tfids, tlvls = self._task_arrays(schedule)
         counts = np.bincount(tfids, minlength=self._num_fids)
         for fid, _level in self._pre_pairs:
@@ -926,44 +1194,40 @@ class VectorSimulator(FastSimulator):
         task_installs: Optional[Sequence[bool]] = None,
         tracer=None,
     ) -> MakespanResult:
-        """Exact :func:`~repro.core.makespan.simulate` twin; see
-        :meth:`FastSimulator.evaluate`.
+        """Evaluate ``schedule`` from scratch; exact :func:`simulate` twin.
 
-        Timeline and tracer requests take the inherited path (whose
-        :meth:`_replay` is already vectorized); plain evaluations use
-        a totals-only kernel, which skips per-call list materialization
-        entirely: the batched kernel when the schedule suits it
-        (:meth:`_batched_or_none`), else the chunked exact replay.  Both
-        give the same floats and the same work counters.
+        Unlike the reference, validation defaults to off — the engine is
+        built for tight loops whose callers guarantee validity.
+        ``release_times``, ``task_compile_times``/``task_installs``
+        (the fault layer's per-task overrides), and ``tracer`` mirror
+        :func:`~repro.core.makespan.simulate`; tracing never changes the
+        numbers.
+
+        Timeline and tracer requests take the full-bookkeeping
+        :meth:`_replay`; plain evaluations use a totals-only kernel,
+        which skips per-call list materialization entirely: the batched
+        kernel when the schedule suits it (:meth:`_batched_or_none`),
+        else the chunked exact replay.  All give the same floats and the
+        same work counters.
         """
-        if self._np is None or record_timeline or tracer is not None:
-            return super().evaluate(
-                schedule,
-                record_timeline=record_timeline,
-                validate=validate,
-                release_times=release_times,
-                task_compile_times=task_compile_times,
-                task_installs=task_installs,
-                tracer=tracer,
-            )
         metrics = self.metrics
         if metrics is not None:
-            metrics.counter("fastsim.evaluations").inc()
-        if (
-            not validate
-            and release_times is None
-            and task_compile_times is None
-            and task_installs is None
+            metrics.counter("vecsim.evaluations").inc()
+        timeline = record_timeline or tracer is not None
+        if not (
+            timeline
+            or validate
+            or release_times is not None
+            or task_compile_times is not None
+            or task_installs is not None
         ):
             batched = self._batched_or_none(schedule)
             if batched is not None:
                 if metrics is not None:
-                    metrics.counter("fastsim.prepares").inc()
-                    metrics.counter("fastsim.tasks_prepared").inc(
-                        len(schedule)
-                    )
-                    metrics.counter("fastsim.replays").inc()
-                    metrics.counter("fastsim.calls_replayed").inc(
+                    metrics.counter("vecsim.prepares").inc()
+                    metrics.counter("vecsim.tasks_prepared").inc(len(schedule))
+                    metrics.counter("vecsim.replays").inc()
+                    metrics.counter("vecsim.calls_replayed").inc(
                         len(self._calls_fid)
                     )
                 return batched[0]
@@ -974,18 +1238,97 @@ class VectorSimulator(FastSimulator):
             validate_for_simulation(
                 self._instance, Schedule(prep.tasks), self._preinstalled
             )
+        if timeline:
+            result = self._assemble(
+                prep, self._replay(prep, 0, 0.0, 0.0, 0.0), True
+            )
+            if tracer is None:
+                return result
+            from repro.observability.instrument import trace_makespan_result
+
+            trace_makespan_result(tracer, result)
+            if record_timeline:
+                return result
+            return MakespanResult(
+                makespan=result.makespan,
+                compile_end=result.compile_end,
+                total_bubble_time=result.total_bubble_time,
+                total_exec_time=result.total_exec_time,
+                calls_at_level=result.calls_at_level,
+            )
         t, total_exec, total_bubble, calls_at_level, _f, _c = (
             self._replay_totals(prep)
         )
         if metrics is not None:
-            metrics.counter("fastsim.replays").inc()
-            metrics.counter("fastsim.calls_replayed").inc(len(self._calls_fid))
+            metrics.counter("vecsim.replays").inc()
+            metrics.counter("vecsim.calls_replayed").inc(len(self._calls_fid))
         return MakespanResult(
             makespan=t,
             compile_end=prep.finishes[-1] if prep.finishes else 0.0,
             total_bubble_time=total_bubble,
             total_exec_time=total_exec,
             calls_at_level=calls_at_level,
+        )
+
+    def due_objectives(
+        self, schedule: TaskSeq, due: DueDateTable, validate: bool = False
+    ) -> DueDateObjectives:
+        """Due-date objectives of one evaluation (timeline-recorded).
+
+        Bitwise identical to the reference engine's
+        :func:`~repro.core.makespan.due_date_objectives` — the timeline
+        is exact and the aggregation order is canonical.
+        """
+        result = self.evaluate(schedule, record_timeline=True, validate=validate)
+        return objectives_from_timeline(result, due)
+
+    def _assemble(
+        self, prep: _Prep, arrays, record_timeline: bool
+    ) -> MakespanResult:
+        starts, finishes, levels, cum_exec, cum_bubble = arrays
+        makespan = finishes[-1] if finishes else 0.0
+        hist: Dict[int, int] = {}
+        for level in levels:
+            hist[level] = hist.get(level, 0) + 1
+        task_timings: Optional[Tuple[TaskTiming, ...]] = None
+        call_timings: Optional[Tuple[CallTiming, ...]] = None
+        if record_timeline:
+            task_timings = tuple(
+                TaskTiming(
+                    function=task.function,
+                    level=task.level,
+                    start=s,
+                    finish=f,
+                    thread=tid,
+                )
+                for task, s, f, tid in zip(
+                    prep.tasks, prep.starts, prep.finishes, prep.threads
+                )
+            )
+            prev = 0.0
+            calls: List[CallTiming] = []
+            for fid, s, f, level in zip(
+                self._calls_fid, starts, finishes, levels
+            ):
+                calls.append(
+                    CallTiming(
+                        function=self._fnames[fid],
+                        level=level,
+                        start=s,
+                        finish=f,
+                        bubble=s - prev,
+                    )
+                )
+                prev = f
+            call_timings = tuple(calls)
+        return MakespanResult(
+            makespan=makespan,
+            compile_end=prep.finishes[-1] if prep.finishes else 0.0,
+            total_bubble_time=cum_bubble[-1] if cum_bubble else 0.0,
+            total_exec_time=cum_exec[-1] if cum_exec else 0.0,
+            calls_at_level=hist,
+            task_timings=task_timings,
+            call_timings=call_timings,
         )
 
     # ------------------------------------------------------------------
@@ -997,8 +1340,14 @@ class VectorSimulator(FastSimulator):
         before_time: Optional[float] = None,
         after_time: Optional[float] = None,
     ):
-        """Vectorized :meth:`FastSimulator.trace_stats`: same floats and
-        counts, and no per-call Python objects.
+        """One pass over the execution under ``schedule``.
+
+        Returns ``(first_call_start, calls_before, calls_after, exec_end)``
+        with the exact semantics (and floats) of
+        :func:`repro.core.iar._trace_stats` / :func:`iter_calls`:
+        ``calls_before[f]`` counts invocations starting strictly before
+        ``before_time`` and ``calls_after[f]`` those starting at or after
+        ``after_time``.
 
         Call starts never decrease, so the calls starting before a
         threshold are a prefix of the trace: each threshold costs one
@@ -1007,9 +1356,6 @@ class VectorSimulator(FastSimulator):
         kernel serves the schedules it suits (as in :meth:`evaluate`);
         the rest replay on the chunked totals kernel.
         """
-        np = self._np
-        if np is None:
-            return super().trace_stats(schedule, before_time, after_time)
         wanted = [thr for thr in (before_time, after_time) if thr is not None]
         batched = self._batched_or_none(schedule)
         if batched is not None:
@@ -1018,8 +1364,8 @@ class VectorSimulator(FastSimulator):
             crossings = [self._segment_crossing(segments, thr) for thr in wanted]
             first_starts = first_starts.tolist()
             if self.metrics is not None:
-                self.metrics.counter("fastsim.prepares").inc()
-                self.metrics.counter("fastsim.tasks_prepared").inc(len(schedule))
+                self.metrics.counter("vecsim.prepares").inc()
+                self.metrics.counter("vecsim.tasks_prepared").inc(len(schedule))
         else:
             prep = self._prepare(schedule)
             t, _e, _b, _h, first_starts, crossings = self._replay_totals(
@@ -1039,57 +1385,175 @@ class VectorSimulator(FastSimulator):
         return firsts, before, after, t
 
     # ------------------------------------------------------------------
-    # Due-date objectives (vectorized aggregation)
+    # Incremental mode
     # ------------------------------------------------------------------
-    def due_objectives(
-        self, schedule: TaskSeq, due: DueDateTable, validate: bool = False
-    ) -> DueDateObjectives:
-        """Vectorized twin of :meth:`FastSimulator.due_objectives`.
+    def bind(self, schedule: TaskSeq, validate: bool = False) -> float:
+        """Adopt ``schedule`` as the incremental baseline.
 
-        The per-call timeline comes from the (already vectorized)
-        inherited replay; the aggregation runs on flat arrays.  Bitwise
-        safety: tardiness maxima are order-independent, and the two
-        weighted sums accumulate via 1-D ``numpy.cumsum`` — a
-        sequential left-associated accumulation — over functions in
-        sorted-name order, exactly the reference aggregation order.
+        Runs one full evaluation, caching the per-call trajectory
+        (starts, finishes, levels, running totals) that later
+        :meth:`propose` calls resume from.  Returns the make-span.
         """
-        np = self._np
-        if np is None:
-            return super().due_objectives(schedule, due, validate=validate)
-        result = self.evaluate(schedule, record_timeline=True, validate=validate)
-        last_finish = {}
-        for timing in result.call_timings:
-            if timing.function in due:
-                last_finish[timing.function] = timing.finish
-        items = [
-            (fname, due_time, weight, last_finish[fname])
-            for fname, (due_time, weight) in due.items()
-            if fname in last_finish
-        ]
-        if not items:
-            return DueDateObjectives(
-                makespan=result.makespan,
-                max_tardiness=0.0,
-                total_weighted_tardiness=0.0,
-                weighted_completion=0.0,
-                num_late=0,
-                num_jobs=0,
-                completions={},
+        if self.metrics is not None:
+            self.metrics.counter("vecsim.binds").inc()
+        prep = self._prepare(schedule)
+        if validate:
+            validate_for_simulation(
+                self._instance, Schedule(prep.tasks), self._preinstalled
             )
-        dues = np.array([item[1] for item in items], dtype=np.float64)
-        weights = np.array([item[2] for item in items], dtype=np.float64)
-        finishes = np.array([item[3] for item in items], dtype=np.float64)
-        tardiness = finishes - dues
-        late = tardiness > 0.0
-        clamped = np.where(late, tardiness, 0.0)
-        twt = np.cumsum(weights * clamped)[-1] if len(items) else 0.0
-        wc = np.cumsum(weights * finishes)[-1]
-        return DueDateObjectives(
-            makespan=result.makespan,
-            max_tardiness=float(clamped.max()) if len(items) else 0.0,
-            total_weighted_tardiness=float(twt),
-            weighted_completion=float(wc),
-            num_late=int(late.sum()),
-            num_jobs=len(items),
-            completions=last_finish,
+        arrays = self._replay(prep, 0, 0.0, 0.0, 0.0)
+        self._install(prep, 0, arrays)
+        return self._b_makespan
+
+    @property
+    def baseline_makespan(self) -> float:
+        """Make-span of the bound baseline schedule."""
+        self._require_bound()
+        return self._b_makespan
+
+    @property
+    def baseline_tasks(self) -> Tuple[CompileTask, ...]:
+        """Tasks of the bound baseline schedule."""
+        self._require_bound()
+        return self._b_prep.tasks  # type: ignore[union-attr]
+
+    def _require_bound(self) -> None:
+        if self._b_prep is None:
+            raise RuntimeError("no baseline bound; call bind() first")
+
+    def _divergence_time(self, old: _Prep, new: _Prep) -> float:
+        """Earliest compile-event finish at which the schedules differ.
+
+        Per-function event lists are sorted by finish time, so the first
+        position where old and new disagree bounds every differing event
+        from below; the minimum over functions is ``t_min``.  Returns
+        ``inf`` when the event sets are identical (the mutation cannot
+        affect execution at all).
+        """
+        t_min = _INF
+        for ev_old, ev_new in zip(old.events, new.events):
+            if ev_old == ev_new:
+                continue
+            shorter = min(len(ev_old), len(ev_new))
+            local = _INF
+            for k in range(shorter):
+                if ev_old[k] != ev_new[k]:
+                    local = min(ev_old[k][0], ev_new[k][0])
+                    break
+            else:
+                if len(ev_old) > shorter:
+                    local = ev_old[shorter][0]
+                elif len(ev_new) > shorter:
+                    local = ev_new[shorter][0]
+            if local < t_min:
+                t_min = local
+        return t_min
+
+    def _resume_point(self, prep: _Prep) -> Tuple[int, float]:
+        """``(i0, t0)``: first call that may observe ``prep``'s changes
+        and the (unchanged) clock right before it."""
+        t_min = self._divergence_time(self._b_prep, prep)  # type: ignore[arg-type]
+        if t_min == _INF:
+            n = len(self._calls_fid)
+            return n, self._b_finish[n - 1] if n else 0.0
+        i0 = bisect_left(self._b_start, t_min)
+        t0 = self._b_finish[i0 - 1] if i0 > 0 else 0.0
+        return i0, t0
+
+    def propose(
+        self, tasks: TaskSeq, cutoff: Optional[float] = None
+    ) -> float:
+        """Make-span of a candidate mutation of the baseline.
+
+        Replays only the call suffix the mutation can affect.  With
+        ``cutoff`` set, returns ``math.inf`` as soon as the candidate is
+        provably worse than the cutoff (hill-climbing's reject path).
+        The candidate is remembered; :meth:`commit` adopts it.
+        """
+        self._require_bound()
+        if self.metrics is not None:
+            self.metrics.counter("vecsim.proposals").inc()
+        prep = self._prepare(tasks)
+        i0, t0 = self._resume_point(prep)
+        self._cand = (prep, i0, t0)
+        if i0 >= len(self._calls_fid):
+            return self._b_makespan
+        span = self._replay_span(
+            prep, i0, t0, cutoff if cutoff is not None else _INF
         )
+        return span
+
+    def commit(self) -> float:
+        """Adopt the last proposed candidate as the new baseline.
+
+        Re-runs the suffix with full bookkeeping and splices it into the
+        cached trajectory — ``O(suffix)``, never ``O(N)``.  Returns the
+        new baseline make-span.
+        """
+        self._require_bound()
+        if self._cand is None:
+            raise RuntimeError("no pending candidate; call propose() first")
+        if self.metrics is not None:
+            self.metrics.counter("vecsim.commits").inc()
+        prep, i0, t0 = self._cand
+        self._cand = None
+        exec0 = self._b_cum_exec[i0 - 1] if i0 > 0 else 0.0
+        bubble0 = self._b_cum_bubble[i0 - 1] if i0 > 0 else 0.0
+        arrays = self._replay(prep, i0, t0, exec0, bubble0)
+        self._install(prep, i0, arrays)
+        return self._b_makespan
+
+    def _install(self, prep: _Prep, i0: int, arrays) -> None:
+        starts, finishes, levels, cum_exec, cum_bubble = arrays
+        if i0 == 0:
+            self._b_start = starts
+            self._b_finish = finishes
+            self._b_level = levels
+            self._b_cum_exec = cum_exec
+            self._b_cum_bubble = cum_bubble
+        else:
+            self._b_start[i0:] = starts
+            self._b_finish[i0:] = finishes
+            self._b_level[i0:] = levels
+            self._b_cum_exec[i0:] = cum_exec
+            self._b_cum_bubble[i0:] = cum_bubble
+        self._b_prep = prep
+        self._b_makespan = self._b_finish[-1] if self._b_finish else 0.0
+
+    def preview(
+        self, tasks: TaskSeq, record_timeline: bool = False
+    ) -> MakespanResult:
+        """Full result of a candidate mutation, without committing it.
+
+        Incremental twin of :meth:`evaluate`: resumes from the cached
+        prefix and stitches prefix + replayed suffix into a complete
+        :class:`MakespanResult` (bitwise equal to a from-scratch run).
+        """
+        self._require_bound()
+        prep = self._prepare(tasks)
+        i0, t0 = self._resume_point(prep)
+        self._cand = None  # previews do not arm commit()
+        exec0 = self._b_cum_exec[i0 - 1] if i0 > 0 else 0.0
+        bubble0 = self._b_cum_bubble[i0 - 1] if i0 > 0 else 0.0
+        suffix = self._replay(prep, i0, t0, exec0, bubble0)
+        starts, finishes, levels, cum_exec, cum_bubble = suffix
+        full = (
+            self._b_start[:i0] + starts,
+            self._b_finish[:i0] + finishes,
+            self._b_level[:i0] + levels,
+            self._b_cum_exec[:i0] + cum_exec,
+            self._b_cum_bubble[:i0] + cum_bubble,
+        )
+        return self._assemble(prep, full, record_timeline)
+
+    def result(self, record_timeline: bool = False) -> MakespanResult:
+        """Full :class:`MakespanResult` of the bound baseline."""
+        self._require_bound()
+        arrays = (
+            self._b_start,
+            self._b_finish,
+            self._b_level,
+            self._b_cum_exec,
+            self._b_cum_bubble,
+        )
+        return self._assemble(self._b_prep, arrays, record_timeline)

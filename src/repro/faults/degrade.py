@@ -212,10 +212,9 @@ def simulate_with_faults(
         validate: validate the *intended* schedule first (the degraded
             plan is by construction simulatable but not a valid
             monotone schedule, so it is never validated).
-        engine: ``"reference"`` (:func:`repro.core.makespan.simulate`),
-            ``"fast"`` (:class:`repro.core.fastsim.FastSimulator`), or
-            ``"vector"`` (:class:`repro.core.vecsim.VectorSimulator`);
-            all produce bitwise-identical numbers — including the
+        engine: ``"reference"`` (:func:`repro.core.makespan.simulate`)
+            or ``"vector"`` (:class:`repro.core.vecsim.VectorSimulator`);
+            both produce bitwise-identical numbers — including the
             degradation decisions, which happen before any engine runs.
             ``None`` defers to the session default
             (:func:`repro.core.engine.set_default_engine` /

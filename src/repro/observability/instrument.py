@@ -1,6 +1,6 @@
 """Turn recorded simulation timelines into trace events.
 
-``core/makespan.simulate`` and ``core/fastsim.FastSimulator`` already
+``core/makespan.simulate`` and ``core/vecsim.VectorSimulator`` already
 reconstruct complete per-task and per-call timelines when asked
 (``record_timeline=True``); rather than sprinkling emission sites
 through their hot loops, their tracing support records the timeline
@@ -27,7 +27,7 @@ def trace_makespan_result(tracer, result, execute_track: str = "execute") -> Non
     Args:
         tracer: a :class:`Tracer` or :class:`TraceScope`.
         result: ``MakespanResult`` from ``simulate(...,
-            record_timeline=True)`` (or ``FastSimulator`` equivalent).
+            record_timeline=True)`` (or ``VectorSimulator`` equivalent).
         execute_track: name of the execution-thread track.
 
     Raises:

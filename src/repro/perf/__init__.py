@@ -1,7 +1,7 @@
 """Continuous-performance observability: measure, baseline, gate.
 
 The reproduction's credibility rests on its own hot paths staying fast
-(``simulate``/``FastSimulator``, IAR, the study grid), yet free-form
+(``simulate``/``VectorSimulator``, IAR, the study grid), yet free-form
 benchmark text under ``benchmarks/output/`` cannot be regression-gated.
 This package closes the loop:
 

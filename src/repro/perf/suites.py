@@ -8,8 +8,8 @@ from ``scale`` with the same convention as the pytest benchmark suite
 baseline — results at different scales never compare.
 
 The ``quick`` suite covers every instrumented hot path: the reference
-simulator, the fast engine (full and incremental), the vector engine,
-local search, the A* search, the reactive runtime replays, the
+simulator, the vector engine (full evaluation, and incremental through
+local search), the A* search, the reactive runtime replays, the
 priority-queue co-simulation, the result store, tracing, and the
 parallel experiment runner.  It is sized
 to finish in seconds at the default scale so CI can gate on it.
@@ -20,14 +20,13 @@ Two narrower suites serve the engine-equivalence story:
   explicitly, so running them under ``--engine vector`` or
   ``$REPRO_ENGINE`` cannot change their counters vs the committed
   baselines);
-* ``speedup`` — the reference/fast/vector evaluation benchmarks whose
+* ``speedup`` — the reference/vector evaluation benchmarks whose
   committed baselines back the documented speedup table (the same
   workload and schedule measured through each engine).
 """
 
 from __future__ import annotations
 
-import random
 import tempfile
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -203,97 +202,8 @@ def _bench_core_simulate_vector(scale: float):
 
 
 @register(
-    "fastsim_evaluate",
-    suites=("quick", "vecsim", "speedup"),
-    description="FastSimulator full (non-incremental) evaluation",
-)
-def _bench_fastsim_evaluate(scale: float):
-    from ..core.fastsim import FastSimulator
-    from ..core.single_level import base_level_schedule
-
-    instance = _workload(scale)
-    schedule = base_level_schedule(instance)
-    engine = FastSimulator(instance)
-
-    def fn(metrics: MetricsRegistry) -> None:
-        engine.metrics = metrics
-        try:
-            for _ in range(5):
-                engine.evaluate(schedule)
-        finally:
-            engine.metrics = None
-
-    return fn
-
-
-@register(
-    "vecsim_evaluate",
-    suites=("quick", "vecsim", "speedup"),
-    description="VectorSimulator full (non-incremental) evaluation",
-)
-def _bench_vecsim_evaluate(scale: float):
-    from ..core.single_level import base_level_schedule
-    from ..core.vecsim import VectorSimulator
-
-    instance = _workload(scale)
-    schedule = base_level_schedule(instance)
-    engine = VectorSimulator(instance)
-
-    def fn(metrics: MetricsRegistry) -> None:
-        # Counter-exact twin of fastsim_evaluate: identical work
-        # counters, different wall time — the pair of committed
-        # baselines is the regression gate for both claims.
-        engine.metrics = metrics
-        try:
-            for _ in range(5):
-                engine.evaluate(schedule)
-        finally:
-            engine.metrics = None
-
-    return fn
-
-
-@register(
-    "fastsim_incremental",
-    description="FastSimulator propose/commit on random local-search moves",
-)
-def _bench_fastsim_incremental(scale: float):
-    from ..core.fastsim import FastSimulator
-    from ..core.localsearch import _propose
-    from ..core.single_level import base_level_schedule
-
-    instance = _workload(scale)
-    schedule = base_level_schedule(instance)
-    engine = FastSimulator(instance)
-
-    def fn(metrics: MetricsRegistry) -> None:
-        engine.metrics = metrics
-        try:
-            # Re-bind per run so every repeat walks the same trajectory
-            # from the same baseline (a fresh rng makes the move stream
-            # identical too).
-            engine.bind(schedule)
-            rng = random.Random(7)
-            tasks = list(schedule.tasks)
-            for _ in range(100):
-                proposal = None
-                while proposal is None:
-                    proposal = _propose(instance, tasks, rng)
-                span = engine.propose(
-                    proposal, cutoff=engine.baseline_makespan
-                )
-                if span <= engine.baseline_makespan:
-                    engine.commit()
-                    tasks = proposal
-        finally:
-            engine.metrics = None
-
-    return fn
-
-
-@register(
     "localsearch_moves",
-    description="hill-climbing local search on the fast engine",
+    description="hill-climbing local search on the vector engine",
 )
 def _bench_localsearch(scale: float):
     from ..core.localsearch import improve_schedule

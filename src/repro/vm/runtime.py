@@ -44,10 +44,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.fastsim import interned
 from ..core.model import OCSPInstance
 from ..core.schedule import CompileTask, Schedule
-from ..core.vecsim import instance_arrays
+from ..core.vecsim import instance_arrays, interned
 
 __all__ = [
     "RuntimeScheme",

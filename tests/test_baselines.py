@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import lower_bound, simulate
+from repro.core import FunctionProfile, OCSPInstance, Schedule, lower_bound, simulate
 from repro.core.baselines import (
     greedy_budget_schedule,
     hotness_first_schedule,
@@ -121,3 +121,18 @@ class TestRandomSchedule:
         assert random_schedule(small_synthetic, seed=1) != random_schedule(
             small_synthetic, seed=2
         )
+
+
+def test_greedy_budget_adds_left_to_right():
+    """The budget is the sequential sum of the trace's level-0 exec
+    times: fifty 1.0 calls after a 1e16 one add nothing, so a recompile
+    costing 1e16 + 50 does not fit.  A compensated sum (builtin ``sum``
+    since Python 3.12) would admit it."""
+    profiles = {
+        "big": FunctionProfile("big", (1.0,), (1e16,)),
+        "small": FunctionProfile("small", (1.0, 1e16 + 50), (1.0, 0.5)),
+    }
+    inst = OCSPInstance(profiles, ("big",) + ("small",) * 50, name="fp")
+    assert greedy_budget_schedule(inst, budget_fraction=1.0) == Schedule.of(
+        ("big", 0), ("small", 0)
+    )

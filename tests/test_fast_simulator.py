@@ -1,12 +1,15 @@
-"""Differential tests: FastSimulator vs the reference simulator.
+"""Differential tests: the vector engine's incremental path vs the
+reference simulator.
 
-The fast engine promises *bitwise* equality with
-:func:`repro.core.makespan.simulate` — same float operations in the
+:class:`~repro.core.vecsim.VectorSimulator` promises *bitwise* equality
+with :func:`repro.core.makespan.simulate` — same float operations in the
 same order — for full evaluation, timeline recording, and the
-incremental propose/commit/preview path.  These tests enforce that
-contract on hundreds of random instances (hypothesis strategies plus a
-seeded generator loop), across 1–4 compile threads and all four
-local-search move kinds.
+incremental propose/commit/preview path local search runs on.  These
+tests enforce that contract on hundreds of random instances (hypothesis
+strategies plus a seeded generator loop), across 1–4 compile threads
+and all four local-search move kinds.  The helpers below (instance
+strategies, random schedules, field-by-field result equality) are
+shared with ``tests/test_vecsim_differential.py``.
 """
 
 from __future__ import annotations
@@ -19,10 +22,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     CompileTask,
-    FastSimulator,
     FunctionProfile,
     OCSPInstance,
     Schedule,
+    VectorSimulator,
     simulate,
 )
 from repro.core.localsearch import _propose, improve_schedule
@@ -89,16 +92,16 @@ def random_instance(rng: random.Random) -> OCSPInstance:
     return generate(spec, seed=rng.randrange(1 << 30))
 
 
-def assert_results_equal(fast, ref) -> None:
+def assert_results_equal(got, ref) -> None:
     """Exact (bitwise) MakespanResult equality, field by field for a
     readable diff on failure."""
-    assert fast.makespan == ref.makespan
-    assert fast.compile_end == ref.compile_end
-    assert fast.total_bubble_time == ref.total_bubble_time
-    assert fast.total_exec_time == ref.total_exec_time
-    assert fast.calls_at_level == ref.calls_at_level
-    assert fast.task_timings == ref.task_timings
-    assert fast.call_timings == ref.call_timings
+    assert got.makespan == ref.makespan
+    assert got.compile_end == ref.compile_end
+    assert got.total_bubble_time == ref.total_bubble_time
+    assert got.total_exec_time == ref.total_exec_time
+    assert got.calls_at_level == ref.calls_at_level
+    assert got.task_timings == ref.task_timings
+    assert got.call_timings == ref.call_timings
 
 
 # ---------------------------------------------------------------------------
@@ -111,10 +114,10 @@ def assert_results_equal(fast, ref) -> None:
 def test_evaluate_matches_reference(instance, threads, hyp_rng):
     rng = random.Random(hyp_rng.randrange(1 << 30))
     schedule = random_schedule(instance, rng)
-    fast = FastSimulator(instance, compile_threads=threads)
+    vec = VectorSimulator(instance, compile_threads=threads)
     for record in (False, True):
         assert_results_equal(
-            fast.evaluate(schedule, record_timeline=record),
+            vec.evaluate(schedule, record_timeline=record),
             simulate(
                 instance,
                 schedule,
@@ -128,9 +131,9 @@ def test_evaluate_empty_trace_single_function():
     prof = {"f0": FunctionProfile("f0", (1.0, 2.0), (4.0, 1.0))}
     inst = OCSPInstance(prof, ("f0",), name="tiny")
     sched = Schedule.of(("f0", 0))
-    fast = FastSimulator(inst)
+    vec = VectorSimulator(inst)
     assert_results_equal(
-        fast.evaluate(sched, record_timeline=True),
+        vec.evaluate(sched, record_timeline=True),
         simulate(inst, sched, record_timeline=True),
     )
 
@@ -150,9 +153,9 @@ def test_evaluate_preinstalled_matches_reference():
             if t.function not in pre
         ]
         schedule = Schedule(tuple(tasks))
-        fast = FastSimulator(instance, preinstalled=pre)
+        vec = VectorSimulator(instance, preinstalled=pre)
         assert_results_equal(
-            fast.evaluate(schedule, record_timeline=True),
+            vec.evaluate(schedule, record_timeline=True),
             simulate(instance, schedule, preinstalled=pre, record_timeline=True),
         )
 
@@ -170,7 +173,7 @@ def _mutate(
 
 
 def test_incremental_differential_seeded():
-    """The ISSUE's headline gate: >= 200 random cases, zero mismatches.
+    """The headline gate: >= 200 random cases, zero mismatches.
 
     Each case binds a random schedule, walks a chain of random
     local-search moves, and checks propose() spans, commit() results,
@@ -183,23 +186,23 @@ def test_incremental_differential_seeded():
     while cases < 200:
         instance = random_instance(rng)
         threads = rng.randint(1, 4)
-        fast = FastSimulator(instance, compile_threads=threads)
+        vec = VectorSimulator(instance, compile_threads=threads)
         schedule = random_schedule(instance, rng)
-        fast.bind(schedule)
+        vec.bind(schedule)
         tasks = list(schedule)
         for _ in range(6):
             proposal = _mutate(instance, tasks, rng)
             if proposal is None:
                 continue
-            span = fast.propose(proposal)
+            span = vec.propose(proposal)
             ref = simulate(instance, Schedule(tuple(proposal)), compile_threads=threads)
             if span != ref.makespan:
                 mismatches += 1
             if rng.random() < 0.7:  # accept: commit and re-check baseline
-                committed = fast.commit()
+                committed = vec.commit()
                 if committed != ref.makespan:
                     mismatches += 1
-                full = fast.result(record_timeline=True)
+                full = vec.result(record_timeline=True)
                 ref_full = simulate(
                     instance,
                     Schedule(tuple(proposal)),
@@ -241,12 +244,12 @@ def test_each_move_kind_incrementally_exact(move_kind):
         proposal = _propose(instance, list(schedule), rng)
         if proposal is None:
             continue
-        fast = FastSimulator(instance)
-        fast.bind(schedule)
-        span = fast.propose(proposal)
+        vec = VectorSimulator(instance)
+        vec.bind(schedule)
+        span = vec.propose(proposal)
         ref = simulate(instance, Schedule(tuple(proposal)))
         assert span == ref.makespan
-        assert fast.commit() == ref.makespan
+        assert vec.commit() == ref.makespan
         applied += 1
     assert applied == 25
 
@@ -255,18 +258,18 @@ def test_preview_does_not_commit():
     rng = random.Random(3)
     instance = random_instance(rng)
     schedule = random_schedule(instance, rng)
-    fast = FastSimulator(instance)
-    base = fast.bind(schedule)
+    vec = VectorSimulator(instance)
+    base = vec.bind(schedule)
     proposal = None
     while proposal is None:
         proposal = _propose(instance, list(schedule), rng)
     ref = simulate(instance, Schedule(tuple(proposal)), record_timeline=True)
-    assert_results_equal(fast.preview(proposal, record_timeline=True), ref)
+    assert_results_equal(vec.preview(proposal, record_timeline=True), ref)
     # preview disarms commit and leaves the baseline untouched
-    assert fast.baseline_makespan == base
-    assert fast.baseline_tasks == tuple(schedule)
+    assert vec.baseline_makespan == base
+    assert vec.baseline_tasks == tuple(schedule)
     with pytest.raises(RuntimeError):
-        fast.commit()
+        vec.commit()
 
 
 def test_propose_cutoff_returns_inf_when_worse():
@@ -277,12 +280,12 @@ def test_propose_cutoff_returns_inf_when_worse():
     for _ in range(200):
         instance = random_instance(rng)
         schedule = random_schedule(instance, rng)
-        fast = FastSimulator(instance)
-        base = fast.bind(schedule)
+        vec = VectorSimulator(instance)
+        base = vec.bind(schedule)
         proposal = _propose(instance, list(schedule), rng)
         if proposal is None:
             continue
-        span = fast.propose(proposal, cutoff=base)
+        span = vec.propose(proposal, cutoff=base)
         true_span = simulate(instance, Schedule(tuple(proposal))).makespan
         if true_span <= base:
             assert span == true_span
@@ -309,7 +312,7 @@ def test_propose_cutoff_replay_adds_left_to_right(recompile):
     if recompile:
         base.append(CompileTask("small", 1))
     swapped = [base[1], base[0]] + base[2:]
-    engine = FastSimulator(inst)
+    engine = VectorSimulator(inst)
     engine.bind(Schedule(tuple(base)))
     span = engine.propose(swapped, cutoff=1e17)
     assert span == simulate(inst, Schedule(tuple(swapped))).makespan
@@ -324,14 +327,14 @@ def test_trace_stats_matches_iar_helper():
         schedule = random_schedule(instance, rng)
         result = simulate(instance, schedule, record_timeline=True)
         t = result.makespan * rng.random()
-        fast = FastSimulator(instance)
-        assert fast.trace_stats(schedule, before_time=t, after_time=t) == _trace_stats(
+        vec = VectorSimulator(instance)
+        assert vec.trace_stats(schedule, before_time=t, after_time=t) == _trace_stats(
             instance, schedule, before_time=t, after_time=t
         )
 
 
 # ---------------------------------------------------------------------------
-# the fast engine inside local search
+# the vector engine inside local search
 # ---------------------------------------------------------------------------
 
 
@@ -341,14 +344,14 @@ def test_localsearch_engines_walk_identical_trajectories(temperature, threads):
     rng = random.Random(42 + threads)
     instance = random_instance(rng)
     schedule = random_schedule(instance, rng)
-    fast_sched, fast_stats = improve_schedule(
+    vec_sched, vec_stats = improve_schedule(
         instance,
         schedule,
         iterations=120,
         seed=9,
         temperature=temperature,
         compile_threads=threads,
-        engine="fast",
+        engine="vector",
     )
     ref_sched, ref_stats = improve_schedule(
         instance,
@@ -359,8 +362,8 @@ def test_localsearch_engines_walk_identical_trajectories(temperature, threads):
         compile_threads=threads,
         engine="reference",
     )
-    assert tuple(fast_sched) == tuple(ref_sched)
-    assert fast_stats == ref_stats
+    assert tuple(vec_sched) == tuple(ref_sched)
+    assert vec_stats == ref_stats
 
 
 def test_localsearch_rejects_unknown_engine():

@@ -6,7 +6,7 @@ Three invariants the degradation machinery must hold on *any* instance:
   only add work);
 * the recorded timeline stays physically consistent (calls execute
   back-to-back, compile attempts fit their charged durations);
-* the reference and fast engines agree bitwise on degraded plans, and a
+* the reference and vector engines agree bitwise on degraded plans, and a
   re-run under the same seed reproduces every number.
 """
 
@@ -19,10 +19,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     CompileTask,
-    FastSimulator,
     FunctionProfile,
     OCSPInstance,
     Schedule,
+    VectorSimulator,
     lower_bound,
     simulate,
 )
@@ -144,16 +144,16 @@ def test_engines_agree_bitwise_and_seed_reproduces(
         task_compile_times=plan.compile_times,
         task_installs=plan.installs,
     )
-    fast = FastSimulator(instance, compile_threads=threads).evaluate(
+    vec = VectorSimulator(instance, compile_threads=threads).evaluate(
         plan.tasks,
         record_timeline=True,
         task_compile_times=plan.compile_times,
         task_installs=plan.installs,
     )
-    assert fast.makespan == ref.makespan
-    assert fast.compile_end == ref.compile_end
-    assert fast.total_bubble_time == ref.total_bubble_time
-    assert fast.total_exec_time == ref.total_exec_time
-    assert fast.calls_at_level == ref.calls_at_level
-    assert fast.task_timings == ref.task_timings
-    assert fast.call_timings == ref.call_timings
+    assert vec.makespan == ref.makespan
+    assert vec.compile_end == ref.compile_end
+    assert vec.total_bubble_time == ref.total_bubble_time
+    assert vec.total_exec_time == ref.total_exec_time
+    assert vec.calls_at_level == ref.calls_at_level
+    assert vec.task_timings == ref.task_timings
+    assert vec.call_timings == ref.call_timings

@@ -102,7 +102,7 @@ class TestApplyToSchedule:
 class TestSimulateWithFaults:
     def test_null_bitwise_equals_clean(self, instance, schedule):
         clean = simulate(instance, schedule, record_timeline=True)
-        for engine in ("reference", "fast"):
+        for engine in ("reference", "vector"):
             result, plan = simulate_with_faults(
                 instance, schedule, "", engine=engine, record_timeline=True
             )
@@ -116,17 +116,17 @@ class TestSimulateWithFaults:
             instance, schedule, spec, compile_threads=threads,
             engine="reference", record_timeline=True,
         )
-        fast, fast_plan = simulate_with_faults(
+        vec, vec_plan = simulate_with_faults(
             instance, schedule, spec, compile_threads=threads,
-            engine="fast", record_timeline=True,
+            engine="vector", record_timeline=True,
         )
-        assert ref_plan == fast_plan
-        assert fast.makespan == ref.makespan
-        assert fast.compile_end == ref.compile_end
-        assert fast.total_bubble_time == ref.total_bubble_time
-        assert fast.calls_at_level == ref.calls_at_level
-        assert fast.task_timings == ref.task_timings
-        assert fast.call_timings == ref.call_timings
+        assert ref_plan == vec_plan
+        assert vec.makespan == ref.makespan
+        assert vec.compile_end == ref.compile_end
+        assert vec.total_bubble_time == ref.total_bubble_time
+        assert vec.calls_at_level == ref.calls_at_level
+        assert vec.task_timings == ref.task_timings
+        assert vec.call_timings == ref.call_timings
 
     def test_faulty_makespan_at_least_lower_bound(self, instance, schedule):
         result, _ = simulate_with_faults(

@@ -4,7 +4,7 @@
 is fully deterministic, as are the Jikes/V8 replays and IAR.  These
 frozen numbers pin the whole pipeline — trace generation, the runtime
 schemes, the IAR heuristic, and the simulator — so any unintended
-behavioural change (e.g. to the fast engine or the cost model) fails
+behavioural change (e.g. to the vector engine or the cost model) fails
 loudly here rather than drifting silently.
 
 If a change *intends* to alter these numbers, regenerate with::
@@ -183,7 +183,7 @@ def test_repeated_loads_are_identical():
 
 
 # ---------------------------------------------------------------------------
-# full-length pins (scale 0.1, ~240k calls): the three engines must
+# full-length pins (scale 0.1, ~240k calls): both engines must
 # agree bitwise on a trace long enough to exercise every replay chunk
 # path, and the absolute numbers are frozen.  Regenerate (after an
 # intended change) with the docstring recipe, using scale=0.1.
@@ -197,7 +197,7 @@ FULL_GOLDEN_V8 = 940845.9573871085
 FULL_GOLDEN_SAMPLES = (229, 302)  # (jikes, v8)
 
 
-@pytest.mark.parametrize("engine", ["reference", "fast", "vector"])
+@pytest.mark.parametrize("engine", ["reference", "vector"])
 def test_full_length_iar_makespan_exact_per_engine(engine):
     instance = dacapo.load("antlr", scale=FULL_SCALE)
     schedule = iar_schedule(instance)

@@ -301,3 +301,18 @@ class TestIARMetrics:
         plain = iar(small_synthetic).schedule
         counted = iar(small_synthetic, metrics=MetricsRegistry()).schedule
         assert plain == counted
+
+
+def test_init_phase_end_adds_left_to_right():
+    """Step 1's end of the initial compile phase is the sequential sum
+    of the low compile times.  After a 1e16 compile, fifty 1.0 ones (and
+    ``h``'s) add nothing, so no call starts before it: ``h`` counts no
+    calls during init and lands in category A.  A compensated sum
+    (builtin ``sum`` since Python 3.12) would end the phase 52 later,
+    count all ten of ``h``'s calls, and make it an R."""
+    profiles = {"big": FunctionProfile("big", (1e16,), (1.0,))}
+    for i in range(50):
+        profiles[f"s{i}"] = FunctionProfile(f"s{i}", (1.0,), (1.0,))
+    profiles["h"] = FunctionProfile("h", (1.0, 3.0), (2.0, 1.0))
+    inst = OCSPInstance(profiles, tuple(profiles) + ("h",) * 9, name="fp")
+    assert iar(inst).categories["h"] == "A"

@@ -5,14 +5,13 @@ bench comparator gates wall time against them, and this module gates
 their *content* — the dual-signal invariants that must hold for the
 engine-equivalence story to be true:
 
-* **counter identity across engines** — ``fastsim_evaluate`` /
-  ``vecsim_evaluate`` and ``core_simulate`` / ``core_simulate_vector``
-  measure the same workload through different engines, so their work
-  counters must match key for key, value for value;
+* **counter identity across engines** — ``core_simulate`` /
+  ``core_simulate_vector`` measure the same workload through the
+  reference and the vector engine, so their work counters must match
+  key for key, value for value;
 * **the vector speedup claim** — at scale 1.0 the vector engine's
-  median must beat both the reference and the fast engine by >= 10x
-  (ROADMAP's "raw speed" item, proven by the committed numbers rather
-  than by a README sentence);
+  median must beat the reference by >= 10x (proven by the committed
+  numbers rather than by a README sentence);
 * **the priority-queue dispatch fix** — single-threaded co-simulation
   never takes the reheapify slow path, so the committed
   ``priorityqueue_hotness`` baseline must not contain a
@@ -47,7 +46,6 @@ DIRS = [
 # committed counters must be identical.
 TWINS = [
     ("core_simulate", "core_simulate_vector"),
-    ("fastsim_evaluate", "vecsim_evaluate"),
 ]
 
 SPEEDUP_FLOOR = 10.0

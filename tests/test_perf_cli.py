@@ -134,22 +134,22 @@ class TestBenchCompare:
 class TestInjectedRegressionIsCaught:
     def test_extra_replay_pass_trips_the_counter_gate(self, monkeypatch):
         """The acceptance scenario: a deliberate extra O(n) pass in the
-        fast engine changes no output, barely moves wall time at tiny
+        vector engine changes no output, barely moves wall time at tiny
         scale — and the counter gate still catches it exactly."""
-        from repro.core.fastsim import FastSimulator
+        from repro.core.vecsim import VectorSimulator
 
-        spec = REGISTRY["fastsim_evaluate"]
+        spec = REGISTRY["localsearch_moves"]
         baseline = result_doc(
             run_benchmark(spec.name, spec.make, scale=0.001, repeats=2)
         )
 
-        original = FastSimulator._replay
+        original = VectorSimulator._replay
 
         def with_extra_pass(self, prep, i0, t0, exec0, bubble0):
             original(self, prep, i0, t0, exec0, bubble0)  # wasted work
             return original(self, prep, i0, t0, exec0, bubble0)
 
-        monkeypatch.setattr(FastSimulator, "_replay", with_extra_pass)
+        monkeypatch.setattr(VectorSimulator, "_replay", with_extra_pass)
         current = result_doc(
             run_benchmark(spec.name, spec.make, scale=0.001, repeats=2)
         )
@@ -158,8 +158,8 @@ class TestInjectedRegressionIsCaught:
         regressed = {
             d.counter for d in comparison.counter_diffs if d.regressed
         }
-        assert "fastsim.replays" in regressed
-        assert "fastsim.calls_replayed" in regressed
+        assert "vecsim.replays" in regressed
+        assert "vecsim.calls_replayed" in regressed
 
 
 class TestDiagnoseJson:

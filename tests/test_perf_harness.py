@@ -124,8 +124,7 @@ class TestSuiteRegistry:
         names = {spec.name for spec in get_suite("quick")}
         assert {
             "core_simulate",
-            "fastsim_evaluate",
-            "fastsim_incremental",
+            "core_simulate_vector",
             "localsearch_moves",
             "astar_search",
             "priorityqueue_hotness",

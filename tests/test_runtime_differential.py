@@ -13,7 +13,7 @@ Two references pin :class:`~repro.vm.runtime.RuntimeSimulator`:
 * **the schedule simulators.**  A run *is* a make-span simulation of
   its emergent schedule, provided each compile task is held back until
   the moment the runtime enqueued it: replaying ``run.schedule`` through
-  :func:`repro.core.makespan.simulate` (and the fast engine) with
+  :func:`repro.core.makespan.simulate` (and the vector engine) with
   ``release_times=run.enqueue_times`` must reproduce the runtime's
   numbers bit for bit.
 """
@@ -27,9 +27,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import OCSPInstance
-from repro.core.fastsim import FastSimulator
 from repro.core.makespan import simulate
 from repro.core.schedule import Schedule
+from repro.core.vecsim import VectorSimulator
 from repro.faults import FaultInjector
 from repro.observability import Tracer
 from repro.vm.costbenefit import EstimatedModel, OracleModel
@@ -350,10 +350,10 @@ def _assert_replay_matches(instance, run, compile_threads=1):
     assert replay.total_exec_time == run.total_exec_time
     assert replay.calls_at_level == run.calls_at_level
 
-    fast = FastSimulator(instance, compile_threads=compile_threads)
-    fast_result = fast.evaluate(run.schedule, release_times=run.enqueue_times)
-    assert fast_result.makespan == run.makespan
-    assert fast_result.total_bubble_time == run.total_bubble_time
+    vec = VectorSimulator(instance, compile_threads=compile_threads)
+    vec_result = vec.evaluate(run.schedule, release_times=run.enqueue_times)
+    assert vec_result.makespan == run.makespan
+    assert vec_result.total_bubble_time == run.total_bubble_time
 
 
 @pytest.mark.parametrize("name", BENCHMARKS)
@@ -387,7 +387,7 @@ def test_release_times_length_is_checked():
             validate=False,
         )
     with pytest.raises(ValueError, match="release_times"):
-        FastSimulator(instance).evaluate(
+        VectorSimulator(instance).evaluate(
             run.schedule, release_times=run.enqueue_times[:-1]
         )
 

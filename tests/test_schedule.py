@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.core import CompileTask, FunctionProfile, OCSPInstance, Schedule, ScheduleError
+from repro.core import (
+    CompileTask,
+    FunctionProfile,
+    OCSPInstance,
+    Schedule,
+    ScheduleError,
+    simulate,
+)
 
 
 @pytest.fixture()
@@ -107,3 +114,15 @@ class TestValidation:
     def test_total_compile_time(self, instance):
         sched = Schedule.of(("a", 0), ("b", 0), ("a", 1))
         assert sched.total_compile_time(instance) == 1.0 + 1.0 + 2.0
+
+    def test_total_compile_time_adds_left_to_right(self):
+        """Fifty 1.0 compiles after a 1e16 one add nothing, as on the
+        simulators' sequential compile clock; a compensated sum (builtin
+        ``sum`` since Python 3.12) would keep them."""
+        profiles = {"big": FunctionProfile("big", (1e16,), (1.0,))}
+        for i in range(50):
+            profiles[f"s{i}"] = FunctionProfile(f"s{i}", (1.0,), (1.0,))
+        inst = OCSPInstance(profiles, tuple(profiles), name="fp")
+        sched = Schedule.of(*((name, 0) for name in profiles))
+        assert sched.total_compile_time(inst) == 1e16
+        assert simulate(inst, sched).compile_end == 1e16
