@@ -313,7 +313,7 @@ def figure7(
         ).makespan
         row: Dict[str, object] = {"benchmark": name}
         for k in core_counts:
-            span = simulate(
+            span = base if k == 1 else simulate(
                 projected, sched, compile_threads=k, validate=False,
                 engine=engine,
             ).makespan

@@ -236,7 +236,9 @@ def iar(
             per-step counters (``iar.category.*``, ``iar.slack_upgrades``,
             ``iar.gap_appends``, ``iar.step3_reverted``, and with
             ``exact_slack`` the ``iar.exact_slack.*`` family) record how
-            the schedule was built.
+            the schedule was built, and the run's engine — then its own,
+            not the instance's cached one — records its work counters
+            (``vecsim.*`` on the vector engine).
         engine: make-span engine for the trace passes and verification
             simulations — ``"vector"`` (the default) or
             ``"reference"``; both walk identical schedules (the engines
@@ -252,9 +254,13 @@ def iar(
     # this run.  It is the instance's cached engine — the one later
     # ``simulate(..., engine=...)`` calls on this instance reuse — except
     # under ``exact_slack``, whose bind/propose/commit mutates engine
-    # state and so gets a private engine.
+    # state, and with ``metrics``: both get a private engine.
     fs = make_simulator(
-        instance, engine, fallback="vector", cached=not params.exact_slack
+        instance,
+        engine,
+        metrics=metrics,
+        fallback="vector",
+        cached=not params.exact_slack,
     )
 
     # ------------------------------------------------------------ step 1
@@ -293,6 +299,15 @@ def iar(
     tasks.extend(CompileTask(f, infos[f].high) for f in append_set)
     schedule = Schedule(tuple(tasks))
 
+    # One trace pass over the step-2 schedule serves both step 3 (its
+    # first-call starts) and step 4 (the calls after its compile phase).
+    slack_test = params.refine_slack and not params.exact_slack
+    step2_stats = None
+    if slack_test or params.fill_gap:
+        step2_stats = fs.trace_stats(
+            schedule, after_time=schedule.total_compile_time(instance)
+        )
+
     # ------------------------------------------------------------ step 3
     refined: Optional[Tuple[Schedule, List[str]]] = None
     if params.refine_slack:
@@ -302,18 +317,18 @@ def iar(
             )
         else:
             refined = _fill_slack(
-                instance, infos, order, categories, schedule, params, fs
+                instance, infos, order, schedule, step2_stats[0]
             )
 
     # ------------------------------------------------------------ step 4
-    def _finish(sched: Schedule) -> Tuple[Schedule, List[str]]:
+    def _finish(sched: Schedule, stats=None) -> Tuple[Schedule, List[str]]:
         if params.fill_gap:
             return _fill_ending_gap(
-                instance, infos, sched, params.gap_priority, fs
+                instance, infos, sched, params.gap_priority, fs, stats
             )
         return sched, []
 
-    schedule, gap_appends = _finish(schedule)
+    schedule, gap_appends = _finish(schedule, step2_stats)
     slack_upgrades: List[str] = []
     if refined is not None:
         cand_schedule, cand_appends = _finish(refined[0])
@@ -383,16 +398,15 @@ def _fill_slack(
     instance: OCSPInstance,
     infos: Dict[str, _FunctionInfo],
     order: List[str],
-    categories: Dict[str, str],
     schedule: Schedule,
-    params: IARParams,
-    fs,
+    first_start: Dict[str, float],
 ) -> Optional[Tuple[Schedule, List[str]]]:
     """Step 3: upgrade initial low compiles where slack absorbs the cost.
 
     A *slack* is the time between the finish of a function's first
-    compilation and its first invocation.  Upgrading the compile at
-    position ``p`` from ``cl`` to ``ch`` delays every later compile by
+    compilation and its first invocation (``first_start``, from the
+    trace pass over ``schedule``).  Upgrading the compile at position
+    ``p`` from ``cl`` to ``ch`` delays every later compile by
     ``ch - cl``; the upgrade is safe (adds no bubble) when the minimum
     remaining slack from ``p`` onwards still covers the accumulated
     delay.  The conservative test ignores that faster execution can
@@ -400,7 +414,6 @@ def _fill_slack(
     against the unrefined one and keeps the better.
     """
     m = len(order)
-    first_start, _b, _a, _end = fs.trace_stats(schedule)
 
     # Finish time of each initial compile (single compile thread).
     finish = 0.0
@@ -504,6 +517,7 @@ def _fill_ending_gap(
     schedule: Schedule,
     gap_priority: str,
     fs,
+    stats=None,
 ) -> Tuple[Schedule, List[str]]:
     """Step 4: append high compiles into the compile/exec ending gap.
 
@@ -512,12 +526,13 @@ def _fill_ending_gap(
     are appended (those with the most remaining calls first) while their
     compile times fit in the gap.  Appended tasks run strictly after the
     existing ones, so they can only accelerate remaining calls — never
-    add bubbles.
+    add bubbles.  ``stats`` is the schedule's trace pass with
+    ``after_time`` at its compile end, when the caller already has it.
     """
     compile_end = schedule.total_compile_time(instance)
-    _first, _before, calls_after, exec_end = fs.trace_stats(
-        schedule, after_time=compile_end
-    )
+    if stats is None:
+        stats = fs.trace_stats(schedule, after_time=compile_end)
+    _first, _before, calls_after, exec_end = stats
     tgap = exec_end - compile_end
     if tgap <= 0:
         return schedule, []

@@ -11,12 +11,35 @@ of times on the *same* instance, and it re-derives everything per call.
   :func:`interned` and :func:`instance_arrays`): function names are
   interned to dense integer ids, the call sequence becomes a flat id
   array, and the cost tables become id-indexed rows and matrices;
-* **per-schedule** (paid per evaluation): compile-task finish times and
-  per-function compile-event lists — ``O(S)`` for ``S`` tasks, which is
-  tiny next to the ``N``-call trace;
-* **per-call** (the replay): numpy prefix sums over the bulk call
-  segments between first calls and compile-event crossings, instead of
-  per-call Python bytecode.
+* **per-schedule** (paid per evaluation): compile-task finish times,
+  each function's first install and the later installs that raise its
+  level — ``O(S)`` for ``S`` tasks, which is tiny next to the
+  ``N``-call trace;
+* **per-call** (the replay): numpy prefix sums over long chunks of
+  calls, instead of per-call Python bytecode.
+
+Where a chunk must end.  The reference runs each call of ``f`` at
+``start = max(t, first install of f)``, at the best level of ``f``
+installed by ``start``.  Three facts say where that can differ from a
+plain prefix sum of exec times:
+
+* No call of ``f`` starts before ``f``'s first install finishes — it
+  waits for it.  So whatever that install (and any finishing with it)
+  puts in place is visible to every call of ``f``, and the replay can
+  give each function its *first-install level* from the start.
+* A later install of ``f`` that raises its level changes the exec time
+  of ``f``'s calls only, and only of those starting at or after it
+  finishes.  The other functions' calls, and the clock up to the next
+  call of ``f`` that starts after the install, are what they were.
+* The clock jumps (a bubble) only at a first call that blocks.
+
+So a chunk summed at the current levels is exact up to the earliest of
+its first calls whose clock is below their first install, and, for each
+raise its clock passes, the next call of the raised function from there
+on.  :meth:`VectorSimulator._walk` commits the calls before that point,
+applies the raises its clock has passed and sums the next chunk from
+there.  Cuts track blocking first calls and recompiled functions' next
+calls, not compile events.
 
 On top of the full evaluation sits an **incremental mode** for local
 search: :meth:`~VectorSimulator.bind` caches the per-call trajectory of
@@ -34,13 +57,15 @@ per-task timelines — is **bitwise identical** to the reference, including
 after incremental updates.  The kernels perform the reference's exact
 float operations in the exact order:
 
-* ``numpy.cumsum`` over a 1-D float64 array is a sequential
-  left-associated accumulation, like the reference's ``t += e`` loop
-  (pairwise ``numpy.sum`` would NOT be — it is never used here);
+* ``numpy.cumsum`` (``numpy.add.accumulate``) over a float64 row is a
+  sequential left-associated accumulation, like the reference's
+  ``t += e`` loop (pairwise ``numpy.sum`` would NOT be — it is never
+  used here);
 * chaining is done by seeding element 0 of the cumsum buffer with the
-  running clock, so chunk boundaries cannot perturb rounding;
-* ``numpy.searchsorted(..., side="left")`` locates compile-event
-  crossings exactly like ``bisect.bisect_left``.
+  running clock (or exec total), so chunk boundaries cannot perturb
+  rounding;
+* ``numpy.searchsorted(..., side="left")`` locates the first call
+  starting at or after a time exactly like ``bisect.bisect_left``.
 
 ``tests/test_vecsim_differential.py`` enforces the contract
 differentially on hypothesis-generated instances.
@@ -51,7 +76,7 @@ from __future__ import annotations
 import heapq
 import math
 import weakref
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -76,7 +101,8 @@ _INF = math.inf
 
 
 class _Prep:
-    """Per-schedule precomputation: task timings and compile events."""
+    """Per-schedule precomputation: task timings, each function's first
+    install, and the recompiles that raise a function's level after it."""
 
     __slots__ = (
         "tasks",
@@ -84,10 +110,12 @@ class _Prep:
         "finishes",
         "threads",
         "events",
-        "gev_fins",
-        "gev_fids",
-        "gev_levels",
         "first_fin",
+        "init_levels",
+        "raise_fins",
+        "raise_fids",
+        "raise_levels",
+        "settle",
         "missing",
     )
 
@@ -97,12 +125,18 @@ class _Prep:
         self.finishes: List[float] = []
         self.threads: List[int] = []
         self.events: List[List[Tuple[float, int]]] = []
-        # The same events flattened globally, sorted by finish time —
-        # the replay applies them eagerly as the clock crosses them.
-        self.gev_fins: List[float] = []
-        self.gev_fids: List[int] = []
-        self.gev_levels: List[int] = []
+        # Per fid: when its first install finishes, and the best level
+        # installed by then (-1 for a function with no install).
         self.first_fin: List[float] = []
+        self.init_levels: List[int] = []
+        # The later installs that raise a function's level, sorted by
+        # finish time; the replay applies them as its clock passes them.
+        self.raise_fins: List[float] = []
+        self.raise_fids: List[int] = []
+        self.raise_levels: List[int] = []
+        # The last first install or raise: from then on no call blocks
+        # and no level changes.
+        self.settle = 0.0
         self.missing: Optional[str] = None
 
 
@@ -142,10 +176,8 @@ class _Interned:
         called = instance.called_functions
         # Distinct called fids in first-call order (for coverage checks).
         self.called_fids: List[int] = [fid_of[f] for f in called]
-        # Trace positions of each function's first call, ascending.
-        # Bubbles can only occur there, and between consecutive first
-        # calls (and compile-event crossings) the replay clock is a pure
-        # sequential sum — the segmented replay exploits exactly this.
+        # Trace positions of each function's first call, ascending:
+        # the only calls that can wait (see the module docstring).
         self.first_pos: List[int] = [instance.first_call_index(f) for f in called]
         self.arrays = None
 
@@ -244,10 +276,11 @@ class VectorSimulator:
             ``tasks_prepared`` / ``evaluations`` / ``binds`` /
             ``proposals`` / ``commits`` / ``replays`` /
             ``calls_replayed`` / ``span_replays`` /
-            ``span_calls_replayed``.  All increments happen at call
-            boundaries (never inside the replay loops), so a detached
-            registry (``None``, the default) costs one branch per
-            method call and counting never changes the numbers.
+            ``span_calls_replayed`` / ``chunks`` (the chunked replay's
+            cumsums).  All increments happen at call boundaries (never
+            inside the replay loops), so a detached registry (``None``,
+            the default) costs one branch per method call and counting
+            never changes the numbers.
 
     Raises:
         ValueError: if ``compile_threads < 1`` or a preinstalled level
@@ -413,18 +446,34 @@ class VectorSimulator:
         prep.events = events
 
         first_fin = [0.0] * self._num_fids
-        flat: List[Tuple[float, int, int]] = []
+        init_levels = [-1] * self._num_fids
+        raises: List[Tuple[float, int, int]] = []
+        settle = 0.0
         for fid, ev in enumerate(events):
             if not ev:
                 continue
             ev.sort()
-            first_fin[fid] = ev[0][0]
-            flat.extend((finish, fid, level) for finish, level in ev)
-        flat.sort()
-        prep.gev_fins = [g[0] for g in flat]
-        prep.gev_fids = [g[1] for g in flat]
-        prep.gev_levels = [g[2] for g in flat]
+            first = last = ev[0][0]
+            best = -1
+            for finish, level in ev:
+                if level <= best:
+                    continue  # never the best installed level
+                best = level
+                if finish == first:
+                    init_levels[fid] = level
+                else:
+                    raises.append((finish, fid, level))
+                    last = finish
+            first_fin[fid] = first
+            if last > settle:
+                settle = last
+        raises.sort()
         prep.first_fin = first_fin
+        prep.init_levels = init_levels
+        prep.raise_fins = [r[0] for r in raises]
+        prep.raise_fids = [r[1] for r in raises]
+        prep.raise_levels = [r[2] for r in raises]
+        prep.settle = settle
         for fid in self._called_fids:
             if not events[fid]:
                 prep.missing = self._fnames[fid]
@@ -442,8 +491,188 @@ class VectorSimulator:
             )
 
     # ------------------------------------------------------------------
-    # Full-bookkeeping replay (timelines, incremental bind/commit)
+    # The chunked replay
     # ------------------------------------------------------------------
+    # The smallest replay window and the cap windows grow to: they bound
+    # the work a cut throws away and the scratch memory a replay holds.
+    _CHUNK = 1024
+    _MAX_CHUNK = 1 << 16
+
+    def _walk(
+        self,
+        prep: _Prep,
+        i0: int = 0,
+        t0: float = 0.0,
+        exec0: Optional[float] = None,
+        bubble0: float = 0.0,
+        *,
+        timeline: Optional[Tuple[list, list, list, list, list]] = None,
+        applied: Optional[List[int]] = None,
+        firsts: Optional[list] = None,
+        thresholds: Sequence[float] = (),
+        crossings: Optional[List[int]] = None,
+        cutoff: float = _INF,
+    ) -> Tuple[float, int, Optional[float], float]:
+        """Replay calls ``i0..N-1`` from clock ``t0``, one chunk at a time.
+
+        Every replay of the engine (full bookkeeping, totals, trace pass,
+        cutoff span) is this loop.  Each chunk is one seeded
+        ``numpy.cumsum`` of the exec times at the current levels.  It is
+        exact up to the first call that can differ from that sum (see
+        the module docstring): a first call that blocks, or the next
+        call of a function whose recompile the chunk's clock has passed.
+        The chunk commits the calls before that point, and the next one
+        starts there.
+
+        Returns ``(t, reached, total_exec, total_bubble)``: the clock
+        after the last replayed call, the index one past it, and the
+        running totals.  The exec total chains from ``exec0`` in a
+        second cumsum row, and only when ``exec0`` is given (else it is
+        ``None``); the bubble total chains from ``bubble0``.  After the
+        first call whose finish exceeds ``cutoff`` the replay stops,
+        with ``t = math.inf``.  Optional outputs:
+
+        * ``timeline``: five lists that receive each call's start,
+          finish, level and running exec and bubble totals (needs
+          ``exec0``);
+        * ``applied[r]``: the call index from which recompile ``r`` of
+          ``prep`` holds in the replay (its function's calls before it
+          run below its level);
+        * ``firsts``: arrays of the start times of the first calls
+          replayed, in first-call order;
+        * ``crossings[j]``: the index of the first call starting at or
+          after ``thresholds[j]``; left alone if no call does.
+        """
+        self._check_covered(prep)
+        arrays = self._arrays
+        calls = self._calls_fid
+        calls_np = self._calls_np
+        n = len(calls)
+        exec_rows = self._exec_rows
+        first_fin = prep.first_fin
+        first_pos = self._first_pos
+        num_firsts = len(first_pos)
+        first_pos_np = arrays.first_pos_np
+        first_fin_np = np.asarray(first_fin)[arrays.first_fids_np]
+        raise_fins = prep.raise_fins
+        raise_fids = prep.raise_fids
+        raise_levels = prep.raise_levels
+        num_raises = len(raise_fins)
+        if num_raises:
+            raise_fins_np = np.asarray(raise_fins)
+            order, bounds = arrays.call_groups()
+        # No call of a function starts before its first install, so
+        # every function can start at its first-install level.
+        bests = np.array(prep.init_levels, dtype=np.int64)
+        cur_exec = arrays.exec_tab[np.arange(self._num_fids), bests]
+        settle = prep.settle
+        rows = 1 if exec0 is None else 2
+        empty = np.empty
+        accumulate = np.add.accumulate  # numpy.cumsum, minus its wrapper
+        searchsorted = np.searchsorted
+        pending = sorted((thr, j) for j, thr in enumerate(thresholds))
+        chunk = self._CHUNK
+        max_chunk = self._MAX_CHUNK
+        step = chunk
+        chunks = 0
+        t = t0
+        total_exec = exec0
+        total_bubble = bubble0
+        reached = n
+        i = i0
+        k = 0
+        fb = bisect_left(first_pos, i0)
+        while i < n:
+            if fb < num_firsts and first_pos[fb] == i:
+                fr = first_fin[calls[i]]
+                if t < fr:
+                    # A blocking first call: the one place a bubble
+                    # appears and the clock jumps forward.
+                    total_bubble += fr - t
+                    t = fr
+                    if t > cutoff:
+                        reached = i + 1
+                        t = _INF
+                        break
+            while k < num_raises and raise_fins[k] <= t:
+                fid = raise_fids[k]
+                level = raise_levels[k]
+                bests[fid] = level
+                cur_exec[fid] = exec_rows[fid][level]
+                if applied is not None:
+                    applied.append(i)
+                k += 1
+            if t >= settle:
+                step = max_chunk  # every install is in place: no cut left
+            j = i + step if i + step < n else n
+            m = j - i
+            seg = calls_np[i:j]
+            # Row 0 chains the clock, row 1 the exec total: each row's
+            # cumsum is the reference's sequential sum from its seed.
+            mat = empty((rows, m + 1))
+            arr = mat[0]
+            arr[0] = t
+            cur_exec.take(seg, out=arr[1:], mode="clip")  # ids in range
+            if rows == 2:
+                mat[1, 0] = total_exec
+                mat[1, 1:] = arr[1:]
+            accumulate(mat, axis=1, out=mat)
+            chunks += 1
+            p = m
+            fe = bisect_left(first_pos, j, fb)
+            if t < settle:
+                # arr[q] is the start of call i + q until the first cut.
+                # The first call at i, if any, no longer blocks.
+                if fe > fb:
+                    blocked = arr[first_pos_np[fb:fe] - i] < first_fin_np[fb:fe]
+                    r = int(blocked.argmax())
+                    if blocked[r]:
+                        p = first_pos[fb + r] - i
+                if k < num_raises and raise_fins[k] <= arr[p - 1]:
+                    # Recompiles finishing by the last start before the
+                    # cut (each after arr[0], so q >= 1): the chunk ends
+                    # at the function's next call from the crossing on.
+                    kk = bisect_right(raise_fins, arr[p - 1], k)
+                    qs = searchsorted(arr[:p], raise_fins_np[k:kk], side="left")
+                    for fid, q in zip(raise_fids[k:kk], qs.tolist()):
+                        if q >= p:
+                            break
+                        calls_of = order[bounds[fid] : bounds[fid + 1]]
+                        x = int(calls_of.searchsorted(i + q))
+                        if x < len(calls_of) and calls_of[x] - i < p:
+                            p = int(calls_of[x]) - i
+            if rows == 2:
+                total_exec = float(mat[1, p])
+                if timeline is not None:
+                    starts, finishes, levels, cum_exec, cum_bubble = timeline
+                    starts.extend(arr[:p].tolist())
+                    finishes.extend(arr[1 : p + 1].tolist())
+                    levels.extend(bests[seg[:p]].tolist())
+                    cum_exec.extend(mat[1, 1 : p + 1].tolist())
+                    cum_bubble.extend([total_bubble] * p)
+            fb_next = bisect_left(first_pos, i + p, fb, fe)
+            if firsts is not None and fb_next > fb:
+                firsts.append(arr[first_pos_np[fb:fb_next] - i])
+            # Call starts never decrease, so each threshold is crossed
+            # once, inside the chunk that first reaches it.
+            while pending and arr[p - 1] >= pending[0][0]:
+                thr, slot = pending.pop(0)
+                crossings[slot] = i + int(searchsorted(arr[:p], thr, side="left"))
+            t = float(arr[p])
+            if t > cutoff:
+                over = int(searchsorted(arr[1 : p + 1], cutoff, side="right"))
+                reached = i + over + 1
+                t = _INF
+                break
+            i += p
+            fb = fb_next
+            # Next window: twice what this one committed, within bounds.
+            step = min(max(2 * p, chunk), max_chunk)
+        metrics = self.metrics
+        if metrics is not None:
+            metrics.counter("vecsim.chunks").inc(chunks)
+        return t, reached, total_exec, total_bubble
+
     def _replay(
         self, prep: _Prep, i0: int, t0: float, exec0: float, bubble0: float
     ):
@@ -453,355 +682,65 @@ class VectorSimulator:
         Returns ``(starts, finishes, levels, cum_exec, cum_bubble)``
         suffix lists; the final totals are the lists' last entries.
         """
-        self._check_covered(prep)
-        calls = self._calls_fid
-        calls_np = self._calls_np
-        n = len(calls)
-        exec_rows = self._exec_rows
-        gev_fins = prep.gev_fins
-        gev_fids = prep.gev_fids
-        gev_levels = prep.gev_levels
-        num_events = len(gev_fins)
-        first_fin = prep.first_fin
-        first_pos = self._first_pos
-        num_firsts = len(first_pos)
-        bests = np.full(self._num_fids, -1, dtype=np.int64)
-        cur_exec = np.zeros(self._num_fids, dtype=np.float64)
-        empty = np.empty
-        cumsum = np.cumsum
-        searchsorted = np.searchsorted
-        starts_out = []
-        fins_out = []
-        lvls_out = []
-        cum_exec = []
-        cum_bubble = []
-        t = t0
-        total_exec = exec0
-        total_bubble = bubble0
-        i = i0
-        k = 0
-        fb = bisect_left(first_pos, i0)
-        while i < n:
-            while k < num_events and gev_fins[k] <= t:
-                fid = gev_fids[k]
-                level = gev_levels[k]
-                if level > bests[fid]:
-                    bests[fid] = level
-                    cur_exec[fid] = exec_rows[fid][level]
-                k += 1
-            if fb < num_firsts and first_pos[fb] == i:
-                # A function's first call: the only place a bubble can
-                # appear, and the only place the clock can jump forward.
-                fid = calls[i]
-                fr = first_fin[fid]
-                if t < fr:
-                    start = fr
-                    while k < num_events and gev_fins[k] <= start:
-                        g = gev_fids[k]
-                        level = gev_levels[k]
-                        if level > bests[g]:
-                            bests[g] = level
-                            cur_exec[g] = exec_rows[g][level]
-                        k += 1
-                else:
-                    start = t
-                e = float(cur_exec[fid])
-                finish = start + e
-                total_bubble += start - t
-                total_exec += e
-                starts_out.append(start)
-                fins_out.append(finish)
-                lvls_out.append(int(bests[fid]))
-                cum_exec.append(total_exec)
-                cum_bubble.append(total_bubble)
-                t = finish
-                i += 1
-                fb += 1
-                continue
-            # Bulk segment: the chained cumsum performs the reference's
-            # exact left-associated float additions (chunk boundaries
-            # restart from the exact intermediate clock, so they cannot
-            # change any value — only bound the work wasted past a
-            # compile-event crossing).
-            b = first_pos[fb] if fb < num_firsts else n
-            step = 1024 if k < num_events else b - i
-            while i < b:
-                j = b if b - i <= step else i + step
-                seg = calls_np[i:j]
-                ex = cur_exec[seg]
-                m = len(ex)
-                arr = empty(m + 1)
-                arr[0] = t
-                arr[1:] = ex
-                cumsum(arr, out=arr)
-                crossed = k < num_events and gev_fins[k] <= arr[m]
-                if crossed:
-                    p = int(searchsorted(arr, gev_fins[k], side="left"))
-                else:
-                    p = m
-                if p:
-                    starts_out.extend(arr[:p].tolist())
-                    fins_out.extend(arr[1 : p + 1].tolist())
-                    lvls_out.extend(bests[seg[:p]].tolist())
-                    ce = empty(p + 1)
-                    ce[0] = total_exec
-                    ce[1:] = ex[:p]
-                    cumsum(ce, out=ce)
-                    cum_exec.extend(ce[1:].tolist())
-                    total_exec = float(ce[p])
-                    cum_bubble.extend([total_bubble] * p)
-                    t = float(arr[p])
-                    i += p
-                if crossed:
-                    break
-                step <<= 1
+        timeline: Tuple[list, list, list, list, list] = ([], [], [], [], [])
+        self._walk(prep, i0, t0, exec0, bubble0, timeline=timeline)
         metrics = self.metrics
         if metrics is not None:
             metrics.counter("vecsim.replays").inc()
-            metrics.counter("vecsim.calls_replayed").inc(n - i0)
-        return starts_out, fins_out, lvls_out, cum_exec, cum_bubble
+            metrics.counter("vecsim.calls_replayed").inc(len(timeline[0]))
+        return timeline
 
     def _replay_span(
         self, prep: _Prep, i0: int, t0: float, cutoff: float
     ) -> float:
         """Make-span-only replay of calls ``i0..N-1``.
 
-        Returns ``math.inf`` once the running clock exceeds ``cutoff``
-        (checked per segment) — the clock is monotone, so the final
-        make-span is then guaranteed to exceed it too.
+        Returns ``math.inf`` once a call finishes past ``cutoff`` — the
+        clock is monotone, so the final make-span then exceeds it too.
+        ``vecsim.span_calls_replayed`` counts the calls up to and
+        including that call, whatever the chunk sizes.
         """
-        span, reached = self._replay_span_impl(prep, i0, t0, cutoff)
+        t, reached, _exec, _bubble = self._walk(prep, i0, t0, cutoff=cutoff)
         metrics = self.metrics
         if metrics is not None:
             metrics.counter("vecsim.span_replays").inc()
-            metrics.counter("vecsim.span_calls_replayed").inc(
-                reached - i0
-            )
-        return span
+            metrics.counter("vecsim.span_calls_replayed").inc(reached - i0)
+        return t
 
-    def _replay_span_impl(
-        self, prep: _Prep, i0: int, t0: float, cutoff: float
-    ) -> Tuple[float, int]:
-        """:meth:`_replay_span` body; also returns the call index reached
-        (``n``, or the cutoff bail-out position) for work accounting.
+    def _replay_totals(self, prep: _Prep):
+        """Totals of a full replay without per-call Python objects:
+        ``(t, total_exec, total_bubble, calls_at_level)``.
 
-        The bail-out index depends on the chunk schedule (base 128,
-        doubling, reset per outer iteration), and the committed
-        ``localsearch_moves`` baseline pins it through the
-        ``vecsim.span_calls_replayed`` counter.
+        A function runs its calls at its first-install level until its
+        first recompile holds, then at that level until the next, so
+        the level histogram follows from each function's call count and
+        where its recompiles held (a bisection each).
         """
-        self._check_covered(prep)
-        calls = self._calls_fid
-        calls_np = self._calls_np
-        n = len(calls)
-        exec_rows = self._exec_rows
-        gev_fins = prep.gev_fins
-        gev_fids = prep.gev_fids
-        gev_levels = prep.gev_levels
-        num_events = len(gev_fins)
-        first_fin = prep.first_fin
-        first_pos = self._first_pos
-        num_firsts = len(first_pos)
-        bests = np.full(self._num_fids, -1, dtype=np.int64)
-        cur_exec = np.zeros(self._num_fids, dtype=np.float64)
-        empty = np.empty
-        cumsum = np.cumsum
-        searchsorted = np.searchsorted
-        t = t0
-        i = i0
-        k = 0
-        fb = bisect_left(first_pos, i0)
-        while i < n:
-            while k < num_events and gev_fins[k] <= t:
-                fid = gev_fids[k]
-                level = gev_levels[k]
-                if level > bests[fid]:
-                    bests[fid] = level
-                    cur_exec[fid] = exec_rows[fid][level]
-                k += 1
-            if fb < num_firsts and first_pos[fb] == i:
-                fid = calls[i]
-                fr = first_fin[fid]
-                if t < fr:
-                    start = fr
-                    while k < num_events and gev_fins[k] <= start:
-                        g = gev_fids[k]
-                        level = gev_levels[k]
-                        if level > bests[g]:
-                            bests[g] = level
-                            cur_exec[g] = exec_rows[g][level]
-                        k += 1
-                else:
-                    start = t
-                t = start + float(cur_exec[fid])
-                i += 1
-                fb += 1
-                if t > cutoff:
-                    return _INF, i
-                continue
-            b = first_pos[fb] if fb < num_firsts else n
-            if k >= num_events:
-                m = b - i
-                if m:
-                    arr = empty(m + 1)
-                    arr[0] = t
-                    arr[1:] = cur_exec[calls_np[i:b]]
-                    cumsum(arr, out=arr)
-                    t = float(arr[m])
-                i = b
-                if t > cutoff:
-                    return _INF, i
-                continue
-            step = 128
-            while i < b:
-                j = b if b - i <= step else i + step
-                seg = calls_np[i:j]
-                m = len(seg)
-                arr = empty(m + 1)
-                arr[0] = t
-                arr[1:] = cur_exec[seg]
-                cumsum(arr, out=arr)
-                end = arr[m]
-                if gev_fins[k] <= end:
-                    p = int(searchsorted(arr, gev_fins[k], side="left"))
-                    t = float(arr[p])
-                    i += p
-                    break
-                t = float(end)
-                i = j
-                if t > cutoff:
-                    return _INF, i
-                step <<= 1
-            if t > cutoff:
-                return _INF, i
-        return t, i
-
-    # ------------------------------------------------------------------
-    # Totals-only replay (the stateless evaluate fast path)
-    # ------------------------------------------------------------------
-    def _replay_totals(
-        self, prep: _Prep, thresholds: Sequence[float] = (), totals: bool = True
-    ):
-        """Totals-only twin of :meth:`_replay`: no per-call Python objects.
-
-        Returns ``(t, total_exec, total_bubble, calls_at_level,
-        first_starts, crossings)`` with the same floats the full replay
-        would produce.  Each call's exec time and level land in flat
-        arrays as its chunk commits; one ``numpy.cumsum`` (the
-        reference's sequential left-associated sum from 0.0) and one
-        ``numpy.bincount`` reduce them at the end.  ``first_starts``
-        holds the start of every function's first call (first-call
-        order) and ``crossings[j]`` the index of the first call starting
-        at or after ``thresholds[j]`` (``N`` if none) — call starts
-        never decrease, so the calls before it are exactly those
-        starting before the threshold.  With ``totals=False`` (the
-        trace pass) the exec and level totals are skipped and returned
-        as ``None``.
-        """
-        self._check_covered(prep)
-        calls = self._calls_fid
-        calls_np = self._calls_np
-        n = len(calls)
-        exec_rows = self._exec_rows
-        gev_fins = prep.gev_fins
-        gev_fids = prep.gev_fids
-        gev_levels = prep.gev_levels
-        num_events = len(gev_fins)
-        first_fin = prep.first_fin
-        first_pos = self._first_pos
-        num_firsts = len(first_pos)
-        bests = np.full(self._num_fids, -1, dtype=np.int64)
-        cur_exec = np.zeros(self._num_fids, dtype=np.float64)
-        empty = np.empty
-        cumsum = np.cumsum
-        searchsorted = np.searchsorted
-        if totals:
-            # execs[i + 1] / levels[i]: exec time and level of call i.
-            execs = empty(n + 1)
-            execs[0] = 0.0
-            levels = empty(n, dtype=np.int64)
-        first_starts = []
-        crossings = [n] * len(thresholds)
-        # Thresholds not yet crossed, lowest first.
-        pending = sorted((thr, j) for j, thr in enumerate(thresholds))
-        t = 0.0
-        total_bubble = 0.0
-        i = 0
-        k = 0
-        fb = 0
-        while i < n:
-            while k < num_events and gev_fins[k] <= t:
-                fid = gev_fids[k]
-                level = gev_levels[k]
-                if level > bests[fid]:
-                    bests[fid] = level
-                    cur_exec[fid] = exec_rows[fid][level]
-                k += 1
-            if fb < num_firsts and first_pos[fb] == i:
-                fid = calls[i]
-                fr = first_fin[fid]
-                if t < fr:
-                    start = fr
-                    while k < num_events and gev_fins[k] <= start:
-                        g = gev_fids[k]
-                        level = gev_levels[k]
-                        if level > bests[g]:
-                            bests[g] = level
-                            cur_exec[g] = exec_rows[g][level]
-                        k += 1
-                else:
-                    start = t
-                e = float(cur_exec[fid])
-                total_bubble += start - t
-                if totals:
-                    execs[i + 1] = e
-                    levels[i] = bests[fid]
-                first_starts.append(start)
-                while pending and start >= pending[0][0]:
-                    crossings[pending.pop(0)[1]] = i
-                t = start + e
-                i += 1
-                fb += 1
-                continue
-            b = first_pos[fb] if fb < num_firsts else n
-            step = 1024 if k < num_events else b - i
-            while i < b:
-                j = b if b - i <= step else i + step
-                seg = calls_np[i:j]
-                ex = cur_exec[seg]
-                m = len(ex)
-                arr = empty(m + 1)
-                arr[0] = t
-                arr[1:] = ex
-                cumsum(arr, out=arr)
-                crossed = k < num_events and gev_fins[k] <= arr[m]
-                if crossed:
-                    p = int(searchsorted(arr, gev_fins[k], side="left"))
-                else:
-                    p = m
-                if p:
-                    # arr[:p] are the starts of calls i .. i + p - 1.
-                    while pending and arr[p - 1] >= pending[0][0]:
-                        thr, slot = pending.pop(0)
-                        crossings[slot] = i + int(
-                            searchsorted(arr[:p], thr, side="left")
-                        )
-                    if totals:
-                        execs[i + 1 : i + p + 1] = ex[:p]
-                        levels[i : i + p] = bests[seg[:p]]
-                    t = float(arr[p])
-                    i += p
-                if crossed:
-                    break
-                step <<= 1
-        if not totals:
-            return t, None, total_bubble, None, first_starts, crossings
-        total_exec = float(cumsum(execs)[n])
-        hist = np.bincount(levels, minlength=self._arrays.max_levels).tolist()
+        applied: List[int] = []
+        t, _reached, total_exec, total_bubble = self._walk(
+            prep, exec0=0.0, applied=applied
+        )
+        arrays = self._arrays
+        called = np.nonzero(arrays.called_mask_np)[0]
+        hist = np.zeros(arrays.max_levels, dtype=np.int64)
+        np.add.at(
+            hist,
+            np.asarray(prep.init_levels)[called],
+            arrays.call_counts_np[called],
+        )
+        if applied:
+            order, bounds = arrays.call_groups()
+            level_of = {}
+            for fid, level, at in zip(prep.raise_fids, prep.raise_levels, applied):
+                calls_of = order[bounds[fid] : bounds[fid + 1]]
+                moved = len(calls_of) - int(calls_of.searchsorted(at))
+                hist[level_of.get(fid, prep.init_levels[fid])] -= moved
+                hist[level] += moved
+                level_of[fid] = level
         calls_at_level = {
-            level: count for level, count in enumerate(hist) if count
+            level: count for level, count in enumerate(hist.tolist()) if count
         }
-        return t, total_exec, total_bubble, calls_at_level, first_starts, crossings
+        return t, total_exec, total_bubble, calls_at_level
 
     # ------------------------------------------------------------------
     # Batched evaluation (the whole trace in O(1) numpy passes)
@@ -878,8 +817,6 @@ class VectorSimulator:
                     qvals[qin] = arr[qcol[qin]]
         return ends, qvals
 
-    _MAX_LEVEL_ROUNDS = 20
-
     def _task_arrays(self, schedule):
         """``(tfids, tlvls)``: the schedule's task fids and levels as
         arrays (cached for the last :class:`Schedule` object)."""
@@ -900,42 +837,27 @@ class VectorSimulator:
             self._sched_arrays = (schedule, tfids, tlvls)
         return tfids, tlvls
 
-    # The batched kernel re-derives the levels of every function whose
-    # level changes mid-trace in a fixpoint loop (numpy passes over the
-    # function's calls, per round), while the chunked path pays per
-    # first call and per compile event instead.  Measured on a 2.1 GHz
-    # Xeon: the perf suite's scale-1.0 single-level workload (no level
-    # changes) evaluates in 5.0 ms batched against 110 ms chunked;
-    # jython's scale-0.01 IAR schedule (140 level-changing functions)
-    # in 57 ms batched against 8.4 ms chunked.  Over the 378
-    # single-thread evaluations and trace passes of ``repro study``,
-    # limits 0 to 2 take 1.32-1.34 s, 4 takes 1.38 s, 16 takes 1.48 s
-    # and 32 takes 3.05 s (1.23 s with every call on its faster path).
-    BATCHED_MAX_VARYING = 2
-
     def _batched_timeline(self, tfids, tlvls):
-        """Whole-trace totals in a fixed number of numpy passes.
+        """Whole-trace totals in a fixed number of numpy passes, for a
+        single-thread schedule that installs every function once.
 
         The replay clock is a single float chain that *restarts* — at a
         blocking first call the reference assigns ``t = first_finish``,
-        a static value.  Levels partition the trace the same way: a
-        function whose best-installed level never changes after its
-        first install executes every call at one known level.  So given
-        two discrete decisions — *which first calls block* and *which
-        level each call runs at* — the exact timeline is a set of
-        independent seeded cumsums (:meth:`_segment_scan`), and the
-        totals follow from single passes.
+        a static value — and each function runs all its calls at its
+        one installed level.  So given *which first calls block*, the
+        exact timeline is a set of independent seeded cumsums
+        (:meth:`_segment_scan`), and the totals follow from single
+        passes.
 
-        The decisions are guessed from an approximate max-plus prefix
-        (raw cumsum plus a running max of ``first_finish - prefix``
-        offsets) and then **verified exactly** against the segmented
-        scan: every first call's exact pre-call clock is compared with
-        its first finish, and every level of a level-varying function is
-        re-derived from the exact start times.  On any mismatch (ties
-        resolved differently by rounding, or non-convergence) the
-        method returns ``None`` — before touching any counter — and the
-        caller falls back to the chunked exact path.  Results that do
-        return are bitwise identical to the reference by construction.
+        Which first calls block is guessed from an approximate max-plus
+        prefix (raw cumsum plus a running max of ``first_finish -
+        prefix`` offsets) and then **verified exactly** against the
+        segmented scan: every first call's exact pre-call clock is
+        compared with its first finish.  On any mismatch (a tie
+        resolved differently by rounding) the method returns ``None`` —
+        before touching any counter — and the caller falls back to the
+        chunked replay.  Results that do return are bitwise identical
+        to the reference by construction.
 
         Returns ``(result, first_starts, segments)``: the
         :class:`MakespanResult` totals, the exact start of every first
@@ -953,7 +875,6 @@ class VectorSimulator:
             int(tlvls.min()) < 0 or bool(np.any(tlvls >= arrays.nlvl_np[tfids]))
         ):
             return None  # out-of-range level: defer to the chunked path
-        metrics = self.metrics
 
         # ---- per-task chain (single thread, no releases) -------------
         if num_tasks:
@@ -963,38 +884,16 @@ class VectorSimulator:
             fins = np.empty(0)
             compile_end = 0.0
 
-        # ---- per-fid event shape -------------------------------------
-        # Stable sort by fid: single-thread finishes ascend in schedule
-        # order, so each group is already sorted by finish time.
-        order = np.argsort(tfids, kind="stable")
-        gfids = tfids[order]
-        gfins = fins[order]
-        glvls = tlvls[order]
-        task_counts = np.bincount(gfids, minlength=num_fids)
-        tb = np.concatenate(([0], np.cumsum(task_counts)))
-        has_task = task_counts > 0
-        first_idx = tb[:-1][has_task]
-        last_idx = tb[1:][has_task] - 1
+        # ---- each function's one install -----------------------------
         first_fin = np.zeros(num_fids)
-        first_fin[has_task] = gfins[first_idx]
-        # Segmented running max of levels: fid groups ascend, so keying
-        # by fid * K + level makes one global maximum.accumulate reset
-        # at every group boundary.
-        K = arrays.max_levels + 1
-        cummax_lvl = np.maximum.accumulate(gfids * K + glvls) - gfids * K
-        lvl_first = np.full(num_fids, -1, dtype=np.int64)
-        lvl_final = np.full(num_fids, -1, dtype=np.int64)
-        lvl_first[has_task] = cummax_lvl[first_idx]
-        lvl_final[has_task] = cummax_lvl[last_idx]
-        has_event = has_task.copy()
+        first_fin[tfids] = fins
+        level = np.full(num_fids, -1, dtype=np.int64)
+        level[tfids] = tlvls
         for fid, plvl in self._pre_pairs:
-            has_event[fid] = True
-            first_fin[fid] = 0.0
-            lvl_first[fid] = plvl
-            if lvl_final[fid] < plvl:
-                lvl_final[fid] = plvl
-        missing = arrays.called_mask_np & ~has_event
+            level[fid] = plvl  # installed at t = 0
+        missing = arrays.called_mask_np & (level < 0)
         if bool(missing.any()):
+            metrics = self.metrics
             if metrics is not None:
                 metrics.counter("vecsim.prepares").inc()
                 metrics.counter("vecsim.tasks_prepared").inc(num_tasks)
@@ -1003,69 +902,20 @@ class VectorSimulator:
                     raise ScheduleError(
                         f"function {self._fnames[fid]!r} is never compiled"
                     )
-
-        # ---- per-call levels and exec times --------------------------
-        varying = np.nonzero(
-            arrays.called_mask_np & (lvl_first != lvl_final)
-        )[0]
-        lvl_uni = lvl_final.copy()
-        if varying.size:
-            lvl_uni[varying] = lvl_first[varying]
         # Uncalled fids may carry level -1 here; the gather below only
         # ever reads called fids' rows (and -1 wraps, harmlessly).
-        e_fid = arrays.exec_tab[np.arange(num_fids), lvl_uni]
-        e = e_fid[calls_np]
+        e = arrays.exec_tab[np.arange(num_fids), level][calls_np]
 
+        # ---- guess which first calls block ---------------------------
+        # Approximate max-plus bubble offsets at the first-call
+        # positions (raw prefix + running max of F - prefix); only used
+        # to *guess* decisions, never to produce a float.
         fp = arrays.first_pos_np
-        ffids = arrays.first_fids_np
-        first_F = first_fin[ffids]
-        pre_lookup = dict(self._pre_pairs)
-        var_state = []
-        for fid in varying.tolist():
-            ogroups, obounds = arrays.call_groups()
-            pos = ogroups[obounds[fid] : obounds[fid + 1]]
-            evf = gfins[tb[fid] : tb[fid + 1]]
-            cum = cummax_lvl[tb[fid] : tb[fid + 1]]
-            plvl = pre_lookup.get(fid)
-            if plvl is not None:
-                evf = np.concatenate(([0.0], evf))
-                cum = np.concatenate(([plvl], np.maximum(cum, plvl)))
-            cur = np.full(len(pos), lvl_first[fid], dtype=np.int64)
-            var_state.append((fid, pos, evf, cum, cur))
-
-        def _offsets(P):
-            # Approximate max-plus bubble offsets at the first-call
-            # positions (raw prefix + running max of F - prefix); only
-            # used to *guess* decisions, never to produce a float.
-            pb = P[fp] - e[fp]
-            cand = first_F - pb
-            off_incl = np.maximum.accumulate(np.maximum(cand, 0.0))
-            return pb, cand, off_incl
-
-        if var_state:
-            P = None
-            for _ in range(self._MAX_LEVEL_ROUNDS):
-                P = np.cumsum(e)
-                _pb, _cand, off_incl = _offsets(P)
-                changed = False
-                for idx_v, (fid, pos, evf, cum, cur) in enumerate(var_state):
-                    off_at = off_incl[
-                        np.searchsorted(fp, pos, side="right") - 1
-                    ]
-                    sa = P[pos] - e[pos] + off_at
-                    new = cum[np.searchsorted(evf, sa, side="right") - 1]
-                    if not np.array_equal(new, cur):
-                        changed = True
-                        var_state[idx_v] = (fid, pos, evf, cum, new)
-                        e[pos] = arrays.exec_tab[fid][new]
-                if not changed:
-                    break
-            else:
-                return None  # level fixpoint did not converge
-        else:
-            P = np.cumsum(e) if n else np.empty(0)
+        first_F = first_fin[arrays.first_fids_np]
         if n:
-            _pb, cand, off_incl = _offsets(P)
+            P = np.cumsum(e)
+            cand = first_F - (P[fp] - e[fp])
+            off_incl = np.maximum.accumulate(np.maximum(cand, 0.0))
             off_excl = np.concatenate(([0.0], off_incl[:-1]))
             binding = cand > off_excl
         else:
@@ -1078,39 +928,19 @@ class VectorSimulator:
         seg_b = np.concatenate((bpos, [n]))
         lens = seg_b - seg_a
         # Exact start times are only needed at the non-blocking first
-        # calls (to verify they really did not block) and at every call
-        # of a level-varying function (to verify its guessed levels).
+        # calls, to verify they really did not block.
         nb = fp[~binding]
-        qparts = [nb]
-        qparts.extend(pos for _fid, pos, _evf, _cum, _cur in var_state)
-        qpos = np.concatenate(qparts) if len(qparts) > 1 else nb
-        ends, qvals = self._segment_scan(seg_a, lens, seeds, e, qpos)
+        ends, qvals = self._segment_scan(seg_a, lens, seeds, e, nb)
 
-        # ---- exact verification of the guessed decisions -------------
+        # ---- exact verification of the guess -------------------------
         # Blocking first calls: the exact pre-call clock (the previous
         # segment's end) must be strictly below the first finish.
         if not bool(np.all(ends[:-1] < seeds[1:])):
             return None
         # Non-blocking first calls: the exact clock must already have
         # reached the first finish.
-        nnb = len(nb)
-        if nnb and not bool(np.all(qvals[:nnb] >= first_F[~binding])):
+        if len(nb) and not bool(np.all(qvals >= first_F[~binding])):
             return None
-        # Level-varying functions: re-derive every level from the exact
-        # start times; any drift from the guessed levels is a mismatch.
-        hist = np.zeros(arrays.max_levels, dtype=np.int64)
-        qoff = nnb
-        for _fid, pos, evf, cum, cur in var_state:
-            exact = cum[
-                np.searchsorted(
-                    evf, qvals[qoff : qoff + len(pos)], side="right"
-                )
-                - 1
-            ]
-            qoff += len(pos)
-            if not np.array_equal(exact, cur):
-                return None
-            hist += np.bincount(exact, minlength=arrays.max_levels)
 
         # ---- totals (all single exact passes) ------------------------
         t = float(ends[len(ends) - 1])
@@ -1121,14 +951,11 @@ class VectorSimulator:
             total_bubble = float(np.cumsum(bubbles)[nbind - 1])
         else:
             total_bubble = 0.0
-        uni = np.nonzero(arrays.called_mask_np)[0]
-        if varying.size:
-            uni = uni[lvl_first[uni] == lvl_final[uni]]
-        np.add.at(hist, lvl_final[uni], arrays.call_counts_np[uni])
+        called = np.nonzero(arrays.called_mask_np)[0]
+        hist = np.zeros(arrays.max_levels, dtype=np.int64)
+        np.add.at(hist, level[called], arrays.call_counts_np[called])
         calls_at_level = {
-            level: int(count)
-            for level, count in enumerate(hist.tolist())
-            if count
+            lvl: int(count) for lvl, count in enumerate(hist.tolist()) if count
         }
         result = MakespanResult(
             makespan=t,
@@ -1139,7 +966,7 @@ class VectorSimulator:
         )
         first_starts = np.empty(len(fp))
         first_starts[binding] = first_F[binding]
-        first_starts[~binding] = qvals[:nnb]
+        first_starts[~binding] = qvals
         return result, first_starts, (seg_a, lens, seeds, e)
 
     def _segment_crossing(self, segments, thr) -> int:
@@ -1167,17 +994,21 @@ class VectorSimulator:
 
     def _batched_or_none(self, schedule):
         """The batched timeline when the schedule suits the batched
-        kernel — one compile thread, and at most
-        :attr:`BATCHED_MAX_VARYING` functions changing level (compiled
-        more than once, or on top of a preinstalled level) — and its
-        verification holds; else ``None`` (take the chunked path)."""
+        kernel — one compile thread, and every function installed once
+        (no recompile, no task for a preinstalled function) — and its
+        verification holds; else ``None`` (take the chunked replay).
+
+        Level changes are the chunked replay's alone: it cuts at the
+        next call of a recompiled function, which on the study's
+        schedules beats re-deriving levels in the batched kernel (see
+        docs/BENCHMARKS.md, "Batched or chunked")."""
         if self._compile_threads != 1:
             return None
         tfids, tlvls = self._task_arrays(schedule)
         counts = np.bincount(tfids, minlength=self._num_fids)
         for fid, _level in self._pre_pairs:
             counts[fid] += 1
-        if np.count_nonzero(counts > 1) > self.BATCHED_MAX_VARYING:
+        if counts.size and int(counts.max()) > 1:
             return None
         return self._batched_timeline(tfids, tlvls)
 
@@ -1204,11 +1035,12 @@ class VectorSimulator:
         numbers.
 
         Timeline and tracer requests take the full-bookkeeping
-        :meth:`_replay`; plain evaluations use a totals-only kernel,
-        which skips per-call list materialization entirely: the batched
-        kernel when the schedule suits it (:meth:`_batched_or_none`),
-        else the chunked exact replay.  All give the same floats and the
-        same work counters.
+        :meth:`_replay`; plain evaluations skip per-call list
+        materialization entirely: the batched kernel when the schedule
+        suits it (:meth:`_batched_or_none`), else the chunked replay's
+        totals (:meth:`_replay_totals`).  All give the same floats and
+        the same work counters, except ``vecsim.chunks``, which only
+        the chunked replay counts.
         """
         metrics = self.metrics
         if metrics is not None:
@@ -1256,9 +1088,7 @@ class VectorSimulator:
                 total_exec_time=result.total_exec_time,
                 calls_at_level=result.calls_at_level,
             )
-        t, total_exec, total_bubble, calls_at_level, _f, _c = (
-            self._replay_totals(prep)
-        )
+        t, total_exec, total_bubble, calls_at_level = self._replay_totals(prep)
         if metrics is not None:
             metrics.counter("vecsim.replays").inc()
             metrics.counter("vecsim.calls_replayed").inc(len(self._calls_fid))
@@ -1354,7 +1184,7 @@ class VectorSimulator:
         crossing index, and the per-function counts one
         ``numpy.bincount`` over the prefix or suffix.  The batched
         kernel serves the schedules it suits (as in :meth:`evaluate`);
-        the rest replay on the chunked totals kernel.
+        the rest take the chunked replay, which sums no exec total.
         """
         wanted = [thr for thr in (before_time, after_time) if thr is not None]
         batched = self._batched_or_none(schedule)
@@ -1367,10 +1197,15 @@ class VectorSimulator:
                 self.metrics.counter("vecsim.prepares").inc()
                 self.metrics.counter("vecsim.tasks_prepared").inc(len(schedule))
         else:
-            prep = self._prepare(schedule)
-            t, _e, _b, _h, first_starts, crossings = self._replay_totals(
-                prep, wanted, totals=False
+            firsts: List[np.ndarray] = []
+            crossings = [len(self._calls_fid)] * len(wanted)
+            t, _reached, _exec, _bubble = self._walk(
+                self._prepare(schedule),
+                firsts=firsts,
+                thresholds=wanted,
+                crossings=crossings,
             )
+            first_starts = np.concatenate(firsts).tolist() if firsts else []
         fnames = self._fnames
         calls_np = self._calls_np
 

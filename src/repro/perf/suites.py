@@ -8,8 +8,9 @@ from ``scale`` with the same convention as the pytest benchmark suite
 baseline — results at different scales never compare.
 
 The ``quick`` suite covers every instrumented hot path: the reference
-simulator, the vector engine (full evaluation, and incremental through
-local search), the A* search, the reactive runtime replays, the
+simulator, the vector engine (full evaluation, its chunked replay on
+IAR's recompiling schedules, and incremental through local search),
+the A* search, the reactive runtime replays, the
 priority-queue co-simulation, the result store, tracing, and the
 parallel experiment runner.  It is sized
 to finish in seconds at the default scale so CI can gate on it.
@@ -216,6 +217,34 @@ def _bench_localsearch(scale: float):
         improve_schedule(
             instance, schedule, iterations=200, seed=3, metrics=metrics
         )
+
+    return fn
+
+
+@register(
+    "vecsim_chunked",
+    suites=("quick", "vecsim"),
+    description=(
+        "IAR's trace passes and one evaluation on a DaCapo two-level "
+        "projection: the vector engine's chunked replay on recompiling "
+        "schedules"
+    ),
+)
+def _bench_vecsim_chunked(scale: float):
+    from ..analysis.experiments import project_to_model_levels
+    from ..core.engine import make_simulator
+    from ..core.iar import iar
+    from ..vm.costbenefit import EstimatedModel
+    from ..workloads import dacapo
+
+    instance = dacapo.load("pmd", scale=scale)
+    projected = project_to_model_levels(instance, EstimatedModel(instance, seed=0))
+
+    def fn(metrics: MetricsRegistry) -> None:
+        # Engine pinned; with a registry IAR runs on an engine of its
+        # own, so ``vecsim.chunks`` counts every chunk of its passes.
+        schedule = iar(projected, metrics=metrics, engine="vector").schedule
+        make_simulator(projected, "vector", metrics=metrics).evaluate(schedule)
 
     return fn
 

@@ -1,5 +1,6 @@
 """Tests for the make-span lower bounds (Section 5.2)."""
 
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     FunctionProfile,
@@ -42,6 +43,53 @@ class TestLowerBound:
             base_level_schedule(small_synthetic),
         ):
             assert simulate(small_synthetic, sched, validate=False).makespan >= lb
+
+
+def loop_lower_bound(instance):
+    """The paper's bound as a per-call loop: the reference sum."""
+    profiles = instance.profiles
+    total = 0.0
+    for fname in instance.calls:
+        total += profiles[fname].exec_times[-1]
+    return total
+
+
+# Exec times spanning sixteen orders of magnitude: the last bits of a
+# sum depend on its association order.
+wide_times = st.floats(min_value=1e-3, max_value=1e16, allow_nan=False)
+
+
+@st.composite
+def wide_instances(draw):
+    profiles = {}
+    for i in range(draw(st.integers(min_value=1, max_value=6))):
+        exec_times = sorted(
+            draw(st.lists(wide_times, min_size=1, max_size=3)), reverse=True
+        )
+        profiles[f"f{i}"] = FunctionProfile(
+            f"f{i}", (1.0,) * len(exec_times), tuple(exec_times)
+        )
+    calls = draw(st.lists(st.sampled_from(sorted(profiles)), max_size=60))
+    return OCSPInstance(profiles, tuple(calls), name="wide")
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_instances())
+def test_lower_bound_is_the_left_to_right_loop(instance):
+    assert lower_bound(instance) == loop_lower_bound(instance)
+
+
+def test_lower_bound_adds_left_to_right():
+    """After a 1e16 call, fifty 1.0 calls add nothing to a sequential
+    sum; a pairwise or compensated sum would keep them."""
+    inst = OCSPInstance(
+        {
+            "big": FunctionProfile("big", (1.0,), (1e16,)),
+            "one": FunctionProfile("one", (1.0,), (1.0,)),
+        },
+        ("big",) + ("one",) * 50,
+    )
+    assert lower_bound(inst) == 1e16 == loop_lower_bound(inst)
 
 
 class TestCompileAwareLowerBound:

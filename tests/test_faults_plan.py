@@ -110,7 +110,7 @@ class TestSimulateWithFaults:
             assert not plan.degraded
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
-    def test_reference_and_fast_bitwise_equal(self, instance, schedule, threads):
+    def test_reference_and_vector_bitwise_equal(self, instance, schedule, threads):
         spec = FaultSpec(compile_fail=0.4, stall=0.3, seed=2)
         ref, ref_plan = simulate_with_faults(
             instance, schedule, spec, compile_threads=threads,

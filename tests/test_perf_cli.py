@@ -133,9 +133,10 @@ class TestBenchCompare:
 
 class TestInjectedRegressionIsCaught:
     def test_extra_replay_pass_trips_the_counter_gate(self, monkeypatch):
-        """The acceptance scenario: a deliberate extra O(n) pass in the
-        vector engine changes no output, barely moves wall time at tiny
-        scale — and the counter gate still catches it exactly."""
+        """The acceptance scenario: a deliberate extra O(n) pass through
+        the vector engine's chunked replay changes no output, barely
+        moves wall time at tiny scale — and the counter gate still
+        catches it exactly."""
         from repro.core.vecsim import VectorSimulator
 
         spec = REGISTRY["localsearch_moves"]
@@ -143,13 +144,13 @@ class TestInjectedRegressionIsCaught:
             run_benchmark(spec.name, spec.make, scale=0.001, repeats=2)
         )
 
-        original = VectorSimulator._replay
+        original = VectorSimulator._walk
 
-        def with_extra_pass(self, prep, i0, t0, exec0, bubble0):
-            original(self, prep, i0, t0, exec0, bubble0)  # wasted work
-            return original(self, prep, i0, t0, exec0, bubble0)
+        def with_extra_pass(self, *args, **kwargs):
+            original(self, *args)  # wasted work
+            return original(self, *args, **kwargs)
 
-        monkeypatch.setattr(VectorSimulator, "_replay", with_extra_pass)
+        monkeypatch.setattr(VectorSimulator, "_walk", with_extra_pass)
         current = result_doc(
             run_benchmark(spec.name, spec.make, scale=0.001, repeats=2)
         )
@@ -158,8 +159,7 @@ class TestInjectedRegressionIsCaught:
         regressed = {
             d.counter for d in comparison.counter_diffs if d.regressed
         }
-        assert "vecsim.replays" in regressed
-        assert "vecsim.calls_replayed" in regressed
+        assert regressed == {"vecsim.chunks"}
 
 
 class TestDiagnoseJson:

@@ -125,6 +125,7 @@ class TestSuiteRegistry:
         assert {
             "core_simulate",
             "core_simulate_vector",
+            "vecsim_chunked",
             "localsearch_moves",
             "astar_search",
             "priorityqueue_hotness",

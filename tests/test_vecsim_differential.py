@@ -2,13 +2,16 @@
 
 The vector engine promises *bitwise* equality with the reference oracle
 — same float operations in the same order — for full evaluation (both
-its batched and its chunked totals kernel), timelines, trace passes,
+its batched kernel and its chunked replay), timelines, trace passes,
 fault-degraded runs (``task_compile_times`` / ``task_installs``) and
-the incremental propose/commit path.  Its ``vecsim.*`` work counters
-count the same work whichever kernel runs.  The battery drives random
-instances, costs, call sequences, compiler-thread counts, and fault
-specs through both engines, and pins the zero-length and single-call
-edges.
+the incremental bind/propose/commit/preview path local search runs on.
+Its ``vecsim.*`` work counters count the same work whichever kernel
+runs.  The battery drives random instances, costs, call sequences,
+compiler-thread counts, fault specs and replay window sizes through
+both engines, stresses the chunked replay's cut rule (recompiled hot
+functions, tied and call-aligned install times, failed installs,
+preinstalled code, resumed suffixes), and pins the zero-length and
+single-call edges.
 """
 
 from __future__ import annotations
@@ -18,11 +21,13 @@ import math
 import pickle
 import random
 import weakref
+from typing import Dict, List
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
+    CompileTask,
     FunctionProfile,
     OCSPInstance,
     Schedule,
@@ -38,14 +43,7 @@ from repro.observability import MetricsRegistry
 from repro.perf.harness import counters_of
 from repro.vm.jikes import run_jikes
 from repro.vm.v8 import run_v8
-from repro.workloads import dacapo
-
-from test_fast_simulator import (
-    assert_results_equal,
-    instances,
-    random_instance,
-    random_schedule,
-)
+from repro.workloads import WorkloadSpec, dacapo, generate
 
 FAULT_SPECS = [
     "compile_fail=0.4,seed=3",
@@ -53,6 +51,103 @@ FAULT_SPECS = [
     "stall=0.5,stall_factor=4.0,seed=2",
     "compile_fail=0.3,stall=0.3,retries=2,seed=17",
 ]
+
+# ---------------------------------------------------------------------------
+# instances, schedules, and result equality
+# ---------------------------------------------------------------------------
+
+times = st.floats(min_value=0.1, max_value=50.0, allow_nan=False)
+
+
+@st.composite
+def profiles_strategy(draw, max_functions=8, max_levels=4):
+    n_funcs = draw(st.integers(min_value=1, max_value=max_functions))
+    profiles: Dict[str, FunctionProfile] = {}
+    for i in range(n_funcs):
+        n_levels = draw(st.integers(min_value=1, max_value=max_levels))
+        compile_times = sorted(
+            draw(st.lists(times, min_size=n_levels, max_size=n_levels))
+        )
+        exec_times = sorted(
+            draw(st.lists(times, min_size=n_levels, max_size=n_levels)),
+            reverse=True,
+        )
+        name = f"f{i}"
+        profiles[name] = FunctionProfile(name, tuple(compile_times), tuple(exec_times))
+    return profiles
+
+
+@st.composite
+def instances(draw, max_functions=8, max_levels=4, max_calls=24):
+    profiles = draw(profiles_strategy(max_functions, max_levels))
+    names = sorted(profiles)
+    calls = draw(st.lists(st.sampled_from(names), min_size=1, max_size=max_calls))
+    return OCSPInstance(profiles, tuple(calls), name="diff")
+
+
+def random_schedule(instance: OCSPInstance, rng: random.Random) -> Schedule:
+    """A uniform-ish random *valid* schedule: every called function gets
+    a random strictly increasing level chain, chains interleave randomly."""
+    chains: List[List[CompileTask]] = []
+    for fname in instance.called_functions:
+        levels = sorted(
+            rng.sample(
+                range(instance.profiles[fname].num_levels),
+                rng.randint(1, instance.profiles[fname].num_levels),
+            )
+        )
+        chains.append([CompileTask(fname, lvl) for lvl in levels])
+    tasks: List[CompileTask] = []
+    while chains:
+        chain = rng.choice(chains)
+        tasks.append(chain.pop(0))
+        if not chain:
+            chains.remove(chain)
+    return Schedule(tuple(tasks))
+
+
+def uniform_schedule(instance: OCSPInstance, rng: random.Random, skip=()) -> Schedule:
+    """Every called function outside ``skip`` compiled once, at a random
+    level, in random order: what the batched kernel takes."""
+    fnames = [f for f in instance.called_functions if f not in skip]
+    rng.shuffle(fnames)
+    return Schedule(
+        tuple(
+            CompileTask(f, rng.randrange(instance.profiles[f].num_levels))
+            for f in fnames
+        )
+    )
+
+
+def random_instance(rng: random.Random) -> OCSPInstance:
+    nf = rng.randint(1, 8)
+    spec = WorkloadSpec(
+        name=f"diff-{rng.randrange(1 << 30)}",
+        num_functions=nf,
+        num_calls=rng.randint(nf, 40 + nf),
+        num_levels=rng.randint(1, 4),
+    )
+    return generate(spec, seed=rng.randrange(1 << 30))
+
+
+def random_preinstalled(instance: OCSPInstance, rng: random.Random) -> Dict[str, int]:
+    return {
+        fname: rng.randrange(instance.profiles[fname].num_levels)
+        for fname in instance.called_functions
+        if rng.random() < 0.5
+    }
+
+
+def assert_results_equal(got, ref) -> None:
+    """Exact (bitwise) MakespanResult equality, field by field for a
+    readable diff on failure."""
+    assert got.makespan == ref.makespan
+    assert got.compile_end == ref.compile_end
+    assert got.total_bubble_time == ref.total_bubble_time
+    assert got.total_exec_time == ref.total_exec_time
+    assert got.calls_at_level == ref.calls_at_level
+    assert got.task_timings == ref.task_timings
+    assert got.call_timings == ref.call_timings
 
 
 def engines_for(instance, threads=1):
@@ -67,9 +162,9 @@ def engines_for(instance, threads=1):
 # ---------------------------------------------------------------------------
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(instances(), st.integers(min_value=1, max_value=4), st.randoms())
-def test_evaluate_three_engines_bitwise_equal(instance, threads, hyp_rng):
+def test_evaluate_bitwise_equal(instance, threads, hyp_rng):
     rng = random.Random(hyp_rng.randrange(1 << 30))
     schedule = random_schedule(instance, rng)
     ref, vec = engines_for(instance, threads)
@@ -109,15 +204,11 @@ def test_zero_length_trace():
         assert r.calls_at_level == {}
 
 
-def test_preinstalled_three_engines():
+def test_preinstalled_bitwise_equal():
     rng = random.Random(13)
     for _ in range(20):
         instance = random_instance(rng)
-        pre = {
-            fname: rng.randrange(instance.profiles[fname].num_levels)
-            for fname in instance.called_functions
-            if rng.random() < 0.5
-        }
+        pre = random_preinstalled(instance, rng)
         tasks = [
             t for t in random_schedule(instance, rng) if t.function not in pre
         ]
@@ -133,7 +224,7 @@ def test_preinstalled_three_engines():
 
 
 @pytest.mark.parametrize("spec", FAULT_SPECS)
-def test_faulted_runs_three_engines(spec):
+def test_faulted_runs_bitwise_equal(spec):
     rng = random.Random(hash(spec) & 0xFFFF)
     for _ in range(8):
         instance = random_instance(rng)
@@ -157,7 +248,7 @@ def test_faulted_runs_three_engines(spec):
         assert vec_plan.summary() == ref_plan.summary()
 
 
-def test_direct_override_arrays_three_engines():
+def test_direct_override_arrays_bitwise_equal():
     rng = random.Random(99)
     for _ in range(25):
         instance = random_instance(rng)
@@ -184,8 +275,315 @@ def test_direct_override_arrays_three_engines():
 
 
 # ---------------------------------------------------------------------------
-# incremental propose/commit and the vecsim.* work counters
+# the chunked replay's cut rule
 # ---------------------------------------------------------------------------
+
+# Dyadic costs add exactly, so installs often finish at the same time,
+# or exactly when a call starts, and the `<` / `<=` edges of the cut
+# rule get exercised.
+dyadic = st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 4.0])
+# (first window, window cap) of the replay: tiny windows put chunk
+# boundaries everywhere; the last pair is the engine's own.
+WINDOWS = [(1, 1), (1, 4), (2, 3), (3, 8), (1024, 1 << 16)]
+
+
+@st.composite
+def recompile_cases(draw):
+    """An instance with a hot function, a schedule recompiling its
+    functions several times, a second schedule to resume into, and the
+    engine settings: threads, preinstalled code, failed installs and
+    replay windows."""
+    nf = draw(st.integers(min_value=1, max_value=4))
+    profiles: Dict[str, FunctionProfile] = {}
+    for i in range(nf):
+        nl = draw(st.integers(min_value=1, max_value=4))
+        compile_times = sorted(draw(st.lists(dyadic, min_size=nl, max_size=nl)))
+        exec_times = sorted(
+            draw(st.lists(dyadic, min_size=nl, max_size=nl)), reverse=True
+        )
+        profiles[f"f{i}"] = FunctionProfile(f"f{i}", compile_times, exec_times)
+    names = sorted(profiles)
+    # f0 is hot: at least half the draws.
+    calls = draw(
+        st.lists(
+            st.sampled_from(names + ["f0"] * nf), min_size=1, max_size=40
+        )
+    )
+    instance = OCSPInstance(profiles, tuple(calls), name="cuts")
+    pre = draw(
+        st.dictionaries(
+            st.sampled_from(names),
+            st.integers(min_value=0, max_value=3),
+            max_size=nf,
+        )
+    )
+    pre = {f: level % profiles[f].num_levels for f, level in pre.items()}
+
+    def schedule():
+        tasks = []
+        for fname in names:
+            levels = draw(
+                st.sets(
+                    st.integers(0, profiles[fname].num_levels - 1),
+                    min_size=0 if fname in pre or fname not in calls else 1,
+                )
+            )
+            tasks.extend((fname, level) for level in sorted(levels))
+        order = draw(st.permutations(tasks))
+        # Keep each function's levels increasing in schedule order.
+        levels_of = {f: sorted(l for g, l in tasks if g == f) for f in names}
+        return Schedule(
+            tuple(CompileTask(f, levels_of[f].pop(0)) for f, _l in order)
+        )
+
+    first, second = schedule(), schedule()
+    installs = draw(
+        st.lists(st.booleans(), min_size=len(first), max_size=len(first))
+    )
+    for fname in sorted(set(calls) - set(pre)):
+        own = [i for i, task in enumerate(first) if task.function == fname]
+        if not any(installs[i] for i in own):
+            installs[draw(st.sampled_from(own))] = True
+    return dict(
+        instance=instance,
+        first=first,
+        second=second,
+        installs=installs,
+        pre=pre,
+        threads=draw(st.integers(min_value=1, max_value=4)),
+        windows=draw(st.sampled_from(WINDOWS)),
+    )
+
+
+def cut_engine(case, metrics=None):
+    """A vector engine for ``case``, with its replay windows."""
+    vec = VectorSimulator(
+        case["instance"],
+        compile_threads=case["threads"],
+        preinstalled=case["pre"],
+        metrics=metrics,
+    )
+    vec._CHUNK, vec._MAX_CHUNK = case["windows"]
+    return vec
+
+
+def case_reference(case, schedule, **kwargs):
+    return simulate(
+        case["instance"],
+        schedule,
+        compile_threads=case["threads"],
+        preinstalled=case["pre"],
+        validate=False,
+        **kwargs,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(recompile_cases())
+def test_cut_rule_evaluate_bitwise_equal(case):
+    """Totals and timelines, with and without failed installs."""
+    vec = cut_engine(case)
+    for overrides in ({}, {"task_installs": case["installs"]}):
+        for record in (False, True):
+            kwargs = dict(record_timeline=record, **overrides)
+            assert_results_equal(
+                vec.evaluate(case["first"], **kwargs),
+                case_reference(case, case["first"], **kwargs),
+            )
+
+
+@settings(max_examples=150, deadline=None)
+@given(recompile_cases())
+def test_cut_rule_trace_stats_bitwise_equal(case):
+    vec = cut_engine(case)
+    timings = case_reference(case, case["first"], record_timeline=True).call_timings
+    for thr in edge_thresholds(timings):
+        for before, after in threshold_pairs(thr):
+            assert vec.trace_stats(case["first"], before, after) == (
+                timeline_trace_stats(timings, before, after)
+            )
+
+
+@settings(max_examples=200, deadline=None)
+@given(recompile_cases(), st.sampled_from([None, 0.5, 0.9, 1.0, 1.1]))
+def test_cut_rule_resumed_suffixes_bitwise_equal(case, cutoff_frac):
+    """Resumed replays: propose (with and without a cutoff), preview,
+    commit and the committed baseline.  The span replay counts the calls
+    through the first one finishing past the cutoff, whatever the
+    replay windows."""
+    metrics = MetricsRegistry()
+    vec = cut_engine(case, metrics)
+    base = vec.bind(case["first"])
+    assert base == case_reference(case, case["first"]).makespan
+    second = case["second"]
+    expected = case_reference(case, second, record_timeline=True)
+    assert_results_equal(vec.preview(second, record_timeline=True), expected)
+    cutoff = None if cutoff_frac is None else base * cutoff_frac
+    span = vec.propose(second, cutoff=cutoff)
+    _prep, i0, _t0 = vec._cand  # the first call the replay resumed at
+    timings = expected.call_timings
+    n = len(timings)
+    if i0 < n and cutoff is not None and expected.makespan > cutoff:
+        assert math.isinf(span)
+        over = next(i for i, c in enumerate(timings) if c.finish > cutoff)
+        reached = max(over, i0) + 1
+    else:
+        assert span == expected.makespan
+        reached = n
+    if i0 < n:
+        replayed = counters_of(metrics)["vecsim.span_calls_replayed"]
+        assert replayed == reached - i0
+    assert vec.commit() == expected.makespan
+    assert_results_equal(vec.result(record_timeline=True), expected)
+
+
+# ---------------------------------------------------------------------------
+# incremental propose/commit/preview and the vecsim.* work counters
+# ---------------------------------------------------------------------------
+
+
+def test_incremental_differential_seeded():
+    """The headline gate: >= 200 random cases, zero mismatches.
+
+    Each case binds a random schedule, walks a chain of random
+    local-search moves, and checks propose() spans, commit() results,
+    and the committed baseline against the reference simulator after
+    every move.
+    """
+    rng = random.Random(20260806)
+    cases = 0
+    mismatches = 0
+    while cases < 200:
+        instance = random_instance(rng)
+        threads = rng.randint(1, 4)
+        vec = VectorSimulator(instance, compile_threads=threads)
+        schedule = random_schedule(instance, rng)
+        vec.bind(schedule)
+        tasks = list(schedule)
+        for _ in range(6):
+            proposal = _propose(instance, tasks, rng)
+            if proposal is None:
+                continue
+            span = vec.propose(proposal)
+            ref = simulate(instance, Schedule(tuple(proposal)), compile_threads=threads)
+            if span != ref.makespan:
+                mismatches += 1
+            if rng.random() < 0.7:  # accept: commit and re-check baseline
+                committed = vec.commit()
+                if committed != ref.makespan:
+                    mismatches += 1
+                full = vec.result(record_timeline=True)
+                ref_full = simulate(
+                    instance,
+                    Schedule(tuple(proposal)),
+                    compile_threads=threads,
+                    record_timeline=True,
+                )
+                if (full.makespan, full.total_bubble_time, full.call_timings) != (
+                    ref_full.makespan,
+                    ref_full.total_bubble_time,
+                    ref_full.call_timings,
+                ):
+                    mismatches += 1
+                tasks = proposal
+        cases += 1
+    assert cases >= 200
+    assert mismatches == 0
+
+
+@pytest.mark.parametrize("move_kind", [0, 1, 2, 3])
+def test_each_move_kind_incrementally_exact(move_kind):
+    """Force every move kind (swap / shift / toggle-high / relevel) and
+    check the incremental path after each."""
+
+    class ForcedRng(random.Random):
+        def randrange(self, *args, **kwargs):  # first call picks the move
+            if not self.__dict__.get("_moved"):
+                self.__dict__["_moved"] = True
+                return move_kind
+            return super().randrange(*args, **kwargs)
+
+    outer = random.Random(1000 + move_kind)
+    applied = 0
+    attempts = 0
+    while applied < 25 and attempts < 400:
+        attempts += 1
+        instance = random_instance(outer)
+        schedule = random_schedule(instance, outer)
+        rng = ForcedRng(outer.randrange(1 << 30))
+        proposal = _propose(instance, list(schedule), rng)
+        if proposal is None:
+            continue
+        vec = VectorSimulator(instance)
+        vec.bind(schedule)
+        span = vec.propose(proposal)
+        ref = simulate(instance, Schedule(tuple(proposal)))
+        assert span == ref.makespan
+        assert vec.commit() == ref.makespan
+        applied += 1
+    assert applied == 25
+
+
+def test_preview_does_not_commit():
+    rng = random.Random(3)
+    instance = random_instance(rng)
+    schedule = random_schedule(instance, rng)
+    vec = VectorSimulator(instance)
+    base = vec.bind(schedule)
+    proposal = None
+    while proposal is None:
+        proposal = _propose(instance, list(schedule), rng)
+    ref = simulate(instance, Schedule(tuple(proposal)), record_timeline=True)
+    assert_results_equal(vec.preview(proposal, record_timeline=True), ref)
+    # preview disarms commit and leaves the baseline untouched
+    assert vec.baseline_makespan == base
+    assert vec.baseline_tasks == tuple(schedule)
+    with pytest.raises(RuntimeError):
+        vec.commit()
+
+
+def test_propose_cutoff_returns_inf_when_worse():
+    rng = random.Random(11)
+    seen_inf = 0
+    for _ in range(200):
+        instance = random_instance(rng)
+        schedule = random_schedule(instance, rng)
+        vec = VectorSimulator(instance)
+        base = vec.bind(schedule)
+        proposal = _propose(instance, list(schedule), rng)
+        if proposal is None:
+            continue
+        span = vec.propose(proposal, cutoff=base)
+        true_span = simulate(instance, Schedule(tuple(proposal))).makespan
+        if true_span <= base:
+            assert span == true_span
+        else:
+            assert span == true_span or math.isinf(span)
+            if math.isinf(span):
+                seen_inf += 1
+    assert seen_inf > 0  # the early exit actually fires
+
+
+@pytest.mark.parametrize("recompile", [False, True])
+def test_propose_cutoff_replay_adds_left_to_right(recompile):
+    """The span replay sums each stretch of calls in call order, like
+    the reference: fifty 1.0 calls after a 1e16 call add nothing.  A
+    compensated sum (builtin ``sum`` since Python 3.12) would keep them.
+    ``recompile`` leaves a compile pending across the stretch, which
+    makes the replay cut at its function's next call."""
+    profiles = {
+        "big": FunctionProfile("big", (1.0,), (1e16,)),
+        "small": FunctionProfile("small", (1.0, 2e16), (1.0, 0.5)),
+    }
+    inst = OCSPInstance(profiles, ("big",) + ("small",) * 50, name="fp")
+    base = [CompileTask("big", 0), CompileTask("small", 0)]
+    if recompile:
+        base.append(CompileTask("small", 1))
+    swapped = [base[1], base[0]] + base[2:]
+    engine = VectorSimulator(inst)
+    engine.bind(Schedule(tuple(base)))
+    span = engine.propose(swapped, cutoff=1e17)
+    assert span == simulate(inst, Schedule(tuple(swapped))).makespan
 
 
 def test_incremental_chain_and_counters_identical():
@@ -232,7 +630,8 @@ def test_incremental_chain_and_counters_identical():
 
 
 def evaluate_counters(instance, schedule):
-    """The counters one plain evaluation records, on either kernel."""
+    """The counters one plain evaluation records on either kernel
+    (``vecsim.chunks`` aside: only the chunked replay has chunks)."""
     n = len(instance.calls)
     return {
         "vecsim.evaluations": 1,
@@ -243,6 +642,12 @@ def evaluate_counters(instance, schedule):
     }
 
 
+def kernel_counters(metrics):
+    counters = counters_of(metrics)
+    chunks = counters.pop("vecsim.chunks", 0)
+    return counters, chunks
+
+
 def test_evaluate_counters_identical():
     rng = random.Random(77)
     for _ in range(20):
@@ -250,13 +655,13 @@ def test_evaluate_counters_identical():
         schedule = random_schedule(instance, rng)
         metrics = MetricsRegistry()
         VectorSimulator(instance, metrics=metrics).evaluate(schedule)
-        assert counters_of(metrics) == evaluate_counters(instance, schedule)
+        counters, _chunks = kernel_counters(metrics)
+        assert counters == evaluate_counters(instance, schedule)
 
 
-def force_path(monkeypatch, path):
-    """Pin the vector engine's batched/chunked choice for one test."""
-    limit = {"batched": 1 << 30, "chunked": -1}[path]
-    monkeypatch.setattr(VectorSimulator, "BATCHED_MAX_VARYING", limit)
+# ---------------------------------------------------------------------------
+# trace passes
+# ---------------------------------------------------------------------------
 
 
 def reference_timeline(instance, schedule, threads=1, preinstalled=None):
@@ -298,25 +703,37 @@ def timeline_trace_stats(timings, before, after):
     return firsts, counts_before, counts_after, end
 
 
-def test_trace_stats_matches_fast(monkeypatch):
-    """One compile thread, both kernel paths: the vector trace pass
-    equals the reference ``iar._trace_stats`` at every edge threshold."""
+def chunked_engine(instance, **kwargs):
+    """A vector engine that sends every pass to the chunked replay."""
+    vec = VectorSimulator(instance, **kwargs)
+    vec._batched_or_none = lambda schedule: None
+    return vec
+
+
+def test_trace_stats_matches_reference():
+    """One compile thread, both kernels: the vector trace pass equals the
+    reference ``iar._trace_stats`` at every edge threshold (a threshold
+    between two call starts counts like the later start), on
+    single-install schedules (which the batched kernel takes) and
+    recompiling ones (always the chunked replay's)."""
     rng = random.Random(31)
     for _ in range(20):
         instance = random_instance(rng)
-        schedule = random_schedule(instance, rng)
-        for path in ("batched", "chunked"):
-            force_path(monkeypatch, path)
-            vec = VectorSimulator(instance)
-            for thr in edge_thresholds(reference_timeline(instance, schedule)):
-                for before, after in threshold_pairs(thr):
-                    assert vec.trace_stats(schedule, before, after) == _trace_stats(
-                        instance, schedule, before, after
-                    )
+        for schedule in (
+            uniform_schedule(instance, rng),
+            random_schedule(instance, rng),
+        ):
+            timings = reference_timeline(instance, schedule)
+            for vec in (VectorSimulator(instance), chunked_engine(instance)):
+                for thr in edge_thresholds(timings):
+                    for before, after in threshold_pairs(thr):
+                        assert vec.trace_stats(
+                            schedule, before, after
+                        ) == _trace_stats(instance, schedule, before, after)
 
 
 @pytest.mark.parametrize("threads", [2, 4])
-def test_trace_stats_multithread_matches_fast(threads):
+def test_trace_stats_multithread_matches_reference(threads):
     """Both engines' trace passes run at the engine's thread count: each
     equals the reference's own multi-thread timeline."""
     rng = random.Random(310 + threads)
@@ -334,20 +751,14 @@ def test_trace_stats_multithread_matches_fast(threads):
 
 
 @pytest.mark.parametrize("path", ["batched", "chunked"])
-def test_trace_stats_preinstalled_matches_fast(monkeypatch, path):
-    force_path(monkeypatch, path)
+def test_trace_stats_preinstalled_matches_reference(path):
     rng = random.Random(313)
     for _ in range(15):
         instance = random_instance(rng)
-        pre = {
-            fname: rng.randrange(instance.profiles[fname].num_levels)
-            for fname in instance.called_functions
-            if rng.random() < 0.5
-        }
-        schedule = Schedule(
-            tuple(t for t in random_schedule(instance, rng) if t.function not in pre)
-        )
-        vec = VectorSimulator(instance, preinstalled=pre)
+        pre = random_preinstalled(instance, rng)
+        schedule = uniform_schedule(instance, rng, skip=pre)
+        make = VectorSimulator if path == "batched" else chunked_engine
+        vec = make(instance, preinstalled=pre)
         timings = reference_timeline(instance, schedule, preinstalled=pre)
         for thr in edge_thresholds(timings):
             for before, after in threshold_pairs(thr):
@@ -356,7 +767,7 @@ def test_trace_stats_preinstalled_matches_fast(monkeypatch, path):
 
 
 # ---------------------------------------------------------------------------
-# the evaluate path choice (batched kernel vs chunked exact replay)
+# the evaluate path choice (batched kernel vs chunked replay)
 # ---------------------------------------------------------------------------
 
 
@@ -385,18 +796,16 @@ def single_level_input():
 
 
 def level_varying_input():
-    """A scale-0.002 DaCapo benchmark's IAR schedule, many of whose
-    functions change level."""
+    """A scale-0.002 DaCapo benchmark's IAR schedule, whose appended
+    compiles change functions' levels mid-trace."""
     from repro.analysis.experiments import project_to_model_levels
     from repro.vm.costbenefit import EstimatedModel
-    from repro.workloads import dacapo
 
     instance = dacapo.load("pmd", scale=0.002)
     projected = project_to_model_levels(instance, EstimatedModel(instance, seed=0))
     schedule = iar(projected).schedule
     compiled = [task.function for task in schedule]
-    varying = {f for f in compiled if compiled.count(f) > 1}
-    assert len(varying) > VectorSimulator.BATCHED_MAX_VARYING
+    assert len(compiled) > len(set(compiled))
     return projected, schedule
 
 
@@ -409,25 +818,26 @@ def level_varying_input():
     ids=["single-level", "level-varying"],
 )
 def test_evaluate_path_choice(monkeypatch, make_input, expected):
+    """Single-install schedules take the batched kernel, any level change
+    the chunked replay.  Both paths give the reference's bitwise totals
+    and the same ``vecsim.*`` counters, bar the chunked replay's own
+    ``vecsim.chunks``, so the committed engine baselines hold whichever
+    path the choice takes."""
     instance, schedule = make_input()
     entered = spy_kernels(monkeypatch)
-    VectorSimulator(instance).evaluate(schedule)
+    metrics = MetricsRegistry()
+    result = VectorSimulator(instance, metrics=metrics).evaluate(schedule)
     assert entered == [expected]
-    # Both paths give the reference's bitwise totals and the same
-    # vecsim.* counters, so the committed engine baselines hold on
-    # whichever path the choice takes.
     reference = simulate(instance, schedule)
-    for path in ("batched", "chunked"):
-        force_path(monkeypatch, path)
-        del entered[:]
-        metrics = MetricsRegistry()
-        result = VectorSimulator(instance, metrics=metrics).evaluate(schedule)
-        assert entered[0] == {
-            "batched": "_batched_timeline",
-            "chunked": "_replay_totals",
-        }[path]
-        assert_results_equal(result, reference)
-        assert counters_of(metrics) == evaluate_counters(instance, schedule)
+    assert_results_equal(result, reference)
+    counters, chunks = kernel_counters(metrics)
+    assert counters == evaluate_counters(instance, schedule)
+    assert (chunks > 0) == (expected == "_replay_totals")
+    metrics = MetricsRegistry()
+    assert_results_equal(
+        chunked_engine(instance, metrics=metrics).evaluate(schedule), reference
+    )
+    assert kernel_counters(metrics)[0] == evaluate_counters(instance, schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +847,7 @@ def test_evaluate_path_choice(monkeypatch, make_input, expected):
 
 @pytest.mark.parametrize("temperature", [0.0, 0.05])
 @pytest.mark.parametrize("threads", [1, 2])
-def test_localsearch_vector_walks_fast_trajectory(temperature, threads):
+def test_localsearch_walks_reference_trajectory(temperature, threads):
     """The incremental engine walks the reference's search trajectory,
     move outcome for move outcome (only early cutoff exits are its own)."""
     rng = random.Random(4242 + threads)
@@ -466,6 +876,13 @@ def test_localsearch_vector_walks_fast_trajectory(temperature, threads):
         }
 
     assert moves(mv) == moves(mr)
+
+
+def test_localsearch_rejects_unknown_engine():
+    prof = {"f0": FunctionProfile("f0", (1.0,), (1.0,))}
+    inst = OCSPInstance(prof, ("f0",), name="tiny")
+    with pytest.raises(ValueError):
+        improve_schedule(inst, Schedule.of(("f0", 0)), iterations=1, engine="nope")
 
 
 # ---------------------------------------------------------------------------
@@ -594,22 +1011,21 @@ def test_uncached_engine_keeps_its_instance(no_cyclic_gc):
 
 
 # ---------------------------------------------------------------------------
-# the batched kernel and its chunked fallback
+# the batched kernel and the chunked replay
 # ---------------------------------------------------------------------------
 
 
 @settings(max_examples=60, deadline=None)
 @given(instances(max_functions=5, max_levels=3, max_calls=16), st.randoms())
 def test_fallback_differential_hypothesis(instance, hyp_rng):
-    """Forced onto either totals kernel, the engine gives the same
-    bitwise result (the batched kernel verifies its guesses and falls
-    back to the chunked replay on any mismatch)."""
+    """A single-install schedule takes the batched kernel (which verifies
+    its guesses and falls back to the chunked replay on any mismatch);
+    forced onto the chunked replay, the engine gives the same bitwise
+    result, and so it does for a recompiling schedule."""
     rng = random.Random(hyp_rng.randrange(1 << 30))
-    schedule = random_schedule(instance, rng)
-    batched = VectorSimulator(instance)
-    batched.BATCHED_MAX_VARYING = 1 << 30
-    chunked = VectorSimulator(instance)
-    chunked.BATCHED_MAX_VARYING = -1
-    expected = simulate(instance, schedule)
-    assert_results_equal(batched.evaluate(schedule), expected)
-    assert_results_equal(chunked.evaluate(schedule), expected)
+    vec = VectorSimulator(instance)
+    chunked = chunked_engine(instance)
+    for schedule in (uniform_schedule(instance, rng), random_schedule(instance, rng)):
+        expected = simulate(instance, schedule)
+        assert_results_equal(vec.evaluate(schedule), expected)
+        assert_results_equal(chunked.evaluate(schedule), expected)

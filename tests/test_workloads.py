@@ -171,6 +171,16 @@ class TestDacapoPresets:
         assert first["paper_functions"] == 1187
         assert first["generated_calls"] > 0
 
+    @pytest.mark.parametrize("scale", [0.002, 0.01])
+    def test_table1_counts_are_the_generated_instances(self, scale):
+        """``table1_rows`` reads its generated columns from the preset's
+        spec; they are the counts of the trace ``load`` generates."""
+        rows = {row["program"]: row for row in table1_rows(scale=scale)}
+        for info in TABLE1:
+            inst = load(info.name, scale=scale)
+            assert rows[info.name]["generated_functions"] == inst.num_functions
+            assert rows[info.name]["generated_calls"] == inst.num_calls
+
     def test_parallel_flags(self):
         assert BENCHMARKS["hsqldb"].parallel
         assert BENCHMARKS["lusearch"].parallel
