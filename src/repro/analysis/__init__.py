@@ -23,6 +23,7 @@ from .experiments import (
     scheme_comparison,
     table1,
     table2,
+    v8_comparison,
 )
 from .reporting import (
     format_errors,
@@ -51,6 +52,7 @@ __all__ = [
     "figure7",
     "figure8",
     "scheme_comparison",
+    "v8_comparison",
     "grand_comparison",
     "astar_scaling",
     "average_row",

@@ -20,6 +20,7 @@ driver                 reproduces
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 import traceback
@@ -44,6 +45,9 @@ from ..core.iar import IARParams, iar
 from ..core.makespan import simulate
 from ..core.model import OCSPInstance
 from ..core.single_level import base_level_schedule, optimizing_level_schedule
+from ..faults.degrade import scheme_comparison, v8_comparison
+from ..faults.injector import active_injector
+from ..faults.sweep import fault_sweep_rows
 from ..vm.costbenefit import CostBenefitModel, EstimatedModel, OracleModel
 from ..vm.jikes import run_jikes
 from ..vm.v8 import run_v8
@@ -54,6 +58,7 @@ from . import metrics
 __all__ = [
     "table1",
     "scheme_comparison",
+    "v8_comparison",
     "grand_comparison",
     "figure5",
     "figure6",
@@ -118,139 +123,34 @@ def project_to_model_levels(
     )
 
 
-def scheme_comparison(
-    instance: OCSPInstance,
-    model_factory=EstimatedModel,
-    compile_threads: int = 1,
-    iar_params: IARParams = IARParams(),
-    tracer=None,
-) -> Dict[str, float]:
-    """Normalized make-span of every scheme on one benchmark.
-
-    Returns keys ``lower_bound`` (1.0 by construction), ``iar``,
-    ``default`` (Jikes RVM scheme), ``base_level``, ``optimizing_level``
-    — the five bars of Figures 5/6.  All schemes run on the two-level
-    projection chosen by the cost-benefit model (see
-    :func:`project_to_model_levels`).
-
-    Args:
-        instance: the benchmark.
-        model_factory: builds the cost-benefit model for an instance
-            (:class:`EstimatedModel` for Figure 5, :class:`OracleModel`
-            for Figure 6).
-        compile_threads: compiler threads for the schedule simulations.
-        iar_params: IAR knobs.
-        tracer: optional :class:`repro.observability.Tracer`; each
-            scheme's run lands in its own process group (``iar``,
-            ``jikes``, ``base_level``, ``optimizing_level``) so one
-            trace file shows the four timelines side by side.
-    """
-    engine = driver_engine()
-    model = model_factory(instance)
-    projected = project_to_model_levels(instance, model)
-    lb = lower_bound(projected)
-    high = {
-        fname: projected.profiles[fname].num_levels - 1
-        for fname in projected.called_functions
-    }
-
-    def scoped(process: str):
-        return None if tracer is None else tracer.scope(process)
-
-    iar_sched = iar(projected, iar_params, high_levels=high, engine=engine).schedule
-    iar_result = simulate(
-        projected, iar_sched, compile_threads=compile_threads, validate=False,
-        tracer=scoped("iar"), engine=engine,
-    )
-
-    default_result = run_jikes(
-        projected, model=model_factory(projected),
-        compile_threads=compile_threads, tracer=scoped("jikes"),
-    )
-
-    base_result = simulate(
-        projected,
-        base_level_schedule(projected),
-        compile_threads=compile_threads,
-        validate=False,
-        tracer=scoped("base_level"),
-        engine=engine,
-    )
-
-    opt_result = simulate(
-        projected,
-        optimizing_level_schedule(projected, levels=high),
-        compile_threads=compile_threads,
-        validate=False,
-        tracer=scoped("optimizing_level"),
-        engine=engine,
-    )
-
-    return {
-        "lower_bound": 1.0,
-        "iar": metrics.normalized(iar_result.makespan, lb),
-        "default": metrics.normalized(default_result.makespan, lb),
-        "base_level": metrics.normalized(base_result.makespan, lb),
-        "optimizing_level": metrics.normalized(opt_result.makespan, lb),
-    }
-
-
-def _trace_into(trace_dir: str, label: str, name: str):
-    """A fresh tracer whose events will be written to
-    ``{trace_dir}/{label}-{name}.trace.json`` by :func:`_write_trace`."""
-    from ..observability import Tracer
-
-    os.makedirs(trace_dir, exist_ok=True)
-    return Tracer()
-
-
-def _write_trace(tracer, trace_dir: str, label: str, name: str) -> None:
-    from ..observability import write_chrome_trace
-
-    path = os.path.join(trace_dir, f"{label}-{name}.trace.json")
-    write_chrome_trace(tracer, path)
-
-
 def _figure_rows(
     suite: Suite,
-    model_factory,
-    compile_threads: int = 1,
-    trace_dir: Optional[str] = None,
-    label: str = "figure",
-    faults: Optional[str] = None,
+    label: str,
+    compare: Callable[..., Dict[str, float]],
+    trace_dir: Optional[str],
+    faults: Optional[str],
 ) -> List[Dict[str, object]]:
-    faulty = faults is not None and faults != ""
-    if faulty:
-        from ..faults import faulty_scheme_comparison, parse_fault_spec
+    """One ``compare(instance, tracer=..., faults=...)`` row per
+    benchmark.  Under a non-null ``faults`` spec each benchmark gets a
+    fresh injector and its row a ``"faults"`` tally; with ``trace_dir``
+    each benchmark's runs go to ``{trace_dir}/{label}-{name}.trace.json``.
+    """
+    from ..observability import Tracer, write_chrome_trace
 
-        spec = parse_fault_spec(faults)
-        faulty = not spec.is_null
+    if trace_dir is not None:
+        os.makedirs(trace_dir, exist_ok=True)
     rows: List[Dict[str, object]] = []
     for name, instance in suite.items():
-        tracer = (
-            _trace_into(trace_dir, label, name) if trace_dir is not None else None
-        )
+        tracer = Tracer() if trace_dir is not None else None
+        injector = active_injector(faults)
         row: Dict[str, object] = {"benchmark": name}
-        if faulty:
-            comparison, summary = faulty_scheme_comparison(
-                instance,
-                spec,
-                model_factory=model_factory,
-                compile_threads=compile_threads,
-            )
-            row.update(comparison)
-            row["faults"] = summary
-        else:
-            row.update(
-                scheme_comparison(
-                    instance,
-                    model_factory=model_factory,
-                    compile_threads=compile_threads,
-                    tracer=tracer,
-                )
-            )
+        row.update(compare(instance, tracer=tracer, faults=injector))
+        if injector is not None:
+            row["faults"] = injector.summary()
         if tracer is not None:
-            _write_trace(tracer, trace_dir, label, name)
+            write_chrome_trace(
+                tracer, os.path.join(trace_dir, f"{label}-{name}.trace.json")
+            )
         rows.append(row)
     return rows
 
@@ -268,15 +168,13 @@ def figure5(
     ``figure5-<benchmark>.trace.json`` Chrome trace files.  With a
     non-null ``faults`` spec string, every scheme runs degraded under
     that spec (see :mod:`repro.faults`) and each row gains a
-    ``"faults"`` tally; tracing is unavailable on the faulty path.
+    ``"faults"`` tally.
     """
-    return _figure_rows(
-        suite,
-        lambda inst: EstimatedModel(inst, seed=model_seed),
-        trace_dir=trace_dir,
-        label="figure5",
-        faults=faults,
+    compare = functools.partial(
+        scheme_comparison,
+        model_factory=lambda inst: EstimatedModel(inst, seed=model_seed),
     )
+    return _figure_rows(suite, "figure5", compare, trace_dir, faults)
 
 
 def figure6(
@@ -285,10 +183,8 @@ def figure6(
     faults: Optional[str] = None,
 ) -> List[Dict[str, object]]:
     """Figure 6: normalized make-spans under the oracle model."""
-    return _figure_rows(
-        suite, OracleModel, trace_dir=trace_dir, label="figure6",
-        faults=faults,
-    )
+    compare = functools.partial(scheme_comparison, model_factory=OracleModel)
+    return _figure_rows(suite, "figure6", compare, trace_dir, faults)
 
 
 def figure7(
@@ -332,71 +228,11 @@ def figure8(
 
     The paper uses the lowest two Jikes levels as V8's low/high pair;
     the lower bound is recomputed for the projected (2-level) instance,
-    which is why all gaps shrink relative to Figure 5.  A non-null
-    ``faults`` spec string degrades every scheme (see
-    :mod:`repro.faults`); tracing is unavailable on the faulty path.
+    which is why all gaps shrink relative to Figure 5.  ``trace_dir``
+    and a non-null ``faults`` spec string work as in :func:`figure5`.
     """
-    low, high = levels
-    faulty = faults is not None and faults != ""
-    if faulty:
-        from ..faults import faulty_v8_comparison, parse_fault_spec
-
-        spec = parse_fault_spec(faults)
-        faulty = not spec.is_null
-    if faulty:
-        rows = []
-        for name, instance in suite.items():
-            comparison, summary = faulty_v8_comparison(
-                instance, spec, levels=levels
-            )
-            row: Dict[str, object] = {"benchmark": name}
-            row.update(comparison)
-            row["faults"] = summary
-            rows.append(row)
-        return rows
-    engine = driver_engine()
-    rows: List[Dict[str, object]] = []
-    for name, instance in suite.items():
-        tracer = (
-            _trace_into(trace_dir, "figure8", name)
-            if trace_dir is not None
-            else None
-        )
-
-        def scoped(process: str):
-            return None if tracer is None else tracer.scope(process)
-
-        projected = instance.restricted_to_levels(
-            {fname: [low, high] for fname in instance.profiles}
-        )
-        lb = lower_bound(projected)
-        v8_result = run_v8(projected, levels=(0, 1), tracer=scoped("v8"))
-        iar_sched = iar(projected, engine=engine).schedule
-        iar_result = simulate(
-            projected, iar_sched, validate=False, tracer=scoped("iar"),
-            engine=engine,
-        )
-        base_result = simulate(
-            projected, base_level_schedule(projected), validate=False,
-            tracer=scoped("base_level"), engine=engine,
-        )
-        opt_result = simulate(
-            projected, optimizing_level_schedule(projected), validate=False,
-            tracer=scoped("optimizing_level"), engine=engine,
-        )
-        if tracer is not None:
-            _write_trace(tracer, trace_dir, "figure8", name)
-        rows.append(
-            {
-                "benchmark": name,
-                "lower_bound": 1.0,
-                "iar": metrics.normalized(iar_result.makespan, lb),
-                "default": metrics.normalized(v8_result.makespan, lb),
-                "base_level": metrics.normalized(base_result.makespan, lb),
-                "optimizing_level": metrics.normalized(opt_result.makespan, lb),
-            }
-        )
-    return rows
+    compare = functools.partial(v8_comparison, levels=levels)
+    return _figure_rows(suite, "figure8", compare, trace_dir, faults)
 
 
 def faults_sweep(
@@ -409,13 +245,9 @@ def faults_sweep(
     """Degradation curves: the Figure 5 comparison at several rates of
     one fault dimension (``repro faults sweep``).
 
-    Thin, process-pool-safe wrapper over
-    :func:`repro.faults.sweep.fault_sweep_rows` (imported lazily so
-    spawn-context workers can pickle units by driver name without
-    importing the fault layer up front).
+    Thin wrapper over :func:`repro.faults.sweep.fault_sweep_rows`, so
+    the process-pool runner finds it by driver name.
     """
-    from ..faults.sweep import fault_sweep_rows
-
     return fault_sweep_rows(
         suite,
         spec=spec,

@@ -18,11 +18,11 @@ runs.  See ``docs/ROBUSTNESS.md`` for the fault model.
 from .degrade import (
     FaultyPlan,
     apply_to_schedule,
-    faulty_scheme_comparison,
-    faulty_v8_comparison,
+    scheme_comparison,
     simulate_with_faults,
+    v8_comparison,
 )
-from .injector import FaultInjector
+from .injector import FaultInjector, active_injector
 from .spec import DIMENSIONS, FaultSpec, FaultSpecError, parse_fault_spec
 from .sweep import DEFAULT_RATES, fault_sweep_rows, degradation_curves
 
@@ -33,10 +33,11 @@ __all__ = [
     "FaultSpecError",
     "FaultInjector",
     "FaultyPlan",
+    "active_injector",
     "apply_to_schedule",
     "simulate_with_faults",
-    "faulty_scheme_comparison",
-    "faulty_v8_comparison",
+    "scheme_comparison",
+    "v8_comparison",
     "fault_sweep_rows",
     "degradation_curves",
     "parse_fault_spec",

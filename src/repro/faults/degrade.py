@@ -1,22 +1,22 @@
-"""Graceful degradation of *planned* schedules under fault injection.
+"""Graceful degradation of *planned* schedules, and the fault-aware
+Figure 5/6/8 comparisons.
 
 The reactive runtime (:class:`repro.vm.runtime.RuntimeSimulator`) owns a
 clock, so it degrades requests in-line as they fail.  Planned schedules
 (IAR, the single-level baselines) have no clock — the schedule exists
 before the run starts — so degradation is a *rewrite*:
-:func:`apply_to_schedule` expands every planned task into its attempt
-chain (failed attempts occupy their compiler thread but install no
-code), and the resulting :class:`FaultyPlan` feeds the measurement
-engines through their ``task_compile_times`` / ``task_installs``
-overrides.
+:func:`apply_to_schedule` expands every planned task into the attempts
+of its degradation chain (:meth:`repro.faults.FaultInjector.degrade`,
+the one chain every path runs; failed attempts occupy their compiler
+thread but install no code), and the resulting :class:`FaultyPlan`
+feeds the measurement engines through their ``task_compile_times`` /
+``task_installs`` overrides.  The spec's ``backoff`` is a *delay* and a
+plan has no clock to wait on, so the planned path ignores it (retries
+queue back-to-back on the compiler threads).
 
-The chain mirrors the runtime's exactly — same decision keys
-``(function, level, attempt)``, same retry-one-level-lower policy, same
-guaranteed level-0 fail-safe on a first encounter — so a fault verdict
-is identical no matter which engine asks.  The one deliberate
-difference: the spec's ``backoff`` is a *delay* and a plan has no clock
-to wait on, so the planned path ignores it (retries queue back-to-back
-on the compiler threads).
+:func:`scheme_comparison` and :func:`v8_comparison` compute one row of
+Figures 5/6 and 8, with or without faults: a null spec means no
+injector, so their fault-free rows are the paper's figures.
 """
 
 from __future__ import annotations
@@ -33,24 +33,24 @@ from ..core.single_level import base_level_schedule, optimizing_level_schedule
 from ..vm.costbenefit import EstimatedModel
 from ..vm.jikes import run_jikes
 from ..vm.v8 import run_v8
-from .injector import FaultInjector
+from .injector import FaultInjector, active_injector
 from .spec import FaultSpec
 
 __all__ = [
     "FaultyPlan",
     "apply_to_schedule",
     "simulate_with_faults",
-    "faulty_scheme_comparison",
-    "faulty_v8_comparison",
+    "scheme_comparison",
+    "v8_comparison",
 ]
 
 FaultsLike = Union[FaultInjector, FaultSpec, str]
 
 
-def _as_injector(faults: FaultsLike, metrics=None) -> FaultInjector:
+def _as_injector(faults: Optional[FaultsLike]) -> FaultInjector:
     if isinstance(faults, FaultInjector):
         return faults
-    return FaultInjector(faults, metrics=metrics)
+    return FaultInjector(faults or "")
 
 
 @dataclass(frozen=True)
@@ -93,8 +93,8 @@ class FaultyPlan:
         )
 
     def summary(self) -> Dict[str, object]:
-        """Plain-data counters (JSON-ready), mirroring
-        :meth:`repro.faults.FaultInjector.summary` keys."""
+        """Plain-data counters (JSON-ready), under the keys of
+        :meth:`repro.faults.FaultInjector.summary`."""
         return {
             "compile_failures": self.failures,
             "retries": self.retries,
@@ -112,21 +112,17 @@ def apply_to_schedule(
 ) -> FaultyPlan:
     """Expand ``schedule`` into its degraded attempt chains.
 
-    Each planned task runs the same chain as the reactive runtime's
-    :meth:`~repro.vm.runtime.RuntimeSimulator.enqueue` under faults:
-    attempt the requested level; on failure retry one level lower, up
-    to ``spec.retries`` times; a chain that runs out of retries falls
-    back to the function's already-installed tier, except on a first
-    encounter, where one guaranteed level-0 compile keeps the function
-    runnable.  Decision keys are ``(function, level, attempt)``, so the
-    verdicts match the runtime's for identical requests.
+    Each planned task runs :meth:`FaultInjector.degrade` against the
+    level its function has installed so far in this plan, and every
+    attempt becomes a task of the plan.  Decision keys are
+    ``(function, level, attempt)``, so the verdicts match the reactive
+    runtime's for identical requests.
 
     The injector's tallies advance by exactly the counts recorded in
     the returned plan (one injector may serve several plans; the plan
     carries its own deltas).
     """
     injector = _as_injector(injector)
-    spec = injector.spec
     profiles = instance.profiles
     tasks: List[CompileTask] = []
     compile_times: List[float] = []
@@ -137,42 +133,18 @@ def apply_to_schedule(
 
     for task in schedule:
         fname = task.function
-        prof = profiles[fname]
-        must_install = fname not in achieved
-        cur = achieved.get(fname, -1)
-        lvl = task.level
-        attempt = 1
-        while True:
-            if not must_install and lvl <= cur:
-                # Degraded below the installed tier: keep running there.
-                injector.note_fallback()
-                break
-            factor = injector.compile_time_factor(fname, lvl, attempt)
-            c = prof.compile_times[lvl]
-            if factor != 1.0:
-                c *= factor
-            guaranteed = must_install and attempt > spec.retries and lvl == 0
-            failed = not guaranteed and injector.compile_fails(
-                fname, lvl, attempt
-            )
+        attempts, _ = injector.degrade(
+            fname,
+            profiles[fname].compile_times,
+            task.level,
+            achieved.get(fname, -1),
+        )
+        for lvl, _, c, failed in attempts:
             tasks.append(CompileTask(fname, lvl))
             compile_times.append(c)
             installs.append(not failed)
             if not failed:
-                if must_install and attempt > spec.retries:
-                    injector.note_forced_install()
                 achieved[fname] = lvl
-                break
-            injector.note_wasted(c)
-            if attempt > spec.retries and not must_install:
-                injector.note_fallback()
-                break
-            if attempt <= spec.retries:
-                injector.note_retry()
-                lvl = max(0, lvl - 1)
-            else:
-                lvl = 0  # next round is the guaranteed fail-safe
-            attempt += 1
 
     delta = {key: injector.tally[key] - before[key] for key in before}
     return FaultyPlan(
@@ -191,12 +163,13 @@ def apply_to_schedule(
 def simulate_with_faults(
     instance: OCSPInstance,
     schedule: Schedule,
-    faults: FaultsLike,
+    faults: Optional[FaultsLike],
     compile_threads: int = 1,
     record_timeline: bool = False,
     validate: bool = True,
     engine: Optional[str] = None,
     metrics=None,
+    tracer=None,
 ) -> Tuple[MakespanResult, FaultyPlan]:
     """Degrade ``schedule`` under ``faults`` and measure the result.
 
@@ -205,8 +178,8 @@ def simulate_with_faults(
             only affects what a scheduler planned with, never what the
             simulator charges).
         schedule: the intended (pre-fault) schedule.
-        faults: a :class:`FaultInjector`, :class:`FaultSpec`, or spec
-            string.
+        faults: ``None``, a :class:`FaultInjector`, :class:`FaultSpec`,
+            or spec string.
         compile_threads: compiler threads.
         record_timeline: keep per-task/per-call timings.
         validate: validate the *intended* schedule first (the degraded
@@ -225,19 +198,23 @@ def simulate_with_faults(
             :func:`~repro.core.makespan.simulate` (its ``makespan.*``
             counters) and — when ``faults`` is not already an injector —
             the injector.
+        tracer: optional :class:`repro.observability.Tracer` (or scope)
+            for the measured timeline; failed attempts show as compile
+            spans.
 
     Returns:
         ``(result, plan)``: the measured timings and the degraded plan
-        that produced them.  A null spec takes the untouched clean
-        path, so its result is bitwise equal to a fault-free run.
+        that produced them.  No faults or a null spec takes the
+        untouched clean path, so its result is bitwise equal to a
+        fault-free run.
     """
     from ..core.engine import resolve_engine
 
     engine = resolve_engine(engine, fallback="reference")
-    injector = _as_injector(faults, metrics=metrics)
+    injector = active_injector(faults, metrics=metrics)
     if validate:
         schedule.validate(instance)
-    if injector.null:
+    if injector is None:
         plan = FaultyPlan(
             tasks=schedule,
             compile_times=tuple(
@@ -254,60 +231,81 @@ def simulate_with_faults(
         compile_threads=compile_threads,
         record_timeline=record_timeline,
         validate=False,
-        task_compile_times=None if injector.null else plan.compile_times,
-        task_installs=None if injector.null else plan.installs,
+        task_compile_times=None if injector is None else plan.compile_times,
+        task_installs=None if injector is None else plan.installs,
+        tracer=tracer,
         metrics=metrics,
         engine=engine,
     )
     return result, plan
 
 
-def faulty_scheme_comparison(
+def _planned(projected, lb, faults, compile_threads, tracer, engine):
+    """Normalized make-span of a planned schedule on ``projected``,
+    degraded under ``faults``, traced in its own process group."""
+    from ..analysis import metrics
+
+    def span(schedule: Schedule, process: str) -> float:
+        result, _ = simulate_with_faults(
+            projected,
+            schedule,
+            faults,
+            compile_threads=compile_threads,
+            validate=False,
+            engine=engine,
+            tracer=None if tracer is None else tracer.scope(process),
+        )
+        return metrics.normalized(result.makespan, lb)
+
+    return span
+
+
+def scheme_comparison(
     instance: OCSPInstance,
-    faults: FaultsLike,
     model_factory=EstimatedModel,
     compile_threads: int = 1,
     iar_params: IARParams = IARParams(),
-    metrics=None,
-) -> Tuple[Dict[str, float], Dict[str, object]]:
-    """The five bars of Figures 5/6 under fault injection.
+    tracer=None,
+    faults: Optional[FaultsLike] = None,
+) -> Dict[str, float]:
+    """Normalized make-span of every scheme on one benchmark.
 
-    Planned schemes (IAR, the single-level baselines) plan against the
-    injector's :meth:`~repro.faults.FaultInjector.scheduler_view` (the
-    mispredicted cost table) and degrade through
-    :func:`simulate_with_faults`; the reactive default scheme runs with
-    the injector in-line.  Everything normalizes against the *clean*
-    lower bound of the projection, so degradation curves read directly
-    as "how far faults push each scheme from the fault-free limit".
+    Returns keys ``lower_bound`` (1.0 by construction), ``iar``,
+    ``default`` (Jikes RVM scheme), ``base_level``, ``optimizing_level``
+    — the five bars of Figures 5/6.  All schemes run on the two-level
+    projection chosen by the cost-benefit model (see
+    :func:`repro.analysis.experiments.project_to_model_levels`) and
+    normalize against its clean lower bound, so under faults the row
+    reads as "how far faults push each scheme from the fault-free
+    limit".
 
-    Returns:
-        ``(row, summary)``: the figure row (``lower_bound``, ``iar``,
-        ``default``, ``base_level``, ``optimizing_level``) and the
-        injector's fault tally for this benchmark.  A null spec
-        delegates to the clean
-        :func:`repro.analysis.experiments.scheme_comparison`, making
-        zero-rate results bitwise equal to the fault-free path.
+    Args:
+        instance: the benchmark.
+        model_factory: builds the cost-benefit model for an instance
+            (:class:`EstimatedModel` for Figure 5, :class:`OracleModel`
+            for Figure 6).
+        compile_threads: compiler threads for every scheme.
+        iar_params: IAR knobs.
+        tracer: optional :class:`repro.observability.Tracer`; each
+            scheme's run lands in its own process group (``iar``,
+            ``jikes``, ``base_level``, ``optimizing_level``) so one
+            trace file shows the four timelines side by side.
+        faults: optional injector or spec.  The planned schemes plan
+            against its :meth:`~repro.faults.FaultInjector.scheduler_view`
+            (the mispredicted cost table) and degrade through
+            :func:`simulate_with_faults`; the reactive default scheme
+            runs with the injector in-line.  An injector's tally then
+            holds every fault of the four runs.
     """
-    from ..analysis import metrics as ametrics
-    from ..analysis.experiments import (
-        driver_engine,
-        project_to_model_levels,
-        scheme_comparison,
-    )
+    from ..analysis import metrics
+    from ..analysis.experiments import driver_engine, project_to_model_levels
 
-    injector = _as_injector(faults, metrics=metrics)
-    if injector.null:
-        row = scheme_comparison(
-            instance,
-            model_factory=model_factory,
-            compile_threads=compile_threads,
-            iar_params=iar_params,
-        )
-        return row, injector.summary()
-
+    injector = _as_injector(faults)
+    engine = driver_engine()
     model = model_factory(instance)
     projected = project_to_model_levels(instance, model)
     lb = lower_bound(projected)
+    planned = _planned(projected, lb, injector, compile_threads, tracer, engine)
     high = {
         fname: projected.profiles[fname].num_levels - 1
         for fname in projected.called_functions
@@ -315,114 +313,66 @@ def faulty_scheme_comparison(
     # What the schedulers believe the costs are; the simulators keep
     # charging ``projected`` (the truth).
     view = injector.scheduler_view(projected)
-    engine = driver_engine()
-
     iar_sched = iar(view, iar_params, high_levels=high, engine=engine).schedule
-    iar_result, _ = simulate_with_faults(
-        projected,
-        iar_sched,
-        injector,
-        compile_threads=compile_threads,
-        validate=False,
-        engine=engine,
-    )
-
+    # The runs go in figure order, which fixes the order of the trace
+    # and of the injector's wasted-time sum.
+    iar_span = planned(iar_sched, "iar")
     default_result = run_jikes(
         projected,
         model=model_factory(view),
         compile_threads=compile_threads,
+        tracer=None if tracer is None else tracer.scope("jikes"),
         faults=injector,
     )
-
-    base_result, _ = simulate_with_faults(
-        projected,
-        base_level_schedule(projected),
-        injector,
-        compile_threads=compile_threads,
-        validate=False,
-        engine=engine,
-    )
-
-    opt_result, _ = simulate_with_faults(
-        projected,
-        optimizing_level_schedule(projected, levels=high),
-        injector,
-        compile_threads=compile_threads,
-        validate=False,
-        engine=engine,
-    )
-
-    row = {
+    return {
         "lower_bound": 1.0,
-        "iar": ametrics.normalized(iar_result.makespan, lb),
-        "default": ametrics.normalized(default_result.makespan, lb),
-        "base_level": ametrics.normalized(base_result.makespan, lb),
-        "optimizing_level": ametrics.normalized(opt_result.makespan, lb),
+        "iar": iar_span,
+        "default": metrics.normalized(default_result.makespan, lb),
+        "base_level": planned(base_level_schedule(projected), "base_level"),
+        "optimizing_level": planned(
+            optimizing_level_schedule(projected, levels=high), "optimizing_level"
+        ),
     }
-    return row, injector.summary()
 
 
-def faulty_v8_comparison(
+def v8_comparison(
     instance: OCSPInstance,
-    faults: FaultsLike,
     levels: Tuple[int, int] = (0, 1),
-    compile_threads: int = 1,
-    metrics=None,
-) -> Tuple[Dict[str, float], Dict[str, object]]:
-    """Figure 8's row (V8 scheme on a two-level projection) under
-    faults; same structure as :func:`faulty_scheme_comparison`.
+    tracer=None,
+    faults: Optional[FaultsLike] = None,
+) -> Dict[str, float]:
+    """Figure 8's row: the V8 scheme as ``default`` beside IAR and the
+    single-level baselines, on the two-level projection ``levels``.
 
-    A null spec needs no special path here: the runtime normalizes a
-    null injector away and planned degradation never fires, so the
-    numbers are bitwise equal to the clean Figure 8 computation.
+    The lower bound is recomputed for the projected instance, which is
+    why all gaps shrink relative to Figure 5.  ``tracer`` and
+    ``faults`` work as in :func:`scheme_comparison` (the runtime's
+    process group is ``v8``).
     """
-    from ..analysis import metrics as ametrics
+    from ..analysis import metrics
     from ..analysis.experiments import driver_engine
 
-    injector = _as_injector(faults, metrics=metrics)
+    injector = _as_injector(faults)
     engine = driver_engine()
     low, high = levels
     projected = instance.restricted_to_levels(
         {fname: [low, high] for fname in instance.profiles}
     )
     lb = lower_bound(projected)
-    view = injector.scheduler_view(projected)
-
+    planned = _planned(projected, lb, injector, 1, tracer, engine)
     v8_result = run_v8(
-        projected, levels=(0, 1), compile_threads=compile_threads,
+        projected,
+        levels=(0, 1),
+        tracer=None if tracer is None else tracer.scope("v8"),
         faults=injector,
     )
-    iar_sched = iar(view, engine=engine).schedule
-    iar_result, _ = simulate_with_faults(
-        projected,
-        iar_sched,
-        injector,
-        compile_threads=compile_threads,
-        validate=False,
-        engine=engine,
-    )
-    base_result, _ = simulate_with_faults(
-        projected,
-        base_level_schedule(projected),
-        injector,
-        compile_threads=compile_threads,
-        validate=False,
-        engine=engine,
-    )
-    opt_result, _ = simulate_with_faults(
-        projected,
-        optimizing_level_schedule(projected),
-        injector,
-        compile_threads=compile_threads,
-        validate=False,
-        engine=engine,
-    )
-
-    row = {
+    iar_sched = iar(injector.scheduler_view(projected), engine=engine).schedule
+    return {
         "lower_bound": 1.0,
-        "iar": ametrics.normalized(iar_result.makespan, lb),
-        "default": ametrics.normalized(v8_result.makespan, lb),
-        "base_level": ametrics.normalized(base_result.makespan, lb),
-        "optimizing_level": ametrics.normalized(opt_result.makespan, lb),
+        "iar": planned(iar_sched, "iar"),
+        "default": metrics.normalized(v8_result.makespan, lb),
+        "base_level": planned(base_level_schedule(projected), "base_level"),
+        "optimizing_level": planned(
+            optimizing_level_schedule(projected), "optimizing_level"
+        ),
     }
-    return row, injector.summary()

@@ -4,10 +4,14 @@ A :class:`FaultInjector` answers the questions the engines ask — *does
 this compile attempt fail?  is this thread stalled?  is this sampler
 tick lost?* — from a keyed hash of ``(seed, kind, key...)``, never from
 a shared RNG stream.  Decisions are therefore **order-independent**:
-the reactive runtime and the planned-schedule degrader reach the same
-verdict for the same ``(function, level, attempt)`` no matter how many
-other questions were asked in between, and a re-run with the same seed
-reproduces every fault bit-for-bit.
+the same ``(function, level, attempt)`` gets the same verdict no matter
+how many other questions were asked in between, and a re-run with the
+same seed reproduces every fault bit-for-bit.
+
+:meth:`FaultInjector.degrade` is the one degradation chain: the
+reactive runtime places its attempts on compiler threads, the planned
+path (:func:`repro.faults.apply_to_schedule`) appends them to a plan,
+and the decision service turns them into a decision record.
 
 The injector also tallies what actually fired (failures, retries,
 fallbacks, forced installs, stalls, dropped/duplicated ticks, wasted
@@ -19,13 +23,17 @@ compile time) and mirrors the integer counts into an optional
 from __future__ import annotations
 
 import random
-from typing import Dict, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.model import OCSPInstance
 from ..core.online import perturb_times
 from .spec import FaultSpec, parse_fault_spec
 
-__all__ = ["FaultInjector"]
+__all__ = ["FaultInjector", "Attempt", "active_injector"]
+
+Attempt = Tuple[int, int, float, bool]
+"""One compile attempt of a degradation chain: ``(level, attempt,
+charged compile time, failed)``."""
 
 _TALLY_KEYS = (
     "compile_failures",
@@ -154,7 +162,79 @@ class FaultInjector:
         )
 
     # ------------------------------------------------------------------
-    # Bookkeeping the engines report explicitly
+    # The degradation chain
+    # ------------------------------------------------------------------
+    def degrade(
+        self,
+        fname: str,
+        compile_times: Sequence[float],
+        level: int,
+        installed: int,
+    ) -> Tuple[List[Attempt], bool]:
+        """The degradation chain of one compile request.
+
+        Attempt ``level``; on failure retry one level lower, up to
+        ``spec.retries`` times.  A retry that would land at or below the
+        ``installed`` tier stops the chain: the function keeps running
+        there.  A chain that runs out of retries falls back to the
+        installed tier too, except on a *first encounter*
+        (``installed < 0``), where one guaranteed level-0 compile — the
+        fail-safe tier a production JIT's baseline compiler provides —
+        keeps every called function runnable.  Failed attempts cost
+        their compile time (times the stall factor when the thread
+        stalled) and install nothing.
+
+        Every draw and tally happens here, keyed by
+        ``(function, level, attempt)``; callers only place the attempts
+        on their own clock (the runtime adds the spec's ``backoff``).
+
+        Args:
+            fname: the function.
+            compile_times: its compile time per level.
+            level: the requested level.
+            installed: the highest level installed (or pending) so far,
+                ``-1`` before the first install.
+
+        Returns:
+            ``(attempts, below)``: every attempt as an :data:`Attempt`,
+            in order — only the last one can succeed — and whether the
+            chain stopped at or below the installed tier.
+        """
+        retries = self.spec.retries
+        must_install = installed < 0
+        attempts: List[Attempt] = []
+        lvl = level
+        attempt = 1
+        while True:
+            if not must_install and lvl <= installed:
+                self.note_fallback()
+                return attempts, True
+            c = compile_times[lvl]
+            factor = self.compile_time_factor(fname, lvl, attempt)
+            if factor != 1.0:
+                c *= factor
+            # The fail-safe: a first-encounter chain past its retry
+            # budget compiles at level 0 and cannot fail.
+            guaranteed = must_install and attempt > retries and lvl == 0
+            failed = not guaranteed and self.compile_fails(fname, lvl, attempt)
+            attempts.append((lvl, attempt, c, failed))
+            if not failed:
+                if must_install and attempt > retries:
+                    self.note_forced_install()
+                return attempts, False
+            self.note_wasted(c)
+            if attempt <= retries:
+                self.note_retry()
+                lvl = max(0, lvl - 1)
+            elif must_install:
+                lvl = 0  # next round is the guaranteed fail-safe
+            else:
+                self.note_fallback()
+                return attempts, False
+            attempt += 1
+
+    # ------------------------------------------------------------------
+    # Bookkeeping
     # ------------------------------------------------------------------
     def note_retry(self) -> None:
         """A failed request is being retried at a lower level."""
@@ -204,3 +284,18 @@ class FaultInjector:
         out: Dict[str, object] = dict(self.tally)
         out["wasted_compile_time"] = self.wasted_compile_time
         return out
+
+
+def active_injector(faults, metrics=None) -> Optional[FaultInjector]:
+    """``faults`` as an injector, or ``None`` when nothing can fire.
+
+    Accepts ``None``, a spec string, a :class:`FaultSpec` or an
+    injector (``metrics`` reaches only an injector built here).  A null
+    spec means no injector: every engine then takes its untouched clean
+    path, so zero-rate results are bitwise equal to fault-free ones.
+    """
+    if faults is None:
+        return None
+    if not isinstance(faults, FaultInjector):
+        faults = FaultInjector(faults, metrics=metrics)
+    return None if faults.null else faults

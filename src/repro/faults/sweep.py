@@ -2,10 +2,10 @@
 
 A sweep runs the five-scheme comparison of Figures 5/6 at several rates
 of one fault *dimension* (``compile_fail``, ``stall``, ``mispredict``,
-or ``ticks``), holding every other knob of the base spec fixed.  The
-zero-rate point delegates to the clean comparison, so the curve's
-origin is bitwise equal to the fault-free figures — the rest of the
-curve is pure injected degradation.
+or ``ticks``), holding every other knob of the base spec fixed.  A
+zero-rate point injects nothing, so the curve's origin is bitwise equal
+to the fault-free figures — the rest of the curve is pure injected
+degradation.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..core.model import OCSPInstance
 from ..vm.costbenefit import EstimatedModel
-from .degrade import faulty_scheme_comparison
+from .degrade import scheme_comparison
 from .injector import FaultInjector
 from .spec import DIMENSIONS, FaultSpecError, parse_fault_spec
 
@@ -68,21 +68,20 @@ def fault_sweep_rows(
             injector = FaultInjector(
                 base.scaled(dimension, float(rate)), metrics=metrics
             )
-            comparison, summary = faulty_scheme_comparison(
-                instance,
-                injector,
-                model_factory=lambda inst: EstimatedModel(
-                    inst, seed=model_seed
-                ),
-                compile_threads=compile_threads,
-            )
             row: Dict[str, object] = {
                 "benchmark": name,
                 "dimension": dimension,
                 "fault_rate": float(rate),
             }
-            row.update(comparison)
-            row["faults"] = summary
+            row.update(
+                scheme_comparison(
+                    instance,
+                    model_factory=lambda inst: EstimatedModel(inst, seed=model_seed),
+                    compile_threads=compile_threads,
+                    faults=injector,
+                )
+            )
+            row["faults"] = injector.summary()
             rows.append(row)
     return rows
 

@@ -118,7 +118,13 @@ def iter_chrome_records(tracer: _TracerLike) -> Iterator[Dict[str, Any]]:
         }
         if event.kind == "span":
             record["ph"] = "X"
-            record["dur"] = event.end - event.start
+            dur = event.end - event.start
+            if event.start + dur > event.end:
+                # A reader ends the span at ``ts + dur``; keep that at
+                # or before ``end``, where the next span on the lane
+                # may start.
+                dur = math.nextafter(event.end, -math.inf) - event.start
+            record["dur"] = dur
         elif event.kind == "instant":
             record["ph"] = "i"
             record["s"] = "t"

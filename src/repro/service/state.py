@@ -10,11 +10,10 @@ seed, never on batch boundaries, socket interleaving, or wall time.
 
 The pieces:
 
-* :func:`promotion_level` — the count-based promotion test, the same
-  Jikes RVM cost/benefit inequality as
-  :meth:`repro.vm.costbenefit.CostBenefitModel.recompilation_level`
-  (``recompile at m iff e_m*k + c_m < e_l*k``), applied to the calls a
-  function has already received as the predictor of its future;
+* :func:`promotion_level` — the count-based promotion test, Jikes RVM's
+  cost/benefit inequality (``recompile at m iff e_m*k + c_m < e_l*k``,
+  :mod:`repro.vm.costbenefit`), applied to the calls a function has
+  already received as the predictor of its future;
 * :class:`TenantState` — one tenant's hotness shard: per-function call
   counts and installed levels with LRU eviction of cold functions;
 * :class:`DecisionEngine` — sharded tenant map, the shared cross-tenant
@@ -25,14 +24,11 @@ The pieces:
   replays the chain's fault tallies into the injector, so summaries are
   bitwise identical whether or not the cache served.
 
-The degradation chain deliberately mirrors
-:meth:`repro.vm.runtime.RuntimeSimulator._enqueue_faulty` — same
-``(function, level, attempt)`` decision keys, same retry-one-level-
-lower policy, same guaranteed level-0 fail-safe on a first encounter,
-same ``note_*`` tallies — so a fault verdict is identical no matter
-which path asks, and a null spec is normalized to "no injector at all"
-exactly like the runtime does (zero-rate runs are bitwise equal to
-fault-free runs).
+A compile decision runs the one degradation chain,
+:meth:`repro.faults.FaultInjector.degrade`, so a fault verdict is
+identical no matter which path asks, and a null spec means no injector
+(:func:`repro.faults.active_injector`), so zero-rate runs are bitwise
+equal to fault-free runs.
 """
 
 from __future__ import annotations
@@ -43,9 +39,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..core.model import FunctionProfile
-from ..faults.injector import FaultInjector
+from ..faults.injector import FaultInjector, active_injector
 from ..faults.spec import FaultSpec
 from ..store.fingerprint import canonical_encode
+from ..vm.costbenefit import promotion_level
 
 __all__ = [
     "ServicePolicy",
@@ -77,34 +74,6 @@ class ServicePolicy:
 
     def knobs(self) -> Tuple[float, int, int]:
         return (self.optimism, self.max_functions, self.max_tenants)
-
-
-def promotion_level(
-    profile: FunctionProfile, current_level: int, future_calls: float
-) -> Optional[int]:
-    """Jikes RVM's recompilation test against a raw profile.
-
-    The same inequality as
-    :meth:`repro.vm.costbenefit.CostBenefitModel.recompilation_level`
-    (recompile at the minimal-cost level ``m`` above ``l`` iff
-    ``e_m * k + c_m < e_l * k``); reimplemented over a bare
-    :class:`FunctionProfile` because service tenants stream profiles
-    one at a time and never hold a whole :class:`OCSPInstance`.
-    """
-    levels = profile.num_levels
-    if current_level >= levels - 1:
-        return None
-    best_level: Optional[int] = None
-    best_cost = float("inf")
-    for j in range(current_level + 1, levels):
-        cost = profile.exec_times[j] * future_calls + profile.compile_times[j]
-        if cost < best_cost:
-            best_cost = cost
-            best_level = j
-    stay_cost = profile.exec_times[current_level] * future_calls
-    if best_level is not None and best_cost < stay_cost:
-        return best_level
-    return None
 
 
 class FunctionState:
@@ -200,10 +169,9 @@ class DecisionEngine:
         shards: tenant-map shard count (a deterministic hash of the
             tenant id picks the shard; sharding is a scaling structure
             and never changes a decision).
-        faults: optional injector/spec.  Normalized exactly like
-            :class:`repro.vm.runtime.RuntimeSimulator`: a null spec
-            becomes ``None`` so zero-rate runs take the untouched clean
-            path and stay bitwise equal to fault-free runs.
+        faults: optional injector/spec.  A null spec means no
+            injector, so zero-rate runs take the untouched clean path
+            and stay bitwise equal to fault-free runs.
         cache: optional shared :class:`DecisionCache`.
         metrics: optional :class:`repro.observability.MetricsRegistry`;
             receives ``service.*`` counters and, through the injector,
@@ -237,18 +205,7 @@ class DecisionEngine:
         self._lru: List["OrderedDict[str, None]"] = [
             OrderedDict() for _ in range(shards)
         ]
-        injector = None
-        if faults is not None:
-            injector = (
-                faults
-                if isinstance(faults, FaultInjector)
-                else FaultInjector(faults, metrics=metrics)
-            )
-        # The runtime's normalization (vm/runtime.py): a null spec takes
-        # the clean path so zero-rate output is bitwise fault-free.
-        self.faults = (
-            None if injector is None or injector.null else injector
-        )
+        self.faults = active_injector(faults, metrics=metrics)
         self._spec_key = (
             self.faults.spec.canonical() if self.faults is not None else ""
         )
@@ -413,8 +370,7 @@ class DecisionEngine:
                 if self.faults is not None:
                     self.faults.replay_tally(delta, wasted)
                 return action, level, attempts
-        outcome = self._degrade(fname, profile, target, must_install,
-                                fstate.installed)
+        outcome = self._degrade(fname, profile, target, fstate.installed)
         if self.cache is not None:
             self.cache.put(key, outcome)
         action, level, attempts, _, _ = outcome
@@ -444,77 +400,50 @@ class DecisionEngine:
         fname: str,
         profile: FunctionProfile,
         level: int,
-        must_install: bool,
-        achieved: int,
+        installed: int,
     ) -> Tuple[str, int, int, Dict[str, int], float]:
-        """The degradation chain of one compile decision.
+        """One compile decision through the degradation chain
+        (:meth:`FaultInjector.degrade`), with its fault instants.
 
-        Mirrors :meth:`RuntimeSimulator._enqueue_faulty` minus the
-        clock: same ``(function, level, attempt)`` fault keys, same
-        retry-one-level-lower policy, same guaranteed level-0 fail-safe
-        on a first encounter, same tallies.  Returns the resolved
-        ``(action, level, attempts, tally-delta, wasted-delta)``; the
-        deltas are a before/after diff of the injector's tally so a
-        cache hit can replay *exactly* what the chain counted —
-        including the failures and stalls the injector tallies
-        internally.
+        Returns the resolved ``(action, level, attempts, tally-delta,
+        wasted-delta)``; the deltas are a before/after diff of the
+        injector's tally so a cache hit can replay *exactly* what the
+        chain counted — including the failures and stalls the injector
+        tallies internally.
         """
         faults = self.faults
         if faults is None:
             return "compile", level, 1, {}, 0.0
-        spec = faults.spec
         before = dict(faults.tally)
         wasted_before = faults.wasted_compile_time
-
-        def close(action: str, out_level: int, attempts: int):
-            delta = {
-                key: faults.tally[key] - before[key]
-                for key in faults.tally
-                if faults.tally[key] != before[key]
-            }
-            wasted = faults.wasted_compile_time - wasted_before
-            return action, out_level, attempts, delta, wasted
-
-        lvl = level
-        attempt = 1
-        while True:
-            if not must_install and lvl <= achieved:
-                # Degraded below what is already installed: keep
-                # running at the current tier.
-                faults.note_fallback()
+        attempts, below = faults.degrade(fname, profile.compile_times, level, installed)
+        for lvl, attempt, _, failed in attempts:
+            if failed:
                 self._instant(
-                    f"fallback {fname}", self.events,
-                    function=fname, kept_level=achieved,
+                    f"compile-fail {fname} L{lvl}",
+                    self.events,
+                    function=fname,
+                    level=lvl,
+                    attempt=attempt,
                 )
-                return close("fallback", achieved, attempt - 1)
-            c = profile.compile_times[lvl]
-            factor = faults.compile_time_factor(fname, lvl, attempt)
-            if factor != 1.0:
-                c *= factor
-            guaranteed = (
-                must_install and attempt > spec.retries and lvl == 0
-            )
-            failed = not guaranteed and faults.compile_fails(
-                fname, lvl, attempt
-            )
-            if not failed:
-                if must_install and attempt > spec.retries:
-                    faults.note_forced_install()
-                return close("compile", lvl, attempt)
-            faults.note_wasted(c)
+        if below:
+            # Degraded below what is already installed: keep running at
+            # the current tier.
             self._instant(
-                f"compile-fail {fname} L{lvl}", self.events,
-                function=fname, level=lvl, attempt=attempt,
+                f"fallback {fname}",
+                self.events,
+                function=fname,
+                kept_level=installed,
             )
-            if attempt > spec.retries and not must_install:
-                faults.note_fallback()
-                return close("fallback", achieved, attempt)
-            if attempt <= spec.retries:
-                faults.note_retry()
-                lvl = max(0, lvl - 1)
-            else:
-                lvl = 0  # next round is the guaranteed fail-safe
-            attempt += 1
+        delta = {
+            key: faults.tally[key] - before[key]
+            for key in faults.tally
+            if faults.tally[key] != before[key]
+        }
+        wasted = faults.wasted_compile_time - wasted_before
+        if below or attempts[-1][3]:
+            return "fallback", installed, len(attempts), delta, wasted
+        return "compile", attempts[-1][0], len(attempts), delta, wasted
 
     # ------------------------------------------------------------------
     # Introspection

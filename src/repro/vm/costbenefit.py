@@ -32,6 +32,7 @@ from ..core.model import FunctionProfile, OCSPInstance
 from ..core.online import perturb_times
 
 __all__ = [
+    "promotion_level",
     "CostBenefitModel",
     "OracleModel",
     "EstimatedModel",
@@ -68,6 +69,38 @@ models assign expensive optimization levels to methods that turn out to
 be cold — harmless for the achievable bound (those methods barely
 execute) but ruinous for schemes that eagerly compile everything at its
 assigned level."""
+
+
+def promotion_level(
+    profile: FunctionProfile, current_level: int, future_calls: float
+) -> Optional[int]:
+    """Jikes RVM's recompilation test (Section 6.2.1).
+
+    The cost of (re)compiling at level ``j`` is ``e_j * k + c_j`` where
+    ``k`` estimates the method's future invocations.  With ``l`` the
+    current level and ``m`` the minimal-cost level above ``l``:
+    recompile at ``m`` iff ``e_m * k + c_m < e_l * k``.  The runtime's
+    cost-benefit models apply it to their believed profile
+    (:meth:`CostBenefitModel.recompilation_level`); the decision
+    service applies it to the profile a tenant streamed.
+
+    Returns:
+        The level to recompile at, or ``None`` if staying put wins.
+    """
+    levels = profile.num_levels
+    if current_level >= levels - 1:
+        return None
+    best_level: Optional[int] = None
+    best_cost = float("inf")
+    for j in range(current_level + 1, levels):
+        cost = profile.exec_times[j] * future_calls + profile.compile_times[j]
+        if cost < best_cost:
+            best_cost = cost
+            best_level = j
+    stay_cost = profile.exec_times[current_level] * future_calls
+    if best_level is not None and best_cost < stay_cost:
+        return best_level
+    return None
 
 
 class CostBenefitModel(ABC):
@@ -115,16 +148,20 @@ class CostBenefitModel(ABC):
     # Times (subclass responsibility)
     # ------------------------------------------------------------------
     @abstractmethod
+    def profile(self, fname: str) -> FunctionProfile:
+        """The believed cost table of ``fname``."""
+
     def compile_time(self, fname: str, level: int) -> float:
         """Estimated compilation time of ``fname`` at ``level``."""
+        return self.profile(fname).compile_times[level]
 
-    @abstractmethod
     def exec_time(self, fname: str, level: int) -> float:
         """Estimated per-invocation execution time at ``level``."""
+        return self.profile(fname).exec_times[level]
 
-    @abstractmethod
     def num_levels(self, fname: str) -> int:
         """Number of levels available for ``fname``."""
+        return self.profile(fname).num_levels
 
     # ------------------------------------------------------------------
     # Hotness prediction (shared mechanism)
@@ -217,34 +254,14 @@ class CostBenefitModel(ABC):
     def recompilation_level(
         self, fname: str, current_level: int, future_calls: float
     ) -> Optional[int]:
-        """Jikes RVM's recompilation test (Section 6.2.1).
-
-        The cost of (re)compiling at level ``j`` is ``e_j * k + c_j``
-        where ``k`` estimates the method's future invocations (see
-        :meth:`estimated_future_calls`).  With ``l`` the current level
-        and ``m`` the minimal-cost level above ``l``: recompile at ``m``
-        iff ``e_m * k + c_m < e_l * k``.
+        """Jikes RVM's recompilation test (:func:`promotion_level`) on
+        the believed profile, with ``future_calls`` the estimate ``k``
+        (see :meth:`estimated_future_calls`).
 
         Returns:
             The level to recompile at, or ``None`` if staying put wins.
         """
-        levels = self.num_levels(fname)
-        if current_level >= levels - 1:
-            return None
-        best_m = None
-        best_cost = float("inf")
-        for j in range(current_level + 1, levels):
-            cost = (
-                self.exec_time(fname, j) * future_calls
-                + self.compile_time(fname, j)
-            )
-            if cost < best_cost:
-                best_cost = cost
-                best_m = j
-        stay_cost = self.exec_time(fname, current_level) * future_calls
-        if best_m is not None and best_cost < stay_cost:
-            return best_m
-        return None
+        return promotion_level(self.profile(fname), current_level, future_calls)
 
 
 class OracleModel(CostBenefitModel):
@@ -276,14 +293,8 @@ class OracleModel(CostBenefitModel):
         )
         self._profiles = instance.profiles
 
-    def compile_time(self, fname: str, level: int) -> float:
-        return self._profiles[fname].compile_times[level]
-
-    def exec_time(self, fname: str, level: int) -> float:
-        return self._profiles[fname].exec_times[level]
-
-    def num_levels(self, fname: str) -> int:
-        return self._profiles[fname].num_levels
+    def profile(self, fname: str) -> FunctionProfile:
+        return self._profiles[fname]
 
 
 class EstimatedModel(CostBenefitModel):
@@ -335,11 +346,5 @@ class EstimatedModel(CostBenefitModel):
                 noisy = noisy.with_times(exec_times=biased_exec)
             self._estimates[fname] = noisy
 
-    def compile_time(self, fname: str, level: int) -> float:
-        return self._estimates[fname].compile_times[level]
-
-    def exec_time(self, fname: str, level: int) -> float:
-        return self._estimates[fname].exec_times[level]
-
-    def num_levels(self, fname: str) -> int:
-        return self._estimates[fname].num_levels
+    def profile(self, fname: str) -> FunctionProfile:
+        return self._estimates[fname]

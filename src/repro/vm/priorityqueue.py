@@ -22,7 +22,12 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.model import OCSPInstance
 from ..core.schedule import CompileTask, Schedule
-from .runtime import RuntimeRunResult, RuntimeScheme, default_sample_period
+from .runtime import (
+    RuntimeRunResult,
+    RuntimeScheme,
+    default_sample_period,
+    first_tick_after,
+)
 
 __all__ = ["PriorityRuntimeSimulator", "PRIORITY_POLICIES", "run_with_policy"]
 
@@ -304,11 +309,7 @@ class PriorityRuntimeSimulator:
 
             if tick * period <= finish:
                 if tick * period <= start:
-                    k = int(start / period) + 1
-                    while (k - 1) * period > start:
-                        k -= 1
-                    while k * period <= start:
-                        k += 1
+                    k = first_tick_after(start, period)
                     if k > tick:
                         tick = k
                 t_tick = tick * period

@@ -79,6 +79,22 @@ def default_sample_period(instance: OCSPInstance, ticks: int = 1000) -> float:
     return total_base_exec / ticks
 
 
+def first_tick_after(t: float, period: float) -> int:
+    """The first sampler tick strictly after ``t``: the least ``k`` with
+    ``k * period > t``.
+
+    The nudge loops absorb float rounding of the division, so
+    ``first_tick_after(t, period) - 1`` is the last tick at or before
+    ``t`` under the same comparisons.
+    """
+    k = int(t / period) + 1
+    while (k - 1) * period > t:
+        k -= 1
+    while k * period <= t:
+        k += 1
+    return k
+
+
 @dataclass(frozen=True)
 class RuntimeRunResult:
     """Outcome of a reactive-runtime replay.
@@ -172,15 +188,13 @@ class RuntimeSimulator:
         sample_period: sampler tick interval; ``None`` derives one via
             :func:`default_sample_period`.  Ticks that land while the
             execution thread is stalled observe nothing.
-        faults: optional :class:`repro.faults.FaultInjector`.  Failed
-            compiles retry one level lower (with the spec's bounded
-            backoff) and fall back to the function's current tier when
-            out of retries; a first-encounter chain that exhausts its
-            retries takes a guaranteed baseline (level-0) compile so
-            execution never deadlocks.  Sampler ticks may be dropped or
-            duplicated.  A null injector (every rate zero) is
-            normalized to ``None``, keeping zero-fault-rate runs
-            bitwise equal to fault-free ones.
+        faults: optional :class:`repro.faults.FaultInjector` (or a
+            spec).  Compile requests run its degradation chain
+            (:meth:`~repro.faults.FaultInjector.degrade`), with the
+            spec's backoff before each retry; sampler ticks may be
+            dropped or duplicated.  A null spec means no injector
+            (:func:`repro.faults.active_injector`), keeping
+            zero-fault-rate runs bitwise equal to fault-free ones.
 
     Raises:
         TypeError: if ``scheme`` overrides ``on_call_start``.
@@ -214,8 +228,10 @@ class RuntimeSimulator:
         )
         if self.sample_period <= 0:
             raise ValueError("sample_period must be positive")
+        from ..faults.injector import active_injector
+
         self.tracer = tracer
-        self.faults = None if faults is None or faults.null else faults
+        self.faults = active_injector(faults)
         # Mutable co-simulation state (reset by run()).  The heap holds
         # (free_time, thread_id) so traced compile spans land on the
         # right per-thread track; the multiset of free times — and hence
@@ -237,7 +253,11 @@ class RuntimeSimulator:
 
         Ignores requests that do not raise the function's highest
         requested level (a pending or finished request already covers
-        them), mirroring Jikes RVM's queue behaviour.
+        them), as Jikes RVM's queue does.  Under fault
+        injection the request runs the injector's degradation chain
+        (:meth:`repro.faults.FaultInjector.degrade`): each attempt
+        occupies a compiler thread, failed ones included, and a retry
+        is released the spec's doubling ``backoff`` after the failure.
         """
         prof = self.instance.profiles[fname]
         if not 0 <= level < prof.num_levels:
@@ -246,63 +266,16 @@ class RuntimeSimulator:
         if level <= prev:
             return
         self._requested_level[fname] = level
-        if self.faults is not None:
-            self._enqueue_faulty(fname, level, time, prof)
-            return
-        start_free, tid = heapq.heappop(self._thread_free)
-        start = start_free if start_free > time else time
-        finish = start + prof.compile_times[level]
-        heapq.heappush(self._thread_free, (finish, tid))
-        self._record_install(fname, level, time, finish)
-        if self.tracer is not None:
-            self.tracer.instant(
-                f"enqueue {fname} L{level}",
-                "queue",
-                time,
-                category="enqueue",
-                args={"function": fname, "level": level},
-            )
-            self.tracer.span(
-                f"compile {fname} L{level}",
-                f"compiler-{tid}",
-                start,
-                finish,
-                category="compile",
-                args={
-                    "function": fname,
-                    "level": level,
-                    "queue_wait": start - time,
-                },
-            )
-
-    def _record_install(
-        self, fname: str, level: int, time: float, finish: float
-    ) -> None:
-        """Record a compile that installs ``level`` at ``finish``; the
-        replay applies it once its clock reaches ``finish``."""
-        self._tasks.append(CompileTask(fname, level))
-        self._enqueue_times.append(time)
-        self._finish_events.setdefault(fname, []).append((finish, level))
-        heapq.heappush(self._pending, (finish, level, fname))
-
-    def _enqueue_faulty(self, fname: str, level: int, time: float, prof) -> None:
-        """The degradation chain of one request under fault injection.
-
-        Attempt the requested level; on failure retry one level lower
-        after the spec's (doubling) backoff, up to ``retries`` retries.
-        Failed attempts still occupy their compiler thread — that is
-        the cost being modelled.  A chain that runs out of retries
-        falls back to the function's current tier (no install); on a
-        *first encounter* (nothing installed yet) it instead takes one
-        guaranteed baseline compile at level 0 — the fail-safe tier a
-        production JIT's interpreter/baseline compiler provides — so
-        every called function keeps at least one installed version.
-        """
         faults = self.faults
-        spec = faults.spec
-        events = self._finish_events.get(fname)
-        must_install = events is None
-        achieved = max(lvl for _, lvl in events) if events else -1
+        if faults is None:
+            attempts = [(level, 1, prof.compile_times[level], False)]
+            below = False
+        else:
+            events = self._finish_events.get(fname)
+            installed = max(lvl for _, lvl in events) if events else -1
+            attempts, below = faults.degrade(
+                fname, prof.compile_times, level, installed
+            )
         tracer = self.tracer
         if tracer is not None:
             tracer.instant(
@@ -312,56 +285,37 @@ class RuntimeSimulator:
                 category="enqueue",
                 args={"function": fname, "level": level},
             )
-        lvl = level
         release = time
-        attempt = 1
-        while True:
-            if not must_install and lvl <= achieved:
-                # Degraded below what is already installed (or pending):
-                # keep running at the current tier.
-                faults.note_fallback()
-                if tracer is not None:
-                    tracer.instant(
-                        f"fallback {fname}",
-                        "queue",
-                        release,
-                        category="fault",
-                        args={"function": fname, "kept_level": achieved},
-                    )
-                return
+        for lvl, attempt, c, failed in attempts:
             start_free, tid = heapq.heappop(self._thread_free)
             start = start_free if start_free > release else release
-            factor = faults.compile_time_factor(fname, lvl, attempt)
-            c = prof.compile_times[lvl]
-            if factor != 1.0:
-                c *= factor
             finish = start + c
             heapq.heappush(self._thread_free, (finish, tid))
-            # The guaranteed fail-safe: a first-encounter chain past its
-            # retry budget compiles at level 0 and cannot fail.
-            guaranteed = must_install and attempt > spec.retries and lvl == 0
-            failed = not guaranteed and faults.compile_fails(fname, lvl, attempt)
             if tracer is not None:
+                args = {
+                    "function": fname,
+                    "level": lvl,
+                    "queue_wait": start - release,
+                }
+                if faults is not None:
+                    args["attempt"] = attempt
+                    args["status"] = "failed" if failed else "ok"
                 tracer.span(
                     f"compile {fname} L{lvl}",
                     f"compiler-{tid}",
                     start,
                     finish,
                     category="compile",
-                    args={
-                        "function": fname,
-                        "level": lvl,
-                        "queue_wait": start - release,
-                        "attempt": attempt,
-                        "status": "failed" if failed else "ok",
-                    },
+                    args=args,
                 )
             if not failed:
-                if must_install and attempt > spec.retries:
-                    faults.note_forced_install()
-                self._record_install(fname, lvl, time, finish)
+                # The replay applies the install once its clock reaches
+                # ``finish``.
+                self._tasks.append(CompileTask(fname, lvl))
+                self._enqueue_times.append(time)
+                self._finish_events.setdefault(fname, []).append((finish, lvl))
+                heapq.heappush(self._pending, (finish, lvl, fname))
                 return
-            faults.note_wasted(c)
             if tracer is not None:
                 tracer.instant(
                     f"compile-fail {fname} L{lvl}",
@@ -370,19 +324,19 @@ class RuntimeSimulator:
                     category="fault",
                     args={"function": fname, "level": lvl, "attempt": attempt},
                 )
-            if attempt > spec.retries and not must_install:
-                faults.note_fallback()
-                return
-            if attempt <= spec.retries:
-                faults.note_retry()
-                lvl = max(0, lvl - 1)
-            else:
-                lvl = 0  # next round is the guaranteed fail-safe
-            if spec.backoff > 0.0:
-                release = finish + spec.backoff * (2 ** (attempt - 1))
-            else:
-                release = finish
-            attempt += 1
+            release = finish
+            if faults.spec.backoff > 0.0:
+                release += faults.spec.backoff * (2 ** (attempt - 1))
+        if below and tracer is not None:
+            # Degraded below what is already installed (or pending):
+            # the function keeps running at its current tier.
+            tracer.instant(
+                f"fallback {fname}",
+                "queue",
+                release,
+                category="fault",
+                args={"function": fname, "kept_level": installed},
+            )
 
     def requested_level(self, fname: str) -> int:
         """Highest level requested so far for ``fname`` (-1 if none)."""
@@ -537,13 +491,7 @@ class RuntimeSimulator:
                 # jumped over arithmetically.
                 if tick * period <= finish:
                     if tick * period <= start:
-                        # First tick strictly after `start`; the nudge
-                        # loops absorb float rounding of the division.
-                        k = int(start / period) + 1
-                        while (k - 1) * period > start:
-                            k -= 1
-                        while k * period <= start:
-                            k += 1
+                        k = first_tick_after(start, period)
                         if k > tick:
                             tick = k
                     t_tick = tick * period
@@ -573,14 +521,10 @@ class RuntimeSimulator:
                 p = committed(clock, m)
                 end = float(clock[p])
                 if tick * period <= end:
-                    last = int(end / period)
-                    while last * period > end:
-                        last -= 1
-                    while (last + 1) * period <= end:
-                        last += 1
+                    # The ticks up to the last one at or before ``end``.
                     owners = np.searchsorted(
                         clock[1 : p + 1],
-                        np.arange(tick, last + 1) * period,
+                        np.arange(tick, first_tick_after(end, period)) * period,
                         side="left",
                     ).tolist()
                     for owner in owners:

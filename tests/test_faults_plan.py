@@ -1,18 +1,23 @@
 """Graceful degradation of planned schedules (repro.faults.degrade)."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
+from repro.analysis.experiments import figure5, figure6, figure8
 from repro.core import Schedule, iar_schedule, lower_bound, simulate
 from repro.faults import (
     FaultInjector,
     FaultSpec,
     apply_to_schedule,
-    faulty_scheme_comparison,
     simulate_with_faults,
 )
 from repro.analysis.experiments import scheme_comparison
 from repro.vm.costbenefit import EstimatedModel
-from repro.workloads import WorkloadSpec, generate
+from repro.workloads import WorkloadSpec, dacapo, generate
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
 @pytest.fixture(scope="module")
@@ -150,15 +155,18 @@ class TestFaultyComparison:
             return EstimatedModel(inst, seed=0)
 
         clean = scheme_comparison(instance, model_factory=factory)
-        row, summary = faulty_scheme_comparison(instance, "", model_factory=factory)
+        injector = FaultInjector("")
+        row = scheme_comparison(instance, model_factory=factory, faults=injector)
         assert row == clean
+        summary = injector.summary()
         assert all(v == 0 for k, v in summary.items() if k != "wasted_compile_time")
 
     def test_faulty_row_shape(self, instance):
-        row, summary = faulty_scheme_comparison(
+        injector = FaultInjector(FaultSpec(compile_fail=0.3))
+        row = scheme_comparison(
             instance,
-            FaultSpec(compile_fail=0.3),
             model_factory=lambda inst: EstimatedModel(inst, seed=0),
+            faults=injector,
         )
         assert set(row) == {
             "lower_bound", "iar", "default", "base_level", "optimizing_level",
@@ -166,16 +174,16 @@ class TestFaultyComparison:
         assert row["lower_bound"] == 1.0
         for key in ("iar", "default", "base_level", "optimizing_level"):
             assert row[key] >= 1.0
-        assert summary["compile_failures"] > 0
+        assert injector.summary()["compile_failures"] > 0
 
     def test_mispredict_only_changes_planning(self, instance):
         def factory(inst):
             return EstimatedModel(inst, seed=0)
 
         clean = scheme_comparison(instance, model_factory=factory)
-        row, summary = faulty_scheme_comparison(
-            instance, FaultSpec(mispredict=0.8), model_factory=factory
-        )
+        injector = FaultInjector(FaultSpec(mispredict=0.8))
+        row = scheme_comparison(instance, model_factory=factory, faults=injector)
+        summary = injector.summary()
         # No execution-side faults fire: nothing fails, stalls, or retries.
         assert summary["compile_failures"] == 0
         assert summary["stalls"] == 0
@@ -184,3 +192,43 @@ class TestFaultyComparison:
         # -level baselines don't consult the cost table at all.
         assert row["base_level"] == clean["base_level"]
         assert row["optimizing_level"] == clean["optimizing_level"]
+
+
+class TestFaultyFigureTraces:
+    """``repro study --faults SPEC --trace-dir DIR``: the figure drivers
+    trace their degraded runs, one valid, non-empty file per benchmark."""
+
+    @pytest.mark.parametrize(
+        "driver", [figure5, figure6, figure8], ids=lambda d: d.__name__
+    )
+    def test_every_benchmark_traced(self, driver, tmp_path, capsys):
+        spec = importlib.util.spec_from_file_location(
+            "validate_trace", TOOLS / "validate_trace.py"
+        )
+        validate_trace = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(validate_trace)
+
+        suite = {name: dacapo.load(name, scale=0.002) for name in ("antlr", "fop")}
+        rows = driver(
+            suite,
+            trace_dir=str(tmp_path),
+            faults="compile_fail=0.3,retries=1,seed=2",
+        )
+        assert all(row["faults"]["compile_failures"] > 0 for row in rows)
+        label = driver.__name__
+        files = sorted(tmp_path.glob("*.trace.json"))
+        assert [path.name for path in files] == [
+            f"{label}-antlr.trace.json",
+            f"{label}-fop.trace.json",
+        ]
+        capsys.readouterr()
+        assert validate_trace.main([str(path) for path in files]) == 0
+        counts = [
+            int(line.rsplit("(", 1)[1].split()[0])
+            for line in capsys.readouterr().out.splitlines()
+        ]
+        assert len(counts) == 2 and min(counts) > 0
+        # Failed compile attempts are on the timeline too.
+        for path in files:
+            assert '"status": "failed"' in path.read_text()
+

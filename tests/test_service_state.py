@@ -1,20 +1,23 @@
-"""The decision engine: policy, tenancy, cache, and fault parity.
+"""The decision engine: policy, tenancy, cache, and the fault chain.
 
 The service's promotion test must agree with the Jikes cost/benefit
-model, its degradation chain must agree with the reactive runtime's
-(same ``(function, level, attempt)`` fault keys, same tallies), a
-zero-rate fault spec must be bitwise indistinguishable from no spec at
-all, and the shared decision cache must never change a decision *or* a
-fault summary.
+model, the one degradation chain (:meth:`FaultInjector.degrade`) must
+keep the properties its callers rely on, a zero-rate fault spec must be
+bitwise indistinguishable from no spec at all, and the shared decision
+cache must never change a decision *or* a fault summary.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import FunctionProfile, OCSPInstance
+from repro.faults import parse_fault_spec
 from repro.faults.injector import FaultInjector
 from repro.observability import MetricsRegistry
 from repro.service import (
@@ -192,18 +195,20 @@ class TestServiceFaultPath:
 
 
 # ---------------------------------------------------------------------------
-# Degradation-chain parity with RuntimeSimulator._enqueue_faulty
+# FaultInjector.degrade: the one degradation chain
 # ---------------------------------------------------------------------------
-def _reference_chain(injector, profile, fname, level, must_install, achieved):
-    """A transcription of the runtime's chain (vm/runtime.py), minus
-    the clock: the service's verdicts must match it draw for draw."""
+def _reference_chain(injector, compile_times, fname, level, installed):
+    """An independent transcription of the degradation chain, the
+    oracle :meth:`FaultInjector.degrade` must match draw for draw."""
     spec = injector.spec
+    must_install = installed < 0
+    attempts = []
     lvl, attempt = level, 1
     while True:
-        if not must_install and lvl <= achieved:
+        if not must_install and lvl <= installed:
             injector.note_fallback()
-            return "fallback", achieved, attempt - 1
-        c = profile.compile_times[lvl]
+            return attempts, True
+        c = compile_times[lvl]
         factor = injector.compile_time_factor(fname, lvl, attempt)
         if factor != 1.0:
             c *= factor
@@ -211,20 +216,54 @@ def _reference_chain(injector, profile, fname, level, must_install, achieved):
         failed = not guaranteed and injector.compile_fails(
             fname, lvl, attempt
         )
+        attempts.append((lvl, attempt, c, failed))
         if not failed:
             if must_install and attempt > spec.retries:
                 injector.note_forced_install()
-            return "compile", lvl, attempt
+            return attempts, False
         injector.note_wasted(c)
         if attempt > spec.retries and not must_install:
             injector.note_fallback()
-            return "fallback", achieved, attempt
+            return attempts, False
         if attempt <= spec.retries:
             injector.note_retry()
             lvl = max(0, lvl - 1)
         else:
             lvl = 0
         attempt += 1
+
+
+def _check_chain(attempts, below, level, installed, retries):
+    """What the chain's callers rely on."""
+    must_install = installed < 0
+    if attempts:
+        assert attempts[0][:2] == (level, 1)
+    # Only the last attempt can install.
+    assert all(failed for *_, failed in attempts[:-1])
+    # A retry steps one level down, clamped at 0; past the retry
+    # budget only a first encounter goes on, to the level-0 fail-safe.
+    for (lvl, attempt, _, _), (nxt, nxt_attempt, _, _) in zip(
+        attempts, attempts[1:]
+    ):
+        assert nxt_attempt == attempt + 1
+        if attempt <= retries:
+            assert nxt == max(0, lvl - 1)
+        else:
+            assert must_install and nxt == 0
+    if must_install:
+        # A first encounter always ends installed.
+        assert attempts and not attempts[-1][3] and not below
+    if below:
+        # Set only when the next level is at or below the installed tier.
+        if attempts:
+            lvl, attempt, _, _ = attempts[-1]
+            nxt = max(0, lvl - 1) if attempt <= retries else 0
+        else:
+            nxt = level
+        assert 0 <= nxt <= installed
+    elif attempts[-1][3]:
+        # Out of retries: the function keeps its installed tier.
+        assert attempts[-1][1] > retries and not must_install
 
 
 @pytest.mark.parametrize(
@@ -237,28 +276,63 @@ def _reference_chain(injector, profile, fname, level, must_install, achieved):
     ],
 )
 @pytest.mark.parametrize("must_install,achieved", [(True, -1), (False, 0)])
-def test_degrade_matches_runtime_chain(spec, must_install, achieved):
-    profile = PROFILES["hot"]
-    for fname in ("hot", "other", "hot"):  # repeat: keys include attempt
-        for level in range(1, profile.num_levels):
-            engine = DecisionEngine(faults=spec)
-            action, lvl, attempts, delta, wasted = engine._degrade(
-                fname, profile, level, must_install, achieved
-            )
-            ref = FaultInjector(spec)
-            r_action, r_lvl, r_attempts = _reference_chain(
-                ref, profile, fname, level, must_install, achieved
-            )
-            assert (action, lvl, attempts) == (r_action, r_lvl, r_attempts)
-            assert engine.faults.tally == ref.tally
-            assert engine.faults.wasted_compile_time == pytest.approx(
-                ref.wasted_compile_time
-            )
-            # the cached delta is exactly the diff the chain produced
-            assert delta == {
-                k: v for k, v in ref.tally.items() if v
-            }
-            assert wasted == pytest.approx(ref.wasted_compile_time)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_degrade_matches_runtime_chain(spec, must_install, achieved, data):
+    """:meth:`FaultInjector.degrade` against :func:`_reference_chain`.
+
+    Each case keeps its seed and stall factor and draws the rest: a
+    spec with 0-3 retries and its own fail and stall rates, then a run
+    of requests on profiles of 1-4 levels, each at a requested level
+    over an installed tier (none on a first encounter).  Unrelated
+    draws between the requests go to the chain's injector only: its
+    verdicts are keyed, so they must not move.
+    """
+    spec = replace(
+        parse_fault_spec(spec),
+        retries=data.draw(st.integers(0, 3), label="retries"),
+        compile_fail=data.draw(
+            st.sampled_from([0.0, 0.3, 0.5, 1.0]), label="compile_fail"
+        ),
+        stall=data.draw(st.sampled_from([0.0, 0.4, 1.0]), label="stall"),
+    )
+    chain, oracle = FaultInjector(spec), FaultInjector(spec)
+    for _ in range(data.draw(st.integers(1, 6), label="requests")):
+        levels = data.draw(st.integers(1, 4), label="levels")
+        compile_times = data.draw(
+            st.lists(
+                st.floats(0.5, 500.0), min_size=levels, max_size=levels
+            ),
+            label="compile_times",
+        )
+        fname = data.draw(st.sampled_from(["hot", "other", "f2"]))
+        level = data.draw(st.integers(0, levels - 1), label="level")
+        installed = (
+            -1
+            if must_install
+            else data.draw(st.integers(achieved, levels - 1), label="installed")
+        )
+        for k in range(data.draw(st.integers(0, 3), label="unrelated")):
+            chain.compile_fails("unrelated", k, 1)
+            chain.compile_time_factor("unrelated", k, 1)
+        before = dict(chain.tally), chain.wasted_compile_time
+        ref_before = dict(oracle.tally), oracle.wasted_compile_time
+
+        attempts, below = chain.degrade(fname, compile_times, level, installed)
+        expected = _reference_chain(
+            oracle, compile_times, fname, level, installed
+        )
+        assert (attempts, below) == expected
+        assert {
+            key: chain.tally[key] - before[0][key] for key in chain.tally
+        } == {key: oracle.tally[key] - ref_before[0][key] for key in oracle.tally}
+        assert (
+            chain.wasted_compile_time - before[1]
+            == oracle.wasted_compile_time - ref_before[1]
+        )
+        _check_chain(attempts, below, level, installed, spec.retries)
+        for lvl, _, c, _ in attempts:
+            assert c in (compile_times[lvl], compile_times[lvl] * spec.stall_factor)
 
 
 # ---------------------------------------------------------------------------

@@ -85,3 +85,16 @@ def test_multithreaded_compile_spans_do_not_overlap_per_thread():
         e.track for e in tracer.events if e.track.startswith("compiler-")
     }
     assert len(compiler_tracks) > 1
+
+
+def test_exported_span_never_ends_past_the_next_start():
+    # A bubble from a faulty V8 run on pmd: ``start + (end - start)``
+    # rounds one ulp past ``end``, where the call span begins.
+    tracer = Tracer()
+    tracer.span("bubble", "execute", 380.3600970817305, 1755.2443994606085)
+    tracer.span("f", "execute", 1755.2443994606085, 1755.3)
+    doc = to_chrome_trace(tracer)
+    assert validate_chrome_trace(doc) == 2
+    bubble = doc["traceEvents"][-2]
+    assert bubble["ts"] + bubble["dur"] <= 1755.2443994606085
+
