@@ -348,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "also write all rows, errors, unit statuses, and the runner "
-            "metrics snapshot (with histogram p50/p90/p99) as JSON"
+            "metrics snapshot (with histogram p50/p90/p99) as JSON, plus "
+            "the 'table1' and 'astar' rows when those sections run"
         ),
     )
 
@@ -935,8 +936,11 @@ def _cmd_study(args: argparse.Namespace) -> int:
                 f"study: --figure {wanted} uses the Table 1 presets and "
                 f"cannot run on --instance"
             )
+    # Sections that ran, under the keys --json-out writes them with.
+    sections: Dict[str, object] = {}
     if wanted in ("table1", "all") and bundle is None:
-        print(format_table(table1(scale=args.scale), title="Table 1", precision=1))
+        sections["table1"] = table1(scale=args.scale)
+        print(format_table(sections["table1"], title="Table 1", precision=1))
         print()
     if wanted in _STUDY_DRIVERS or wanted == "all":
         if bundle is not None:
@@ -1008,31 +1012,28 @@ def _cmd_study(args: argparse.Namespace) -> int:
         if warnings:
             print(warnings, file=sys.stderr)
     if wanted in ("astar", "all") and bundle is None:
+        sections["astar"] = astar_scaling(max_frontier=200_000)
         print(
             format_table(
-                astar_scaling(max_frontier=200_000),
-                title="A*-search feasibility",
-                precision=1,
+                sections["astar"], title="A*-search feasibility", precision=1
             )
         )
-    if args.json_out is not None and run is not None:
+    if args.json_out is not None:
         import json as _json
 
+        doc: Dict[str, object] = {}
+        if run is not None:
+            doc = {
+                "rows": run.rows,
+                "errors": list(run.errors),
+                "statuses": run.statuses,
+                "cache_hits": run.cache_hits,
+                "cache_misses": run.cache_misses,
+                "metrics": registry.snapshot(),
+            }
+        doc.update(sections)
         with open(args.json_out, "w", encoding="utf-8") as fh:
-            _json.dump(
-                {
-                    "rows": run.rows,
-                    "errors": list(run.errors),
-                    "statuses": run.statuses,
-                    "cache_hits": run.cache_hits,
-                    "cache_misses": run.cache_misses,
-                    "metrics": (
-                        registry.snapshot() if registry is not None else {}
-                    ),
-                },
-                fh,
-                indent=2,
-            )
+            _json.dump(doc, fh, indent=2)
         print(f"wrote {args.json_out}")
     if args.strict and run is not None and not run.ok:
         return 1

@@ -27,12 +27,19 @@ path to ``v``:
 Both components are already incurred by any completion of the path
 (future tasks finish after ``t(v)`` and cannot unblock or accelerate
 calls that started inside it), so ``f`` never overestimates and the
-search is optimal.  The same fact makes ``f`` incremental: an expansion
-replays its own window once, and each child resumes that replay where
-it stopped (:func:`_replay`).  A frontier node is a parent pointer plus
-one task.  The search is still *not* practical: the frontier grows
-exponentially and the paper reports out-of-memory beyond six functions —
-behaviour reproduced by ``benchmarks/bench_astar_search.py``.
+search is optimal.  The same fact prices a whole expansion in one pass
+(:func:`_sweep`): each child adds one task that finishes at the end of
+its own window ``t(v) + c``, so no call inside that window can use it,
+and the node's own path replayed up to ``t(v) + c`` gives the child's
+``f``.  One replay of the call sequence from time 0, visiting the
+children's window ends in ascending order, prices them all; for a node
+that compiles every called function it runs on to the end of the trace,
+where its clock is the exact make-span of stopping there.
+:func:`simulate` confirms only the optimum the search returns.  A
+frontier node is a parent pointer plus one task.  The search is still
+*not* practical: the frontier grows exponentially and the paper reports
+out-of-memory beyond six functions — behaviour reproduced by
+``benchmarks/bench_astar_search.py``.
 """
 
 from __future__ import annotations
@@ -101,64 +108,76 @@ def _count_paths(level_counts: List[int]) -> int:
 #: that exec time minus the function's fastest).
 _Event = Tuple[float, float, float]
 
-#: A replay cursor: the next call to replay, the clock, and the bubble
-#: and extra-exec sums, all taken before ``f(v)``'s final
-#: ``t_end - now`` addition.
-_Cursor = Tuple[int, float, float, float]
-_START: _Cursor = (0, 0.0, 0.0, 0.0)
-
 #: Task column of a terminal node: stop after the parent's tasks.
 _STOP = -1
 
 
-def _replay(
+def _sweep(
     calls: Sequence[int],
     events: Sequence[Sequence[_Event]],
-    t_end: float,
-    cursor: _Cursor,
-) -> Tuple[float, _Cursor]:
-    """``f(v) = b(v) + e(v)`` for the window ``t(v) = t_end``, from ``cursor``.
+    ends: Sequence[float],
+    to_end: bool = False,
+) -> Tuple[List[float], float]:
+    """``f = b + e`` for the window ending at each of ``ends``, in one pass.
 
     ``calls`` is the call sequence as function indices and
-    ``events[fn]`` lists that function's compiles on the path, in path
-    order.  From :data:`_START` this is the heuristic of the whole path.
-    A child (its parent's path plus one task) may resume from the cursor
-    its parent returned and gets the same value and cursor, bitwise:
-    every call the parent replayed started before the parent's
-    ``t_end``, and the child's new task finishes at or after it, so it
-    can neither unblock nor accelerate any of them — the same reason
-    ``f`` is admissible.
+    ``events[fn]`` lists that function's compiles on a path, in path
+    order.  The pass replays the calls once from time 0 and visits the
+    ends in ascending order: the calls replayed for one end start before
+    it, so they replay the same way for every later end, and the pass
+    resumes where it stopped.  The value at an end ``t`` is the
+    heuristic of the path's window ``t(v) = t``.
 
-    Returns ``f`` and the cursor where the replay stopped.
+    For the node ``v`` of this path, an end ``t(v) + c`` gives the
+    child that adds a task of compile time ``c``: that task finishes at
+    its window's end, so it can neither unblock nor accelerate a call
+    that starts inside the window, and the node's own events replay that
+    window exactly as the child's would.
+
+    With ``to_end`` the pass then replays the rest of the trace.  On a
+    path that compiles every called function its clock is then the
+    schedule's make-span, bitwise as :func:`simulate` computes it: the
+    same additions in the same order.
+
+    Returns the values, in the order of ``ends``, and the clock where
+    the pass stopped.
     """
-    i, now, bubbles, extra = cursor
+    windows = sorted(zip(ends, range(len(ends))))
+    if to_end:
+        # A last window past the end of the trace: only its clock counts.
+        windows.append((math.inf, len(ends)))
+    values = [0.0] * len(windows)
+    i = 0
     n = len(calls)
-    while i < n and now < t_end:
-        fevents = events[calls[i]]
-        if not fevents:
-            break
-        ready = fevents[0][0]
-        start = now if now >= ready else ready
-        if start >= t_end:
-            break
-        bubbles += start - now
-        # Finish times and levels both rise along the path, so the last
-        # compile finished by ``start`` is the highest level the call
-        # runs at.  A call that starts inside the window has committed
-        # to that level: tasks appended after t_end cannot accelerate it.
-        k = len(fevents) - 1
-        while fevents[k][0] > start:
-            k -= 1
-        _, exec_time, slowdown = fevents[k]
-        extra += slowdown
-        now = start + exec_time
-        i += 1
-    cursor = (i, now, bubbles, extra)
-    if i < n and now < t_end:
-        # Call ``i`` is blocked until after the window ends: the rest of
-        # the window is pure bubble for any completion of this path.
-        bubbles += t_end - now
-    return bubbles + extra, cursor
+    now = bubbles = extra = 0.0
+    for t_end, j in windows:
+        while i < n and now < t_end:
+            fevents = events[calls[i]]
+            if not fevents:
+                break
+            ready = fevents[0][0]
+            start = now if now >= ready else ready
+            if start >= t_end:
+                break
+            bubbles += start - now
+            # Finish times and levels both rise along the path, so the
+            # last compile finished by ``start`` is the highest level the
+            # call runs at.
+            k = len(fevents) - 1
+            while fevents[k][0] > start:
+                k -= 1
+            _, exec_time, slowdown = fevents[k]
+            extra += slowdown
+            now = start + exec_time
+            i += 1
+        if i < n and now < t_end:
+            # Call ``i`` is blocked until after the window ends: the rest
+            # of the window is pure bubble for any completion of the path.
+            values[j] = bubbles + (t_end - now) + extra
+        else:
+            values[j] = bubbles + extra
+    del values[len(ends):]
+    return values, now
 
 
 class _Tree:
@@ -191,10 +210,21 @@ class _Tree:
                 self.exec.append((exec_time, exec_time - prof.exec_times[-1]))
         self.first.append(len(self.task))
 
+    def children(self, last: Sequence[int]) -> List[int]:
+        """Task ids a node whose functions stand at levels ``last``
+        (``-1`` if absent) may append, in push order: function by
+        function, levels rising, skips included."""
+        first = self.first
+        return [
+            tid
+            for fn in range(len(last))
+            for tid in range(first[fn] + last[fn] + 1, first[fn + 1])
+        ]
+
     def window(
         self, path: Sequence[int]
     ) -> Tuple[List[List[_Event]], List[int], float]:
-        """:func:`_replay`'s events, each function's last level (``-1``
+        """:func:`_sweep`'s events, each function's last level (``-1``
         if absent) and ``t(v)`` for the task-id ``path``.
 
         Compiles finish back to back on one compile thread, as in the
@@ -263,9 +293,19 @@ def astar_schedule(
         f_value, node = heapq.heappop(frontier)
         if task_of[node] == _STOP:
             path = _path(parent, task_of, parent[node])
+            schedule = Schedule(tuple(tree.task[tid] for tid in path))
+            # The sweep priced every terminal; the reference simulator
+            # confirms the one the search returns.  Its make-span is the
+            # one reported: ``f + LB`` can round away from it.
+            makespan = simulate(instance, schedule, validate=False).makespan
+            if makespan - lb != f_value:
+                raise RuntimeError(
+                    f"A* priced its optimum at {f_value!r} above the lower "
+                    f"bound, but it simulates to {makespan!r}"
+                )
             return AStarResult(
-                schedule=Schedule(tuple(tree.task[tid] for tid in path)),
-                makespan=f_value + lb,
+                schedule=schedule,
+                makespan=makespan,
                 nodes_expanded=nodes_expanded,
                 max_frontier=max_frontier_seen,
                 paths_total=_count_paths(level_counts),
@@ -276,27 +316,22 @@ def astar_schedule(
 
         path = _path(parent, task_of, node)
         events, last, t_end = tree.window(path)
-        _, cursor = _replay(calls, events, t_end, _START)
-
-        if min(last) >= 0:
+        tids = tree.children(last)
+        complete = min(last) >= 0
+        values, clock = _sweep(
+            calls, events, [t_end + tree.compile[tid] for tid in tids], complete
+        )
+        if complete:
             # Stopping here is a legal schedule: attach its exact cost.
-            tasks = tuple(tree.task[tid] for tid in path)
-            exact = simulate(instance, Schedule(tasks), validate=False).makespan - lb
             counter += 1
-            heapq.heappush(frontier, (exact, counter))
+            heapq.heappush(frontier, (clock - lb, counter))
             parent.append(node)
             task_of.append(_STOP)
-
-        for fn, fevents in enumerate(events):
-            for tid in range(tree.first[fn] + last[fn] + 1, tree.first[fn + 1]):
-                t_child = t_end + tree.compile[tid]
-                fevents.append((t_child,) + tree.exec[tid])
-                f_child, _ = _replay(calls, events, t_child, cursor)
-                fevents.pop()
-                counter += 1
-                heapq.heappush(frontier, (f_child, counter))
-                parent.append(node)
-                task_of.append(tid)
+        for tid, f_child in zip(tids, values):
+            counter += 1
+            heapq.heappush(frontier, (f_child, counter))
+            parent.append(node)
+            task_of.append(tid)
         if len(frontier) > max_frontier_seen:
             max_frontier_seen = len(frontier)
         if len(frontier) > max_frontier:

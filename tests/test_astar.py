@@ -30,6 +30,16 @@ class TestOptimality:
         result = astar_schedule(fig2_instance)
         assert simulate(fig2_instance, result.schedule).makespan == result.makespan
 
+    def test_reported_makespan_is_the_simulated_one(self):
+        """The optimum here simulates to 1.9 + 1.5 = 3.4, but its f plus
+        the lower bound rounds to (3.4 - 0.7) + 0.7 = 3.4000000000000004:
+        the make-span reported must be the schedule's own."""
+        profile = FunctionProfile("f0", (1.9, 3.1), (1.5, 0.7))
+        inst = OCSPInstance({"f0": profile}, ("f0",))
+        result = astar_schedule(inst)
+        assert result.schedule == Schedule.of(("f0", 0))
+        assert result.makespan == simulate(inst, result.schedule).makespan == 3.4
+
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_bruteforce_on_random_instances(self, seed):
         spec = WorkloadSpec(
@@ -140,6 +150,18 @@ class TestMemoryBound:
             astar_schedule(inst, max_frontier=2000)
         assert info.value.nodes_expanded > 0
         assert info.value.frontier_size > 2000
+
+    def test_expansion_budget(self, fig2_instance):
+        """Figure 2 needs its pinned 43 expansions: a budget of 43 finds
+        the pinned optimum and one less stops the search."""
+        _, expanded, frontier, makespan, _, tasks = SEARCH_PINS["fig2"]
+        result = astar_schedule(fig2_instance, max_expansions=expanded)
+        assert result.nodes_expanded == expanded
+        assert result.max_frontier == frontier
+        assert result.makespan == makespan
+        assert result.schedule == Schedule.of(*tasks)
+        with pytest.raises(RuntimeError, match="exceeded 42 node expansions"):
+            astar_schedule(fig2_instance, max_expansions=expanded - 1)
 
     def test_empty_instance_rejected(self):
         with pytest.raises(ValueError):

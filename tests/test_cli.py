@@ -112,6 +112,26 @@ class TestStudyAndWalkthrough:
         assert "make-span: 11.0" in out  # scheme s1
 
 
+class TestStudyJsonOut:
+    def test_table1_section_is_written(self, tmp_path, capsys):
+        from repro.analysis import table1
+
+        out = tmp_path / "table1.json"
+        args = ["study", "--figure", "table1", "--scale", "0.002"]
+        assert main(args + ["--json-out", str(out)]) == 0
+        assert json.loads(out.read_text()) == {"table1": table1(scale=0.002)}
+
+    def test_astar_section_is_written(self, tmp_path, capsys):
+        out = tmp_path / "astar.json"
+        assert main(["study", "--figure", "astar", "--json-out", str(out)]) == 0
+        rows = json.loads(out.read_text())["astar"]
+        assert [row["functions"] for row in rows] == [2, 3, 4, 5, 6, 7]
+        assert [row["nodes_expanded"] for row in rows] == [
+            16, 47, 159, 392, 3365, 27968,
+        ]
+        assert rows[-1]["status"] == "out-of-memory"
+
+
 class TestScheduleRoundTrip:
     def test_schedule_json_roundtrip(self, trace_file, tmp_path):
         out = tmp_path / "sched.json"

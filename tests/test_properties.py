@@ -206,6 +206,8 @@ def test_astar_matches_bruteforce(inst):
     exact = optimal_schedule(inst)
     astar = astar_schedule(inst)
     assert astar.makespan == pytest.approx(exact.makespan)
+    # The reported make-span is its schedule's, bitwise.
+    assert astar.makespan == simulate(inst, astar.schedule).makespan
 
 
 @st.composite
@@ -228,28 +230,77 @@ def instance_and_task_path(draw):
     return inst, path
 
 
+def _task_ids(tree, path):
+    return [tree.task.index(task) for task in path]
+
+
 @settings(max_examples=200, deadline=None)
 @given(instance_and_task_path())
 def test_astar_resumed_replay_equals_full_replay(case):
-    """Resuming a prefix's f(v) replay with the next task gives the same
-    f and cursor, bitwise, as replaying the longer path from the start."""
-    from repro.core.astar import _START, _Tree, _replay
+    """At every node on the path, one sweep over the children's window
+    ends gives each child the f of its own replay from time 0, bitwise."""
+    from repro.core.astar import _Tree, _sweep
 
     inst, path = case
     tree = _Tree(inst)
-    ids = [tree.task.index(task) for task in path]
+    ids = _task_ids(tree, path)
+    for j in range(len(ids) + 1):
+        events, last, t_end = tree.window(ids[:j])
+        children = tree.children(last)
+        ends = [t_end + tree.compile[tid] for tid in children]
+        values, _ = _sweep(tree.calls, events, ends)
+        for tid, f in zip(children, values):
+            child_events, _, t_child = tree.window(ids[:j] + [tid])
+            (replayed,), _ = _sweep(tree.calls, child_events, [t_child])
+            assert f.hex() == replayed.hex()
 
-    def bits(f, cursor):
-        i, now, bubbles, extra = cursor
-        return f.hex(), i, now.hex(), bubbles.hex(), extra.hex()
 
-    for j in range(len(ids)):
-        events, _, t_end = tree.window(ids[:j])
-        _, cursor = _replay(tree.calls, events, t_end, _START)
-        events, _, t_end = tree.window(ids[: j + 1])
-        resumed = _replay(tree.calls, events, t_end, cursor)
-        replayed = _replay(tree.calls, events, t_end, _START)
-        assert bits(*resumed) == bits(*replayed)
+@settings(max_examples=200, deadline=None)
+@given(instance_and_task_path(), st.data())
+def test_astar_sweep_prices_every_window_end(case, data):
+    """For window ends at or after t(v), in any order and with repeats,
+    the sweep's value at each end is, bitwise, a replay from time 0 of
+    the path plus a task finishing at that end."""
+    from repro.core.astar import _Tree, _sweep
+
+    inst, path = case
+    tree = _Tree(inst)
+    events, last, t_end = tree.window(_task_ids(tree, path))
+    ends = [t_end + c for c in data.draw(st.lists(zero_times, max_size=6))]
+    if ends:
+        ends += data.draw(st.lists(st.sampled_from(ends), max_size=3))
+    ends = data.draw(st.permutations(ends))
+    children = tree.children(last)
+    values, _ = _sweep(tree.calls, events, ends)
+    assert len(values) == len(ends)
+    for end, f in zip(ends, values):
+        with_task = [list(fevents) for fevents in events]
+        if children:
+            tid = data.draw(st.sampled_from(children))
+            with_task[tree.fn[tid]].append((end,) + tree.exec[tid])
+        (replayed,), _ = _sweep(tree.calls, with_task, [end])
+        assert f.hex() == replayed.hex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(instance_and_task_path())
+def test_astar_sweep_to_the_end_is_the_makespan(case):
+    """On every path that compiles all called functions, the sweep run
+    past its children's windows to the end of the trace stops its clock
+    at simulate's make-span, bitwise."""
+    from repro.core.astar import _Tree, _sweep
+
+    inst, path = case
+    tree = _Tree(inst)
+    ids = _task_ids(tree, path)
+    for j in range(1, len(ids) + 1):
+        events, last, t_end = tree.window(ids[:j])
+        if min(last) < 0:
+            continue
+        ends = [t_end + tree.compile[tid] for tid in tree.children(last)]
+        _, clock = _sweep(tree.calls, events, ends, to_end=True)
+        exact = simulate(inst, Schedule(tuple(path[:j])), validate=False).makespan
+        assert clock.hex() == exact.hex()
 
 
 @settings(max_examples=100, deadline=None)
@@ -258,16 +309,16 @@ def test_astar_heuristic_never_overestimates(case):
     """f(v) + LB is at most the make-span of any completion of v, here v
     itself once it compiles every called function (ties in finish and
     start times included)."""
-    from repro.core.astar import _START, _Tree, _replay
+    from repro.core.astar import _Tree, _sweep
 
     inst, path = case
     tree = _Tree(inst)
-    ids = [tree.task.index(task) for task in path]
+    ids = _task_ids(tree, path)
     for j in range(1, len(ids) + 1):
         events, last, t_end = tree.window(ids[:j])
         if min(last) < 0:
             continue
-        f, _ = _replay(tree.calls, events, t_end, _START)
+        (f,), _ = _sweep(tree.calls, events, [t_end])
         exact = simulate(inst, Schedule(tuple(path[:j])), validate=False).makespan
         assert f + lower_bound(inst) <= exact + 1e-9 * max(1.0, exact)
 
