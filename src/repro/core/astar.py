@@ -267,7 +267,8 @@ def astar_schedule(
 
     Raises:
         AStarMemoryExceeded: when the frontier outgrows ``max_frontier``.
-        RuntimeError: when ``max_expansions`` is hit.
+        RuntimeError: when ``max_expansions`` is hit, or when the optimum
+            does not simulate to the make-span the search priced it at.
         ValueError: for an instance with no calls.
     """
     functions = instance.called_functions
