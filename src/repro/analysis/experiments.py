@@ -89,9 +89,9 @@ def driver_engine() -> str:
 
     ``--engine`` / ``$REPRO_ENGINE`` when set, else ``"vector"``.  IAR
     and every ``simulate`` call of a driver run on it, so they share the
-    one engine cached on each projected instance (its interned call
-    arrays are built once per projection).  All engines give bitwise
-    identical rows.
+    one engine cached on each projected instance (its cost tables are
+    built once per projection; the call ids come with the trace).  All
+    engines give bitwise identical rows.
     """
     return resolve_engine(None, fallback="vector")
 

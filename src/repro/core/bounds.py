@@ -31,15 +31,17 @@ def lower_bound(instance: OCSPInstance) -> float:
     """The paper's lower bound: every call at the highest level.
 
     This is what Figures 5, 6 and 8 normalize against.  The sum runs
-    left to right over the interned call array, one ``numpy.cumsum``:
-    the float additions of a per-call ``total += e`` loop, in its order.
+    left to right over the instance's interned call ids, one
+    ``numpy.cumsum``: the float additions of a per-call ``total += e``
+    loop, in its order.
     """
     arrays = instance_arrays(instance)
-    if not len(arrays.calls_np):
+    ids = arrays.trace.ids
+    if not len(ids):
         return 0.0
     # exec_tab pads each row with its last entry: column -1 is every
     # function's top-level exec time.
-    execs = arrays.exec_tab[:, -1].take(arrays.calls_np)
+    execs = arrays.exec_tab[:, -1].take(ids)
     return float(np.cumsum(execs, out=execs)[-1])
 
 

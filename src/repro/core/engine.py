@@ -22,8 +22,9 @@ itself, so repeated ``simulate(..., engine="vector")`` calls — and IAR,
 which takes the same cached engine — pay the per-instance set-up once;
 the cache is bypassed whenever a metrics registry is attached, keeping
 work counters tied to the run that asked for them.  Every vector engine
-built on an instance, cached or not, shares the instance's interned call
-arrays (:func:`repro.core.vecsim.interned`).
+built on an instance, cached or not, shares the call ids the instance
+interned when it was built and its cost tables
+(:func:`repro.core.vecsim.instance_arrays`).
 """
 
 from __future__ import annotations
@@ -317,7 +318,7 @@ def make_simulator(
             )
             # The instance owns the engine through its cache, so the
             # engine holds it weakly: a strong back-reference would
-            # leave the pair (and the interned arrays) to the cyclic
+            # leave the pair (and the cost tables) to the cyclic
             # collector instead of freeing them with the last reference.
             sim._owner = None
             cache[key] = sim

@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 __all__ = [
     "FunctionProfile",
     "OCSPInstance",
@@ -211,6 +213,56 @@ class FunctionProfile:
         )
 
 
+class _Trace:
+    """The call sequence interned once, when its instance is built.
+
+    A function's id is its position in ``profiles``.  ``ids`` holds the
+    calls as ids, in the narrowest unsigned type that holds the function
+    count (one byte per call up to 256 functions).  ``counts`` (calls
+    per id), ``first_pos`` (first-call positions, ascending) and
+    ``first_fids`` (the called ids in first-call order) are numpy
+    arrays; ``count_of`` and ``first_index_of`` key the same numbers by
+    name, in first-call order.  A projection that keeps every name and
+    call (:meth:`OCSPInstance.restricted_to_levels`) shares its source's
+    trace, and the trace pickles with its instance.
+    """
+
+    __slots__ = (
+        "names",
+        "fid_of",
+        "ids",
+        "counts",
+        "first_pos",
+        "first_fids",
+        "count_of",
+        "first_index_of",
+    )
+
+    def __init__(self, names: List[str], calls: Tuple[str, ...]) -> None:
+        self.names = names
+        fid_of = self.fid_of = {name: fid for fid, name in enumerate(names)}
+        try:
+            ids = np.fromiter(
+                map(fid_of.__getitem__, calls),
+                np.min_scalar_type(max(len(names) - 1, 0)),
+                len(calls),
+            )
+        except KeyError:
+            index = min(map(calls.index, set(calls).difference(fid_of)))
+            raise ModelError(
+                f"call #{index} invokes {calls[index]!r} which has no profile"
+            ) from None
+        self.ids = ids
+        self.counts = np.bincount(ids, minlength=len(names))
+        fids, first = np.unique(ids, return_index=True)
+        order = first.argsort()
+        self.first_pos = first[order]
+        self.first_fids = fids[order].astype(np.intp)
+        called = [names[fid] for fid in self.first_fids.tolist()]
+        self.count_of = dict(zip(called, self.counts[self.first_fids].tolist()))
+        self.first_index_of = dict(zip(called, self.first_pos.tolist()))
+
+
 @dataclass(frozen=True)
 class OCSPInstance:
     """An instance of the Optimal Compilation Scheduling Problem.
@@ -226,40 +278,32 @@ class OCSPInstance:
             into a single sequence in profiler order (Section 6.1); we
             inherit that convention.
         name: optional label (e.g. the benchmark name).
+
+    Construction interns ``calls`` once: each call becomes its
+    function's position in ``profiles``, in one compact numpy array,
+    and the call counts and first calls are read off that array.  The
+    engines, the runtime replays and :func:`~repro.core.bounds.lower_bound`
+    read those ids, and :meth:`restricted_to_levels` hands its
+    projection the same ones.
     """
 
     profiles: Mapping[str, FunctionProfile]
     calls: Tuple[str, ...]
     name: str = "instance"
-    _call_counts: Dict[str, int] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    _first_call_index: Dict[str, int] = field(
-        default_factory=dict, repr=False, compare=False
-    )
+    _trace: _Trace = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "profiles", dict(self.profiles))
         object.__setattr__(self, "calls", tuple(self.calls))
-        counts: Dict[str, int] = {}
-        first_index: Dict[str, int] = {}
-        for index, fname in enumerate(self.calls):
-            if fname not in self.profiles:
-                raise ModelError(
-                    f"call #{index} invokes {fname!r} which has no profile"
-                )
-            counts[fname] = counts.get(fname, 0) + 1
-            if fname not in first_index:
-                first_index[fname] = index
-        object.__setattr__(self, "_call_counts", counts)
-        object.__setattr__(self, "_first_call_index", first_index)
+        object.__setattr__(self, "_trace", _Trace(list(self.profiles), self.calls))
 
     def __getstate__(self) -> Dict[str, object]:
-        # The engines' per-instance caches stay in their process: they
-        # rebuild on first use, and a cached engine's weak reference back
-        # to the instance cannot be pickled.
+        # The interned trace ships with the instance; the engines'
+        # per-instance caches stay in their process: they rebuild on
+        # first use, and a cached engine's weak reference back to the
+        # instance cannot be pickled.
         state = dict(self.__dict__)
-        state.pop("_interned", None)
+        state.pop("_arrays", None)
         state.pop("_engine_cache", None)
         return state
 
@@ -277,16 +321,16 @@ class OCSPInstance:
 
         This is the paper's ``getSeq1stCalls(Eseq)`` (Figure 3, step 1).
         """
-        return sorted(self._first_call_index, key=self._first_call_index.__getitem__)
+        return list(self._trace.count_of)
 
     @property
     def num_functions(self) -> int:
         """Number of distinct called functions (``M`` in the paper)."""
-        return len(self._call_counts)
+        return len(self._trace.count_of)
 
     def call_count(self, fname: str) -> int:
         """``f.n``: number of invocations of ``fname`` in the sequence."""
-        return self._call_counts.get(fname, 0)
+        return self._trace.count_of.get(fname, 0)
 
     def first_call_index(self, fname: str) -> int:
         """Position of the first invocation of ``fname``.
@@ -294,7 +338,7 @@ class OCSPInstance:
         Raises:
             KeyError: if the function is never called.
         """
-        return self._first_call_index[fname]
+        return self._trace.first_index_of[fname]
 
     def profile(self, fname: str) -> FunctionProfile:
         """Profile for ``fname``."""
@@ -315,7 +359,7 @@ class OCSPInstance:
         """
         reduced = {
             fname: self.profiles[fname].reduced_to_two_levels(self.call_count(fname))
-            for fname in self._call_counts
+            for fname in self._trace.count_of
         }
         return OCSPInstance(profiles=reduced, calls=self.calls, name=self.name)
 
@@ -346,15 +390,13 @@ class OCSPInstance:
                 compile_times=tuple(prof.compile_times[lvl] for lvl in keep),
                 exec_times=tuple(prof.exec_times[lvl] for lvl in keep),
             )
-        # Same function names, same call sequence: the source's call
-        # counts and first-call indices hold as they are, so the N-call
-        # recount (and profile check) of ``__post_init__`` is skipped.
+        # Same function names in the same order, same call sequence: the
+        # projection shares the source's interned trace as it is.
         restricted = object.__new__(OCSPInstance)
         object.__setattr__(restricted, "profiles", new_profiles)
         object.__setattr__(restricted, "calls", self.calls)
         object.__setattr__(restricted, "name", self.name)
-        object.__setattr__(restricted, "_call_counts", self._call_counts)
-        object.__setattr__(restricted, "_first_call_index", self._first_call_index)
+        object.__setattr__(restricted, "_trace", self._trace)
         return restricted
 
     def prefix(self, n_calls: int) -> "OCSPInstance":
@@ -388,7 +430,8 @@ class OCSPInstance:
             "num_functions": self.num_functions,
             "call_seq_length": self.num_calls,
             "levels": max(
-                (self.profiles[f].num_levels for f in self._call_counts), default=0
+                (self.profiles[f].num_levels for f in self._trace.count_of),
+                default=0,
             ),
         }
 

@@ -4,13 +4,18 @@
 experiment funnels through — the limit studies (Figures 5–8), the
 local-search optimality bracket, and the ablations all call it thousands
 of times on the *same* instance, and it re-derives everything per call.
-:class:`VectorSimulator` splits that work into three tiers:
+:class:`VectorSimulator` splits that work into four tiers:
 
-* **per-instance** (paid once per instance, by the first engine built
+* **per-trace** (built with the instance, shared by its projections):
+  :class:`~repro.core.model.OCSPInstance` interns its call sequence
+  once, as one compact id array (a function's id is its position in
+  ``profiles``) with each id's call count and the first calls in
+  order; :meth:`~repro.core.model.OCSPInstance.restricted_to_levels`
+  hands its projection the same trace;
+* **per-projection** (paid once per instance, by the first engine built
   on it, and shared by every engine and runtime replay on it — see
-  :func:`interned` and :func:`instance_arrays`): function names are
-  interned to dense integer ids, the call sequence becomes a flat id
-  array, and the cost tables become id-indexed rows and matrices;
+  :func:`instance_arrays`): the cost tables as id-indexed rows and
+  matrices, and the per-function call groups on first use;
 * **per-schedule** (paid per evaluation): compile-task finish times,
   each function's first install and the later installs that raise its
   level — ``O(S)`` for ``S`` tasks, which is tiny next to the
@@ -93,7 +98,7 @@ from .makespan import (
 from .model import OCSPInstance
 from .schedule import CompileTask, Schedule, ScheduleError
 
-__all__ = ["VectorSimulator", "instance_arrays", "interned"]
+__all__ = ["VectorSimulator", "instance_arrays"]
 
 TaskSeq = Union[Schedule, Sequence[CompileTask]]
 
@@ -140,87 +145,38 @@ class _Prep:
         self.missing: Optional[str] = None
 
 
-class _Interned:
-    """The per-instance tier: names interned to dense ids, the call
-    sequence as an id list, and the cost tables as id-indexed rows.
+class _Arrays:
+    """The per-projection tier: cost rows and tables, and call groups.
 
-    It depends on the instance alone, so :func:`interned` builds it once
-    per instance and every engine on that instance (one per thread
-    count or preinstalled set) shares it read-only.  ``arrays`` holds
-    the numpy views of the same data, built by :func:`instance_arrays`.
+    The calls as ids, their counts and first calls belong to the trace
+    (``trace``), which the instance interns when it is built and its
+    projections share.  What a projection changes is its cost table:
+    ``exec_rows``/``compile_rows`` are each function's times, in id
+    order, and ``exec_tab``/``compile_tab`` the same as dense
+    ``(fid, level)`` matrices (rows padded with their last entry —
+    padding is never indexed because level validity is checked first).
+    :func:`instance_arrays` builds it once per instance, and every
+    vector engine and runtime replay on the instance shares it
+    read-only; the per-fid call-position groups are built on first use
+    (:meth:`call_groups`).
     """
 
     __slots__ = (
-        "fnames",
-        "fid_of",
-        "calls_fid",
+        "trace",
         "exec_rows",
         "compile_rows",
-        "called_fids",
-        "first_pos",
-        "arrays",
-    )
-
-    def __init__(self, instance: OCSPInstance) -> None:
-        self.fnames: List[str] = list(instance.profiles)
-        fid_of = self.fid_of = {
-            name: fid for fid, name in enumerate(self.fnames)
-        }
-        self.calls_fid: List[int] = list(map(fid_of.__getitem__, instance.calls))
-        self.exec_rows: List[Tuple[float, ...]] = [
-            instance.profiles[name].exec_times for name in self.fnames
-        ]
-        self.compile_rows: List[Tuple[float, ...]] = [
-            instance.profiles[name].compile_times for name in self.fnames
-        ]
-        called = instance.called_functions
-        # Distinct called fids in first-call order (for coverage checks).
-        self.called_fids: List[int] = [fid_of[f] for f in called]
-        # Trace positions of each function's first call, ascending:
-        # the only calls that can wait (see the module docstring).
-        self.first_pos: List[int] = [instance.first_call_index(f) for f in called]
-        self.arrays = None
-
-
-def interned(instance: OCSPInstance) -> _Interned:
-    """The instance's shared :class:`_Interned` tier, built on first use."""
-    shared = getattr(instance, "_interned", None)
-    if shared is None:
-        shared = _Interned(instance)
-        object.__setattr__(instance, "_interned", shared)
-    return shared
-
-
-class _Arrays:
-    """Static structure-of-arrays state of one instance.
-
-    Built once per instance from its :class:`_Interned`
-    tier (see :func:`instance_arrays`) and shared by every vector engine
-    and reactive-runtime replay on it: the interned call sequence as one
-    flat id array (replay segments are O(1) views into it), cost tables
-    as dense ``(fid, level)`` matrices (rows padded with their last entry
-    — padding is never indexed because level validity is checked first),
-    first-call positions and fids, per-fid call and level counts, and —
-    built lazily by :meth:`call_groups` — the per-fid call-position
-    groups.
-    """
-
-    __slots__ = (
-        "calls_np",
         "max_levels",
         "exec_tab",
         "compile_tab",
         "nlvl_np",
-        "first_pos_np",
-        "first_fids_np",
-        "call_counts_np",
-        "called_mask_np",
         "_groups",
     )
 
-    def __init__(self, shared) -> None:
-        exec_rows = shared.exec_rows
-        self.calls_np = np.asarray(shared.calls_fid, dtype=np.intp)
+    def __init__(self, instance: OCSPInstance) -> None:
+        self.trace = instance._trace
+        profiles = instance.profiles.values()
+        exec_rows = self.exec_rows = [prof.exec_times for prof in profiles]
+        self.compile_rows = [prof.compile_times for prof in profiles]
         ml = self.max_levels = max((len(row) for row in exec_rows), default=1)
 
         def table(rows):
@@ -229,35 +185,30 @@ class _Arrays:
             return np.array([row + (row[-1],) * (ml - len(row)) for row in rows])
 
         self.exec_tab = table(exec_rows)
-        self.compile_tab = table(shared.compile_rows)
+        self.compile_tab = table(self.compile_rows)
         self.nlvl_np = np.asarray([len(row) for row in exec_rows], dtype=np.int64)
-        self.first_pos_np = np.asarray(shared.first_pos, dtype=np.intp)
-        self.first_fids_np = np.asarray(shared.called_fids, dtype=np.intp)
-        self.call_counts_np = np.bincount(self.calls_np, minlength=len(exec_rows))
-        self.called_mask_np = self.call_counts_np > 0
         self._groups = None
 
     def call_groups(self):
         """``(order, bounds)``: positions of fid ``f``'s calls, ascending,
         are ``order[bounds[f]:bounds[f + 1]]``.  Built on first use."""
         if self._groups is None:
-            calls = self.calls_np
-            if len(self.nlvl_np) <= 1 << 16:
-                # Same stable order; numpy radix-sorts 16-bit keys,
-                # several times faster than its 64-bit merge sort.
-                calls = calls.astype(np.uint16)
-            order = np.argsort(calls, kind="stable")
-            bounds = np.concatenate(([0], np.cumsum(self.call_counts_np)))
+            trace = self.trace
+            # Stable, so each group stays ascending; numpy radix-sorts
+            # ids of 16 bits or fewer.
+            order = np.argsort(trace.ids, kind="stable")
+            bounds = np.concatenate(([0], np.cumsum(trace.counts)))
             self._groups = (order, bounds)
         return self._groups
 
 
 def instance_arrays(instance: OCSPInstance) -> _Arrays:
     """The instance's shared :class:`_Arrays`, built on first use."""
-    shared = interned(instance)
-    if shared.arrays is None:
-        shared.arrays = _Arrays(shared)
-    return shared.arrays
+    arrays = getattr(instance, "_arrays", None)
+    if arrays is None:
+        arrays = _Arrays(instance)
+        object.__setattr__(instance, "_arrays", arrays)
+    return arrays
 
 
 class VectorSimulator:
@@ -307,18 +258,19 @@ class VectorSimulator:
         self._preinstalled = dict(preinstalled or {})
         self.metrics = metrics
 
-        # ---- per-instance precomputation (shared across engines) -----
-        shared = interned(instance)
-        self._fnames = shared.fnames
-        self._fid_of = fid_of = shared.fid_of
+        # ---- the trace's ids, the projection's costs (shared) ---------
+        arrays = self._arrays = instance_arrays(instance)
+        trace = arrays.trace
+        self._fnames = trace.names
+        self._fid_of = fid_of = trace.fid_of
         self._num_fids = len(self._fnames)
-        self._calls_fid = shared.calls_fid
-        self._exec_rows = shared.exec_rows
-        self._compile_rows = shared.compile_rows
-        self._called_fids = shared.called_fids
-        self._first_pos = shared.first_pos
-        self._arrays = instance_arrays(instance)
-        self._calls_np = self._arrays.calls_np
+        self._ids = trace.ids
+        self._exec_rows = arrays.exec_rows
+        self._compile_rows = arrays.compile_rows
+        # Distinct called fids and their first-call positions, in
+        # first-call order: the only calls that can wait.
+        self._called_fids: List[int] = trace.first_fids.tolist()
+        self._first_pos: List[int] = trace.first_pos.tolist()
         self._pre_events: List[Tuple[Tuple[float, int], ...]] = [
             () for _ in range(self._num_fids)
         ]
@@ -545,15 +497,16 @@ class VectorSimulator:
         """
         self._check_covered(prep)
         arrays = self._arrays
-        calls = self._calls_fid
-        calls_np = self._calls_np
-        n = len(calls)
+        trace = arrays.trace
+        ids = self._ids
+        n = len(ids)
         exec_rows = self._exec_rows
         first_fin = prep.first_fin
         first_pos = self._first_pos
+        first_fids = self._called_fids
         num_firsts = len(first_pos)
-        first_pos_np = arrays.first_pos_np
-        first_fin_np = np.asarray(first_fin)[arrays.first_fids_np]
+        first_pos_np = trace.first_pos
+        first_fin_np = np.asarray(first_fin).take(trace.first_fids)
         raise_fins = prep.raise_fins
         raise_fids = prep.raise_fids
         raise_levels = prep.raise_levels
@@ -584,7 +537,7 @@ class VectorSimulator:
         fb = bisect_left(first_pos, i0)
         while i < n:
             if fb < num_firsts and first_pos[fb] == i:
-                fr = first_fin[calls[i]]
+                fr = first_fin[first_fids[fb]]
                 if t < fr:
                     # A blocking first call: the one place a bubble
                     # appears and the clock jumps forward.
@@ -606,7 +559,7 @@ class VectorSimulator:
                 step = max_chunk  # every install is in place: no cut left
             j = i + step if i + step < n else n
             m = j - i
-            seg = calls_np[i:j]
+            seg = ids[i:j]
             # Row 0 chains the clock, row 1 the exec total: each row's
             # cumsum is the reference's sequential sum from its seed.
             mat = empty((rows, m + 1))
@@ -647,7 +600,7 @@ class VectorSimulator:
                     starts, finishes, levels, cum_exec, cum_bubble = timeline
                     starts.extend(arr[:p].tolist())
                     finishes.extend(arr[1 : p + 1].tolist())
-                    levels.extend(bests[seg[:p]].tolist())
+                    levels.extend(bests.take(seg[:p]).tolist())
                     cum_exec.extend(mat[1, 1 : p + 1].tolist())
                     cum_bubble.extend([total_bubble] * p)
             fb_next = bisect_left(first_pos, i + p, fb, fe)
@@ -721,13 +674,10 @@ class VectorSimulator:
             prep, exec0=0.0, applied=applied
         )
         arrays = self._arrays
-        called = np.nonzero(arrays.called_mask_np)[0]
+        counts = arrays.trace.counts
+        called = np.nonzero(counts)[0]
         hist = np.zeros(arrays.max_levels, dtype=np.int64)
-        np.add.at(
-            hist,
-            np.asarray(prep.init_levels)[called],
-            arrays.call_counts_np[called],
-        )
+        np.add.at(hist, np.asarray(prep.init_levels)[called], counts[called])
         if applied:
             order, bounds = arrays.call_groups()
             level_of = {}
@@ -867,8 +817,8 @@ class VectorSimulator:
         ``seeds[r]``, call ``i`` taking ``e[i]``.
         """
         arrays = self._arrays
-        calls_np = self._calls_np
-        n = len(calls_np)
+        trace = arrays.trace
+        n = len(self._ids)
         num_fids = self._num_fids
         num_tasks = len(tfids)
         if num_tasks and (
@@ -891,7 +841,7 @@ class VectorSimulator:
         level[tfids] = tlvls
         for fid, plvl in self._pre_pairs:
             level[fid] = plvl  # installed at t = 0
-        missing = arrays.called_mask_np & (level < 0)
+        missing = (trace.counts > 0) & (level < 0)
         if bool(missing.any()):
             metrics = self.metrics
             if metrics is not None:
@@ -904,14 +854,14 @@ class VectorSimulator:
                     )
         # Uncalled fids may carry level -1 here; the gather below only
         # ever reads called fids' rows (and -1 wraps, harmlessly).
-        e = arrays.exec_tab[np.arange(num_fids), level][calls_np]
+        e = arrays.exec_tab[np.arange(num_fids), level].take(self._ids)
 
         # ---- guess which first calls block ---------------------------
         # Approximate max-plus bubble offsets at the first-call
         # positions (raw prefix + running max of F - prefix); only used
         # to *guess* decisions, never to produce a float.
-        fp = arrays.first_pos_np
-        first_F = first_fin[arrays.first_fids_np]
+        fp = trace.first_pos
+        first_F = first_fin.take(trace.first_fids)
         if n:
             P = np.cumsum(e)
             cand = first_F - (P[fp] - e[fp])
@@ -951,9 +901,9 @@ class VectorSimulator:
             total_bubble = float(np.cumsum(bubbles)[nbind - 1])
         else:
             total_bubble = 0.0
-        called = np.nonzero(arrays.called_mask_np)[0]
+        called = np.nonzero(trace.counts)[0]
         hist = np.zeros(arrays.max_levels, dtype=np.int64)
-        np.add.at(hist, level[called], arrays.call_counts_np[called])
+        np.add.at(hist, level[called], trace.counts[called])
         calls_at_level = {
             lvl: int(count) for lvl, count in enumerate(hist.tolist()) if count
         }
@@ -1060,7 +1010,7 @@ class VectorSimulator:
                     metrics.counter("vecsim.tasks_prepared").inc(len(schedule))
                     metrics.counter("vecsim.replays").inc()
                     metrics.counter("vecsim.calls_replayed").inc(
-                        len(self._calls_fid)
+                        len(self._ids)
                     )
                 return batched[0]
         prep = self._prepare(
@@ -1091,7 +1041,7 @@ class VectorSimulator:
         t, total_exec, total_bubble, calls_at_level = self._replay_totals(prep)
         if metrics is not None:
             metrics.counter("vecsim.replays").inc()
-            metrics.counter("vecsim.calls_replayed").inc(len(self._calls_fid))
+            metrics.counter("vecsim.calls_replayed").inc(len(self._ids))
         return MakespanResult(
             makespan=t,
             compile_end=prep.finishes[-1] if prep.finishes else 0.0,
@@ -1138,7 +1088,7 @@ class VectorSimulator:
             prev = 0.0
             calls: List[CallTiming] = []
             for fid, s, f, level in zip(
-                self._calls_fid, starts, finishes, levels
+                self._ids.tolist(), starts, finishes, levels
             ):
                 calls.append(
                     CallTiming(
@@ -1198,7 +1148,7 @@ class VectorSimulator:
                 self.metrics.counter("vecsim.tasks_prepared").inc(len(schedule))
         else:
             firsts: List[np.ndarray] = []
-            crossings = [len(self._calls_fid)] * len(wanted)
+            crossings = [len(self._ids)] * len(wanted)
             t, _reached, _exec, _bubble = self._walk(
                 self._prepare(schedule),
                 firsts=firsts,
@@ -1207,15 +1157,15 @@ class VectorSimulator:
             )
             first_starts = np.concatenate(firsts).tolist() if firsts else []
         fnames = self._fnames
-        calls_np = self._calls_np
+        ids = self._ids
 
         def counted(calls):
             counts = np.bincount(calls, minlength=self._num_fids).tolist()
             return {fnames[fid]: c for fid, c in enumerate(counts) if c}
 
         crossing = iter(crossings)
-        before = {} if before_time is None else counted(calls_np[: next(crossing)])
-        after = {} if after_time is None else counted(calls_np[next(crossing) :])
+        before = {} if before_time is None else counted(ids[: next(crossing)])
+        after = {} if after_time is None else counted(ids[next(crossing) :])
         firsts = dict(zip((fnames[fid] for fid in self._called_fids), first_starts))
         return firsts, before, after, t
 
@@ -1289,7 +1239,7 @@ class VectorSimulator:
         and the (unchanged) clock right before it."""
         t_min = self._divergence_time(self._b_prep, prep)  # type: ignore[arg-type]
         if t_min == _INF:
-            n = len(self._calls_fid)
+            n = len(self._ids)
             return n, self._b_finish[n - 1] if n else 0.0
         i0 = bisect_left(self._b_start, t_min)
         t0 = self._b_finish[i0 - 1] if i0 > 0 else 0.0
@@ -1311,7 +1261,7 @@ class VectorSimulator:
         prep = self._prepare(tasks)
         i0, t0 = self._resume_point(prep)
         self._cand = (prep, i0, t0)
-        if i0 >= len(self._calls_fid):
+        if i0 >= len(self._ids):
             return self._b_makespan
         span = self._replay_span(
             prep, i0, t0, cutoff if cutoff is not None else _INF

@@ -15,10 +15,10 @@ occupancy, execution bubbles, and which compiled version each call
 runs.  Enqueue times are monotone (they follow execution), so FIFO
 dispatch can be resolved greedily with no global event queue.
 
-The replay is event-driven over the instance's shared interned arrays
-(:func:`repro.core.vecsim.instance_arrays`) and keeps the vector
-engine's exactness rules, so every number is bitwise what a
-call-at-a-time loop computes:
+The replay is event-driven over the instance's interned call ids and
+its shared cost tables (:func:`repro.core.vecsim.instance_arrays`), and
+keeps the vector engine's exactness rules, so every number is bitwise
+what a call-at-a-time loop computes:
 
 * between events the clock is a ``numpy.cumsum`` seeded with the
   running clock (a sequential left-to-right sum);
@@ -46,7 +46,7 @@ import numpy as np
 
 from ..core.model import OCSPInstance
 from ..core.schedule import CompileTask, Schedule
-from ..core.vecsim import instance_arrays, interned
+from ..core.vecsim import instance_arrays
 
 __all__ = [
     "RuntimeScheme",
@@ -69,11 +69,12 @@ def default_sample_period(instance: OCSPInstance, ticks: int = 1000) -> float:
     level-0 execution.
     """
     arrays = instance_arrays(instance)
-    if not len(arrays.calls_np):
+    ids = arrays.trace.ids
+    if not len(ids):
         return 1.0
     # ``cumsum`` adds left to right; builtin ``sum`` compensates float
     # rounding since Python 3.12 and would move the period.
-    total_base_exec = float(np.cumsum(arrays.exec_tab[arrays.calls_np, 0])[-1])
+    total_base_exec = float(np.cumsum(arrays.exec_tab[:, 0].take(ids))[-1])
     if total_base_exec <= 0:
         return 1.0
     return total_base_exec / ticks
@@ -361,15 +362,14 @@ class RuntimeSimulator:
         period = self.sample_period
         tracer = self.tracer
         faults = self.faults
-        shared = interned(instance)
         arrays = instance_arrays(instance)
-        fnames = shared.fnames
-        fid_of = shared.fid_of
-        exec_rows = shared.exec_rows
-        calls_fid = shared.calls_fid
-        calls = arrays.calls_np
+        trace = arrays.trace
+        fnames = trace.names
+        fid_of = trace.fid_of
+        exec_rows = arrays.exec_rows
+        calls = trace.ids
         exec_tab = arrays.exec_tab
-        n = len(calls_fid)
+        n = len(calls)
         # Level each function runs at and its exec time, as of the
         # installs applied so far (-1 before the first).
         level_of = np.full(len(fnames), -1, dtype=np.intp)
@@ -377,9 +377,9 @@ class RuntimeSimulator:
 
         # The calls replayed one at a time: first calls, and the calls
         # at which a scheme's declared promotions fire.
-        first_calls = set(shared.first_pos)
+        first_calls = set(trace.first_pos.tolist())
         promoted: Dict[int, List[int]] = {}
-        for fid in shared.called_fids:
+        for fid in trace.first_fids.tolist():
             fname = fnames[fid]
             declared = scheme.promotions(fname, len(exec_rows[fid]))
             if not declared:
@@ -454,7 +454,7 @@ class RuntimeSimulator:
         while i < n:
             if s < num_singles and singles[s] == i:
                 s += 1
-                fid = calls_fid[i]
+                fid = int(calls[i])
                 fname = fnames[fid]
                 if i in first_calls:
                     # First encounter: request the baseline compilation now.
@@ -511,7 +511,7 @@ class RuntimeSimulator:
             while i < b:
                 j = b if b - i <= step else i + step
                 seg = calls[i:j]
-                ex = exec_of[seg]
+                ex = exec_of.take(seg)
                 m = j - i
                 # clock[c] / clock[c + 1]: start / finish of call i + c.
                 clock = np.empty(m + 1)
@@ -531,13 +531,13 @@ class RuntimeSimulator:
                         t_tick = tick * period
                         if t_tick > end:
                             break
-                        deliver(fnames[calls_fid[i + owner]], tick, t_tick)
+                        deliver(fnames[seg[owner]], tick, t_tick)
                         tick += 1
                         # A request that installs inside the chunk keeps
                         # only the calls that start before it.
                         p = committed(clock, p)
                         end = float(clock[p])
-                levels = level_of[seg[:p]]
+                levels = level_of.take(seg[:p])
                 acc = np.empty(p + 1)
                 acc[0] = total_exec
                 acc[1:] = ex[:p]

@@ -253,7 +253,7 @@ def generate(spec: WorkloadSpec, seed: int = 0) -> OCSPInstance:
         fill(cursor, n)
 
     names = [profiles[i].name for i in range(m)]
-    call_names = tuple(names[i] for i in calls)
+    call_names = tuple(map(names.__getitem__, calls.tolist()))
     return OCSPInstance(
         profiles={prof.name: prof for prof in profiles},
         calls=call_names,

@@ -34,7 +34,7 @@ def _poisoned(suite):
     broken = OCSPInstance(
         {"f0": FunctionProfile("f0", (1.0,), (1.0,))}, ("f0",), name="bad"
     )
-    object.__setattr__(broken, "calls", ("f0", "missing"))
+    object.__setattr__(broken, "profiles", {})
     out = dict(suite)
     out["bad"] = broken
     return out

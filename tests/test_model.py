@@ -1,6 +1,7 @@
 """Tests for the OCSP data model (Definition 1)."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import FunctionProfile, ModelError, OCSPInstance
 from repro.core.model import merge_instances, validate_monotone_levels
@@ -227,3 +228,60 @@ class TestMergeInstances:
         b = OCSPInstance({"a": FunctionProfile("a", (2.0,), (1.0,))}, ("a",))
         with pytest.raises(ModelError, match="conflicting"):
             merge_instances([a, b])
+
+
+@st.composite
+def traced_instances(draw):
+    """Profiles in a drawn order, calls drawn independently of it: the
+    profile order differs from the first-call order, some profiles go
+    uncalled, and the sequence may hold one call or none."""
+    names = draw(st.permutations([f"f{i}" for i in range(draw(st.integers(1, 7)))]))
+    profiles = {name: FunctionProfile(name, (1.0,), (1.0,)) for name in names}
+    calls = draw(st.lists(st.sampled_from(sorted(names)), max_size=40))
+    return OCSPInstance(profiles, tuple(calls))
+
+
+_ONE_PROFILE = {"f0": FunctionProfile("f0", (1.0,), (1.0,))}
+
+
+class TestInternedTrace:
+    """The ids, counts and first calls interned at construction, against
+    a per-call loop."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(traced_instances())
+    @example(OCSPInstance(_ONE_PROFILE, ()))
+    @example(OCSPInstance(_ONE_PROFILE, ("f0",)))
+    def test_ids_counts_and_first_calls_match_a_per_call_loop(self, inst):
+        names = list(inst.profiles)
+        ids = inst._trace.ids
+        assert ids.dtype.kind == "u" and ids.itemsize == 1
+        assert [names[fid] for fid in ids.tolist()] == list(inst.calls)
+        counts = {}
+        first = {}
+        for index, fname in enumerate(inst.calls):
+            counts[fname] = counts.get(fname, 0) + 1
+            if fname not in first:
+                first[fname] = index
+        assert inst.called_functions == list(first)
+        assert inst.num_functions == len(counts)
+        for fname in names:
+            assert inst.call_count(fname) == counts.get(fname, 0)
+            if fname in first:
+                assert inst.first_call_index(fname) == first[fname]
+            else:
+                with pytest.raises(KeyError):
+                    inst.first_call_index(fname)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.sampled_from(["f0", "f1", "x", "y"]), min_size=1, max_size=20)
+        .filter(lambda calls: {"x", "y"} & set(calls))
+    )
+    def test_unprofiled_call_names_its_first_index(self, calls):
+        profiles = {
+            name: FunctionProfile(name, (1.0,), (1.0,)) for name in ("f1", "f0")
+        }
+        index = min(i for i, fname in enumerate(calls) if fname in ("x", "y"))
+        with pytest.raises(ModelError, match=rf"^call #{index} invokes "):
+            OCSPInstance(profiles, tuple(calls))

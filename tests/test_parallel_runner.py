@@ -81,7 +81,7 @@ def test_failing_benchmark_is_isolated(suite):
     broken = OCSPInstance(
         {"f0": FunctionProfile("f0", (1.0,), (1.0,))}, ("f0",), name="broken"
     )
-    object.__setattr__(broken, "calls", ("f0", "missing"))
+    object.__setattr__(broken, "profiles", {})
     poisoned = dict(suite)
     poisoned["broken"] = broken
     run = run_parallel(poisoned, drivers=("figure5",), jobs=2)

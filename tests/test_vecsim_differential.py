@@ -976,7 +976,7 @@ def test_cached_engines_do_not_keep_their_instance_alive(no_cyclic_gc):
     simulate(projected, schedule, engine="vector")
     run_jikes(projected)
     run_v8(projected)
-    assert projected._engine_cache and projected._interned.arrays is not None
+    assert projected._engine_cache and projected._arrays is not None
     ref = weakref.ref(projected)
     del projected
     assert ref() is None
