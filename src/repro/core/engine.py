@@ -33,14 +33,7 @@ import os
 import weakref
 from typing import Dict, Optional, Sequence, Tuple
 
-from .makespan import (
-    DueDateObjectives,
-    DueDateTable,
-    MakespanResult,
-    objectives_from_timeline,
-    simulate,
-    validate_for_simulation,
-)
+from .makespan import MakespanResult, _check_engine_args, iter_calls, simulate
 from .model import OCSPInstance
 from .schedule import CompileTask, Schedule
 from .vecsim import VectorSimulator
@@ -114,6 +107,9 @@ class ReferenceSimulator:
     span is returned, which makes every caller's ``span <= incumbent``
     decision identical to the early-exit engines').
 
+    Whatever the session default engine, every method runs the
+    reference loop: ``evaluate`` pins ``engine="reference"``.
+
     ``trace_stats`` does not support ``preinstalled`` functions (the
     underlying :func:`~repro.core.makespan.iter_calls` stream has no
     notion of them); the vector engine is the tool for that.
@@ -126,21 +122,13 @@ class ReferenceSimulator:
         preinstalled: Optional[Dict[str, int]] = None,
         metrics=None,
     ) -> None:
-        if compile_threads < 1:
-            raise ValueError(
-                f"compile_threads must be >= 1, got {compile_threads}"
-            )
+        self._preinstalled = _check_engine_args(
+            instance, compile_threads, preinstalled
+        )
         # Weak reference plus a keep-alive, as in VectorSimulator.
         self._instance_ref = weakref.ref(instance)
         self._owner: Optional[OCSPInstance] = instance
         self._compile_threads = compile_threads
-        self._preinstalled = dict(preinstalled or {})
-        for fname, level in self._preinstalled.items():
-            prof = instance.profiles.get(fname)
-            if prof is None or not 0 <= level < prof.num_levels:
-                raise ValueError(
-                    f"preinstalled level {level} invalid for {fname!r}"
-                )
         self.metrics = metrics
         self._b_tasks: Optional[Tuple[CompileTask, ...]] = None
         self._b_makespan = 0.0
@@ -176,45 +164,50 @@ class ReferenceSimulator:
             task_installs=task_installs,
             tracer=tracer,
             metrics=self.metrics,
+            engine="reference",
         )
-
-    def due_objectives(
-        self, schedule, due: DueDateTable, validate: bool = False
-    ) -> DueDateObjectives:
-        """Due-date objectives through the oracle (one timeline run)."""
-        result = self.evaluate(
-            schedule, record_timeline=True, validate=validate
-        )
-        return objectives_from_timeline(result, due)
 
     def trace_stats(
         self,
         schedule,
         before_time: Optional[float] = None,
         after_time: Optional[float] = None,
-    ):
+    ) -> Tuple[Dict[str, float], Dict[str, int], Dict[str, int], float]:
+        """The reference trace pass: one stream over the execution.
+
+        Returns ``(first_call_start, calls_before, calls_after, exec_end)``
+        where ``calls_before[f]`` counts invocations of ``f`` starting
+        strictly before ``before_time`` and ``calls_after[f]`` those
+        starting at or after ``after_time``.
+        """
         if self._preinstalled:
             raise NotImplementedError(
                 "ReferenceSimulator.trace_stats does not support "
                 "preinstalled functions"
             )
-        from .iar import _trace_stats
-
-        return _trace_stats(
+        first_start: Dict[str, float] = {}
+        before: Dict[str, int] = {}
+        after: Dict[str, int] = {}
+        end = 0.0
+        for fname, _level, start, finish, _bubble in iter_calls(
             self._instance,
             Schedule(self._as_tasks(schedule)),
-            before_time=before_time,
-            after_time=after_time,
-            compile_threads=self._compile_threads,
-        )
+            self._compile_threads,
+        ):
+            if fname not in first_start:
+                first_start[fname] = start
+            if before_time is not None and start < before_time:
+                before[fname] = before.get(fname, 0) + 1
+            if after_time is not None and start >= after_time:
+                after[fname] = after.get(fname, 0) + 1
+            end = finish
+        return first_start, before, after, end
 
     # -- incremental interface (full re-evaluation each time) ----------
     def bind(self, schedule, validate: bool = False) -> float:
         tasks = self._as_tasks(schedule)
         if validate:
-            validate_for_simulation(
-                self._instance, Schedule(tasks), self._preinstalled
-            )
+            Schedule(tasks).validate(self._instance, self._preinstalled)
         self._b_tasks = tasks
         self._b_makespan = self.evaluate(tasks).makespan
         self._cand = None

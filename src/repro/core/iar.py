@@ -37,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .makespan import iter_calls
 from .model import OCSPInstance, _left_sum
 from .schedule import CompileTask, Schedule
 
@@ -182,38 +181,6 @@ def _function_infos(
             n=n,
         )
     return infos
-
-
-def _trace_stats(
-    instance: OCSPInstance,
-    schedule: Schedule,
-    before_time: Optional[float] = None,
-    after_time: Optional[float] = None,
-    compile_threads: int = 1,
-) -> Tuple[Dict[str, float], Dict[str, int], Dict[str, int], float]:
-    """One streaming pass over the execution under ``schedule``.
-
-    Returns ``(first_call_start, calls_before, calls_after, exec_end)``
-    where ``calls_before[f]`` counts invocations of ``f`` starting
-    strictly before ``before_time`` and ``calls_after[f]`` counts those
-    starting at or after ``after_time``, with ``compile_threads``
-    compiler threads.
-    """
-    first_start: Dict[str, float] = {}
-    before: Dict[str, int] = {}
-    after: Dict[str, int] = {}
-    end = 0.0
-    for fname, _level, start, finish, _bubble in iter_calls(
-        instance, schedule, compile_threads
-    ):
-        if fname not in first_start:
-            first_start[fname] = start
-        if before_time is not None and start < before_time:
-            before[fname] = before.get(fname, 0) + 1
-        if after_time is not None and start >= after_time:
-            after[fname] = after.get(fname, 0) + 1
-        end = finish
-    return first_start, before, after, end
 
 
 def iar(

@@ -26,6 +26,7 @@ Model (Sections 3, 4.2, 6.2.3):
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import math
 import os
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .model import ModelError, OCSPInstance
-from .schedule import Schedule, ScheduleError
+from .schedule import CompileTask, Schedule, ScheduleError
 
 __all__ = [
     "TaskTiming",
@@ -44,7 +45,6 @@ __all__ = [
     "simulate",
     "simulate_single_core",
     "iter_calls",
-    "validate_for_simulation",
     "objectives_from_timeline",
     "due_date_objectives",
 ]
@@ -294,40 +294,44 @@ def due_date_objectives(
     return objectives_from_timeline(result, due)
 
 
-def validate_for_simulation(
+def _check_engine_args(
     instance: OCSPInstance,
-    schedule: Schedule,
-    preinstalled: Optional[Dict[str, int]] = None,
+    compile_threads: int,
+    preinstalled: Optional[Mapping[str, int]],
+) -> Dict[str, int]:
+    """Check the thread count and each preinstalled level, both engines'
+    fixed arguments; return ``preinstalled`` as a dict."""
+    if compile_threads < 1:
+        raise ValueError(f"compile_threads must be >= 1, got {compile_threads}")
+    checked = dict(preinstalled or {})
+    for fname, level in checked.items():
+        prof = instance.profiles.get(fname)
+        if prof is None or not 0 <= level < prof.num_levels:
+            raise ValueError(f"preinstalled level {level} invalid for {fname!r}")
+    return checked
+
+
+def _check_task_overrides(
+    num_tasks: int,
+    release_times: Optional[Sequence[float]],
+    task_compile_times: Optional[Sequence[float]],
+    task_installs: Optional[Sequence[bool]],
 ) -> None:
-    """Validate ``schedule`` for simulation, honouring ``preinstalled``.
-
-    Without preinstalled code this is :meth:`Schedule.validate`.  With
-    it, the coverage requirement relaxes: a preinstalled function needs
-    no compile task (its code exists from t = 0), while the per-task
-    level/monotonicity checks still apply to every task.
-
-    Raises:
-        ScheduleError: if the schedule cannot legally drive the instance.
-    """
-    if not preinstalled:
-        schedule.validate(instance)
-        return
-    covered = set(preinstalled)
-    missing = [f for f in instance.called_functions if f not in covered]
-    # Delegate per-task checks to the standard validator on a reduced
-    # requirement: every *non-preinstalled* called function must still
-    # be compiled.
-    reduced = OCSPInstance(
-        profiles=instance.profiles,
-        calls=tuple(f for f in instance.calls if f in missing),
-        name=instance.name,
-    )
-    schedule.validate(reduced)
+    """Check that each per-task override given has one entry per task."""
+    for label, values in (
+        ("release_times", release_times),
+        ("task_compile_times", task_compile_times),
+        ("task_installs", task_installs),
+    ):
+        if values is not None and len(values) != num_tasks:
+            raise ValueError(
+                f"{label} has {len(values)} entries for {num_tasks} tasks"
+            )
 
 
 def _compile_task_finishes(
     instance: OCSPInstance,
-    schedule: Schedule,
+    schedule: Sequence[CompileTask],
     compile_threads: int,
     release_times: Optional[Sequence[float]] = None,
     task_compile_times: Optional[Sequence[float]] = None,
@@ -342,8 +346,10 @@ def _compile_task_finishes(
     ``start = max(thread_free, enqueue_time)``.  With
     ``task_compile_times``, task ``i`` charges ``task_compile_times[i]``
     instead of the profile's compile time — the fault layer's stalled
-    (slowed-down) attempts.
+    (slowed-down) attempts.  Both engines take their task timings from
+    here.
     """
+    profiles = instance.profiles
     starts: List[float] = []
     finishes: List[float] = []
     threads_used: List[int] = []
@@ -354,7 +360,7 @@ def _compile_task_finishes(
             c = (
                 task_compile_times[i]
                 if task_compile_times is not None
-                else instance.profiles[task.function].compile_times[task.level]
+                else profiles[task.function].compile_times[task.level]
             )
             if release_times is not None:
                 rel = release_times[i]
@@ -371,7 +377,7 @@ def _compile_task_finishes(
         c = (
             task_compile_times[i]
             if task_compile_times is not None
-            else instance.profiles[task.function].compile_times[task.level]
+            else profiles[task.function].compile_times[task.level]
         )
         start, tid = heapq.heappop(free_at)
         if release_times is not None:
@@ -383,6 +389,44 @@ def _compile_task_finishes(
         threads_used.append(tid)
         heapq.heappush(free_at, (start + c, tid))
     return starts, finishes, threads_used
+
+
+def _task_timings(
+    schedule: Sequence[CompileTask],
+    starts: Sequence[float],
+    finishes: Sequence[float],
+    threads: Sequence[int],
+) -> Tuple[TaskTiming, ...]:
+    """The per-task timeline from :func:`_compile_task_finishes`' lists."""
+    return tuple(
+        TaskTiming(task.function, task.level, start, finish, thread)
+        for task, start, finish, thread in zip(schedule, starts, finishes, threads)
+    )
+
+
+def _install_events(
+    schedule: Sequence[CompileTask],
+    finishes: Sequence[float],
+    preinstalled: Optional[Mapping[str, int]] = None,
+    task_installs: Optional[Sequence[bool]] = None,
+) -> Dict[str, List[Tuple[float, int]]]:
+    """Each function's installs as ``(finish, level)``, sorted by finish.
+
+    Preinstalled code installs at t = 0.  A task whose ``task_installs``
+    entry is false (a failed compile attempt) occupies its thread but
+    publishes no code, so it contributes no event.
+    """
+    by_function: Dict[str, List[Tuple[float, int]]] = {}
+    if preinstalled:
+        for fname, level in preinstalled.items():
+            by_function[fname] = [(0.0, level)]
+    for i, (task, finish) in enumerate(zip(schedule, finishes)):
+        if task_installs is not None and not task_installs[i]:
+            continue
+        by_function.setdefault(task.function, []).append((finish, task.level))
+    for events in by_function.values():
+        events.sort()
+    return by_function
 
 
 def _simulate(
@@ -397,49 +441,17 @@ def _simulate(
     task_installs: Optional[Sequence[bool]] = None,
 ) -> MakespanResult:
     """Untraced simulation body; see :func:`simulate` for the contract."""
-    if compile_threads < 1:
-        raise ValueError(f"compile_threads must be >= 1, got {compile_threads}")
-    if release_times is not None and len(release_times) != len(schedule):
-        raise ValueError(
-            f"release_times has {len(release_times)} entries for "
-            f"{len(schedule)} tasks"
-        )
-    if task_compile_times is not None and len(task_compile_times) != len(schedule):
-        raise ValueError(
-            f"task_compile_times has {len(task_compile_times)} entries for "
-            f"{len(schedule)} tasks"
-        )
-    if task_installs is not None and len(task_installs) != len(schedule):
-        raise ValueError(
-            f"task_installs has {len(task_installs)} entries for "
-            f"{len(schedule)} tasks"
-        )
-    preinstalled = dict(preinstalled or {})
-    for fname, level in preinstalled.items():
-        prof = instance.profiles.get(fname)
-        if prof is None or not 0 <= level < prof.num_levels:
-            raise ValueError(
-                f"preinstalled level {level} invalid for {fname!r}"
-            )
+    preinstalled = _check_engine_args(instance, compile_threads, preinstalled)
+    _check_task_overrides(
+        len(schedule), release_times, task_compile_times, task_installs
+    )
     if validate:
-        validate_for_simulation(instance, schedule, preinstalled)
+        schedule.validate(instance, preinstalled)
 
     starts, finishes, threads_used = _compile_task_finishes(
         instance, schedule, compile_threads, release_times, task_compile_times
     )
-
-    # Per-function list of (finish_time, level), sorted by finish time.
-    # Non-installing tasks (failed compile attempts) occupy their thread
-    # but never publish code, so they contribute no event.
-    by_function: Dict[str, List[Tuple[float, int]]] = {}
-    for fname, level in preinstalled.items():
-        by_function.setdefault(fname, []).append((0.0, level))
-    for i, (task, finish) in enumerate(zip(schedule, finishes)):
-        if task_installs is not None and not task_installs[i]:
-            continue
-        by_function.setdefault(task.function, []).append((finish, task.level))
-    for events in by_function.values():
-        events.sort()
+    by_function = _install_events(schedule, finishes, preinstalled, task_installs)
 
     # Monotone per-function cursor: index of the next not-yet-finished
     # compile event, and the best level among finished ones.
@@ -505,26 +517,17 @@ def _simulate(
             )
         t = finish
 
-    task_timings: Optional[Tuple[TaskTiming, ...]] = None
-    if record_timeline:
-        task_timings = tuple(
-            TaskTiming(
-                function=task.function,
-                level=task.level,
-                start=s,
-                finish=f,
-                thread=tid,
-            )
-            for task, s, f, tid in zip(schedule, starts, finishes, threads_used)
-        )
-
     return MakespanResult(
         makespan=t,
         compile_end=finishes[-1] if finishes else 0.0,
         total_bubble_time=total_bubble,
         total_exec_time=total_exec,
         calls_at_level=calls_at_level,
-        task_timings=task_timings,
+        task_timings=(
+            _task_timings(schedule, starts, finishes, threads_used)
+            if record_timeline
+            else None
+        ),
         call_timings=tuple(call_timings) if record_timeline else None,
     )
 
@@ -666,13 +669,7 @@ def simulate(
         _count_run(metrics, instance, schedule)
     if record_timeline:
         return result
-    return MakespanResult(
-        makespan=result.makespan,
-        compile_end=result.compile_end,
-        total_bubble_time=result.total_bubble_time,
-        total_exec_time=result.total_exec_time,
-        calls_at_level=result.calls_at_level,
-    )
+    return dataclasses.replace(result, task_timings=None, call_timings=None)
 
 
 def _count_run(metrics, instance: OCSPInstance, schedule: Schedule) -> None:
@@ -695,11 +692,7 @@ def iter_calls(
     one.
     """
     _, finishes, _ = _compile_task_finishes(instance, schedule, compile_threads)
-    by_function: Dict[str, List[Tuple[float, int]]] = {}
-    for task, finish in zip(schedule, finishes):
-        by_function.setdefault(task.function, []).append((finish, task.level))
-    for events in by_function.values():
-        events.sort()
+    by_function = _install_events(schedule, finishes)
     cursor: Dict[str, int] = {f: 0 for f in by_function}
     best_level: Dict[str, int] = {}
     profiles = instance.profiles

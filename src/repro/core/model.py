@@ -390,14 +390,20 @@ class OCSPInstance:
                 compile_times=tuple(prof.compile_times[lvl] for lvl in keep),
                 exec_times=tuple(prof.exec_times[lvl] for lvl in keep),
             )
-        # Same function names in the same order, same call sequence: the
-        # projection shares the source's interned trace as it is.
-        restricted = object.__new__(OCSPInstance)
-        object.__setattr__(restricted, "profiles", new_profiles)
-        object.__setattr__(restricted, "calls", self.calls)
-        object.__setattr__(restricted, "name", self.name)
-        object.__setattr__(restricted, "_trace", self._trace)
-        return restricted
+        return self._with_profiles(new_profiles, self.name)
+
+    def _with_profiles(
+        self, profiles: Dict[str, FunctionProfile], name: str
+    ) -> "OCSPInstance":
+        """The same calls under new ``profiles``, sharing this instance's
+        interned trace: ``profiles`` must hold the same names in the same
+        order (a function's id is its position there)."""
+        view = object.__new__(OCSPInstance)
+        object.__setattr__(view, "profiles", profiles)
+        object.__setattr__(view, "calls", self.calls)
+        object.__setattr__(view, "name", name)
+        object.__setattr__(view, "_trace", self._trace)
+        return view
 
     def prefix(self, n_calls: int) -> "OCSPInstance":
         """Instance containing only the first ``n_calls`` invocations."""

@@ -25,9 +25,9 @@ Consequences, verified in tests:
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict
 
-from .makespan import MakespanResult, _compile_task_finishes
+from .makespan import MakespanResult, _compile_task_finishes, _install_events
 from .model import OCSPInstance
 from .schedule import Schedule
 
@@ -74,11 +74,7 @@ def simulate_osr(
     _starts, finishes, _threads = _compile_task_finishes(
         instance, schedule, compile_threads
     )
-    by_function: Dict[str, List[Tuple[float, int]]] = {}
-    for task, finish in zip(schedule, finishes):
-        by_function.setdefault(task.function, []).append((finish, task.level))
-    for events in by_function.values():
-        events.sort()
+    by_function = _install_events(schedule, finishes)
 
     cursor: Dict[str, int] = {f: 0 for f in by_function}
     best_level: Dict[str, int] = {}

@@ -10,7 +10,7 @@ per-function cost tables, fully determines the make-span.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from .model import OCSPInstance, _left_sum
 
@@ -116,14 +116,20 @@ class Schedule:
     # ------------------------------------------------------------------
     # Validation
     # ------------------------------------------------------------------
-    def validate(self, instance: OCSPInstance) -> None:
+    def validate(
+        self,
+        instance: OCSPInstance,
+        preinstalled: Optional[Mapping[str, int]] = None,
+    ) -> None:
         """Check that this schedule can legally drive ``instance``.
 
         Requirements:
 
         * every compiled function has a profile and the level exists;
         * every *called* function is compiled at least once (otherwise
-          some invocation can never run);
+          some invocation can never run), unless it is in
+          ``preinstalled``: its code exists from t = 0 (see
+          :func:`~repro.core.makespan.simulate`);
         * no function is compiled twice at the same or a lower level
           later in the schedule — such a task can never help under the
           monotonicity assumptions and the "latest compilation wins"
@@ -152,7 +158,12 @@ class Schedule:
                     "strictly increase the level"
                 )
             last_level[task.function] = task.level
-        missing = [f for f in instance.called_functions if f not in last_level]
+        covered = preinstalled or {}
+        missing = [
+            f
+            for f in instance.called_functions
+            if f not in last_level and f not in covered
+        ]
         if missing:
             raise ScheduleError(
                 "called functions never compiled: " + ", ".join(sorted(missing))

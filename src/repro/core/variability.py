@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
-from .makespan import MakespanResult, _compile_task_finishes
+from .makespan import MakespanResult, _compile_task_finishes, _install_events
 from .model import OCSPInstance
 from .schedule import Schedule
 
@@ -69,11 +69,7 @@ def simulate_variable(
     _starts, finishes, _threads = _compile_task_finishes(
         instance, schedule, compile_threads
     )
-    by_function: Dict[str, List[Tuple[float, int]]] = {}
-    for task, finish in zip(schedule, finishes):
-        by_function.setdefault(task.function, []).append((finish, task.level))
-    for events in by_function.values():
-        events.sort()
+    by_function = _install_events(schedule, finishes)
     cursor = {f: 0 for f in by_function}
     best_level: Dict[str, int] = {}
 

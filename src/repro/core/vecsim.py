@@ -78,7 +78,7 @@ differentially on hypothesis-generated instances.
 
 from __future__ import annotations
 
-import heapq
+import dataclasses
 import math
 import weakref
 from bisect import bisect_left, bisect_right
@@ -88,12 +88,12 @@ import numpy as np
 
 from .makespan import (
     CallTiming,
-    DueDateObjectives,
-    DueDateTable,
     MakespanResult,
     TaskTiming,
-    objectives_from_timeline,
-    validate_for_simulation,
+    _check_engine_args,
+    _check_task_overrides,
+    _compile_task_finishes,
+    _task_timings,
 )
 from .model import OCSPInstance
 from .schedule import CompileTask, Schedule, ScheduleError
@@ -151,8 +151,8 @@ class _Arrays:
     The calls as ids, their counts and first calls belong to the trace
     (``trace``), which the instance interns when it is built and its
     projections share.  What a projection changes is its cost table:
-    ``exec_rows``/``compile_rows`` are each function's times, in id
-    order, and ``exec_tab``/``compile_tab`` the same as dense
+    ``exec_rows`` are each function's exec times, in id order, and
+    ``exec_tab``/``compile_tab`` the exec and compile times as dense
     ``(fid, level)`` matrices (rows padded with their last entry —
     padding is never indexed because level validity is checked first).
     :func:`instance_arrays` builds it once per instance, and every
@@ -164,7 +164,6 @@ class _Arrays:
     __slots__ = (
         "trace",
         "exec_rows",
-        "compile_rows",
         "max_levels",
         "exec_tab",
         "compile_tab",
@@ -176,7 +175,6 @@ class _Arrays:
         self.trace = instance._trace
         profiles = instance.profiles.values()
         exec_rows = self.exec_rows = [prof.exec_times for prof in profiles]
-        self.compile_rows = [prof.compile_times for prof in profiles]
         ml = self.max_levels = max((len(row) for row in exec_rows), default=1)
 
         def table(rows):
@@ -185,7 +183,7 @@ class _Arrays:
             return np.array([row + (row[-1],) * (ml - len(row)) for row in rows])
 
         self.exec_tab = table(exec_rows)
-        self.compile_tab = table(self.compile_rows)
+        self.compile_tab = table([prof.compile_times for prof in profiles])
         self.nlvl_np = np.asarray([len(row) for row in exec_rows], dtype=np.int64)
         self._groups = None
 
@@ -245,17 +243,15 @@ class VectorSimulator:
         preinstalled: Optional[Dict[str, int]] = None,
         metrics=None,
     ) -> None:
-        if compile_threads < 1:
-            raise ValueError(
-                f"compile_threads must be >= 1, got {compile_threads}"
-            )
+        self._preinstalled = _check_engine_args(
+            instance, compile_threads, preinstalled
+        )
         # The instance is reached through a weak reference and kept
         # alive by ``_owner``, which the instance's own engine cache
         # drops (see repro.core.engine.make_simulator).
         self._instance_ref = weakref.ref(instance)
         self._owner: Optional[OCSPInstance] = instance
         self._compile_threads = compile_threads
-        self._preinstalled = dict(preinstalled or {})
         self.metrics = metrics
 
         # ---- the trace's ids, the projection's costs (shared) ---------
@@ -266,7 +262,6 @@ class VectorSimulator:
         self._num_fids = len(self._fnames)
         self._ids = trace.ids
         self._exec_rows = arrays.exec_rows
-        self._compile_rows = arrays.compile_rows
         # Distinct called fids and their first-call positions, in
         # first-call order: the only calls that can wait.
         self._called_fids: List[int] = trace.first_fids.tolist()
@@ -275,11 +270,6 @@ class VectorSimulator:
             () for _ in range(self._num_fids)
         ]
         for fname, level in self._preinstalled.items():
-            prof = instance.profiles.get(fname)
-            if prof is None or not 0 <= level < prof.num_levels:
-                raise ValueError(
-                    f"preinstalled level {level} invalid for {fname!r}"
-                )
             self._pre_events[fid_of[fname]] = ((0.0, level),)
         self._pre_pairs = [
             (fid, ev[0][1]) for fid, ev in enumerate(self._pre_events) if ev
@@ -318,80 +308,32 @@ class VectorSimulator:
         release_times: Optional[Sequence[float]] = None,
         task_compile_times: Optional[Sequence[float]] = None,
         task_installs: Optional[Sequence[bool]] = None,
+        validate: bool = False,
     ) -> _Prep:
         """Compute task timings and per-function event lists: ``O(S)``.
 
-        Replicates the reference FIFO thread assignment bit-for-bit
-        (ties broken by thread id) so finish times are identical.  With
-        ``release_times``, task ``i`` cannot start before
-        ``release_times[i]``; ``task_compile_times`` / ``task_installs``
-        are the fault layer's per-task overrides (see
-        :func:`~repro.core.makespan.simulate`).
+        The argument checks, the legality check (with ``validate``) and
+        the task starts, finishes and threads are the reference's own
+        (:func:`~repro.core.makespan.simulate`), run in its order; only
+        the fid-indexed install lists are built here.
         """
         tasks = self._as_tasks(schedule)
-        if release_times is not None and len(release_times) != len(tasks):
-            raise ValueError(
-                f"release_times has {len(release_times)} entries for "
-                f"{len(tasks)} tasks"
-            )
-        if task_compile_times is not None and len(task_compile_times) != len(
-            tasks
-        ):
-            raise ValueError(
-                f"task_compile_times has {len(task_compile_times)} entries "
-                f"for {len(tasks)} tasks"
-            )
-        if task_installs is not None and len(task_installs) != len(tasks):
-            raise ValueError(
-                f"task_installs has {len(task_installs)} entries for "
-                f"{len(tasks)} tasks"
-            )
+        _check_task_overrides(
+            len(tasks), release_times, task_compile_times, task_installs
+        )
+        instance = self._instance
+        if validate:
+            Schedule(tasks).validate(instance, self._preinstalled)
         prep = _Prep()
         prep.tasks = tasks
+        prep.starts, prep.finishes, prep.threads = _compile_task_finishes(
+            instance, tasks, self._compile_threads, release_times, task_compile_times
+        )
         fid_of = self._fid_of
-        compile_rows = self._compile_rows
-        starts = prep.starts
-        finishes = prep.finishes
-        threads = prep.threads
-        if self._compile_threads == 1:
-            t = 0.0
-            for i, task in enumerate(tasks):
-                c = (
-                    task_compile_times[i]
-                    if task_compile_times is not None
-                    else compile_rows[fid_of[task.function]][task.level]
-                )
-                if release_times is not None:
-                    rel = release_times[i]
-                    if t < rel:
-                        t = rel
-                starts.append(t)
-                t += c
-                finishes.append(t)
-                threads.append(0)
-        else:
-            free_at = [(0.0, tid) for tid in range(self._compile_threads)]
-            heapq.heapify(free_at)
-            for i, task in enumerate(tasks):
-                c = (
-                    task_compile_times[i]
-                    if task_compile_times is not None
-                    else compile_rows[fid_of[task.function]][task.level]
-                )
-                start, tid = heapq.heappop(free_at)
-                if release_times is not None:
-                    rel = release_times[i]
-                    if start < rel:
-                        start = rel
-                starts.append(start)
-                finishes.append(start + c)
-                threads.append(tid)
-                heapq.heappush(free_at, (start + c, tid))
-
         events: List[List[Tuple[float, int]]] = [
             list(pre) for pre in self._pre_events
         ]
-        for i, (task, finish) in enumerate(zip(tasks, finishes)):
+        for i, (task, finish) in enumerate(zip(tasks, prep.finishes)):
             if task_installs is not None and not task_installs[i]:
                 continue  # failed attempt: thread time, no code
             events[fid_of[task.function]].append((finish, task.level))
@@ -1014,12 +956,8 @@ class VectorSimulator:
                     )
                 return batched[0]
         prep = self._prepare(
-            schedule, release_times, task_compile_times, task_installs
+            schedule, release_times, task_compile_times, task_installs, validate
         )
-        if validate:
-            validate_for_simulation(
-                self._instance, Schedule(prep.tasks), self._preinstalled
-            )
         if timeline:
             result = self._assemble(
                 prep, self._replay(prep, 0, 0.0, 0.0, 0.0), True
@@ -1031,13 +969,7 @@ class VectorSimulator:
             trace_makespan_result(tracer, result)
             if record_timeline:
                 return result
-            return MakespanResult(
-                makespan=result.makespan,
-                compile_end=result.compile_end,
-                total_bubble_time=result.total_bubble_time,
-                total_exec_time=result.total_exec_time,
-                calls_at_level=result.calls_at_level,
-            )
+            return dataclasses.replace(result, task_timings=None, call_timings=None)
         t, total_exec, total_bubble, calls_at_level = self._replay_totals(prep)
         if metrics is not None:
             metrics.counter("vecsim.replays").inc()
@@ -1050,18 +982,6 @@ class VectorSimulator:
             calls_at_level=calls_at_level,
         )
 
-    def due_objectives(
-        self, schedule: TaskSeq, due: DueDateTable, validate: bool = False
-    ) -> DueDateObjectives:
-        """Due-date objectives of one evaluation (timeline-recorded).
-
-        Bitwise identical to the reference engine's
-        :func:`~repro.core.makespan.due_date_objectives` — the timeline
-        is exact and the aggregation order is canonical.
-        """
-        result = self.evaluate(schedule, record_timeline=True, validate=validate)
-        return objectives_from_timeline(result, due)
-
     def _assemble(
         self, prep: _Prep, arrays, record_timeline: bool
     ) -> MakespanResult:
@@ -1073,17 +993,8 @@ class VectorSimulator:
         task_timings: Optional[Tuple[TaskTiming, ...]] = None
         call_timings: Optional[Tuple[CallTiming, ...]] = None
         if record_timeline:
-            task_timings = tuple(
-                TaskTiming(
-                    function=task.function,
-                    level=task.level,
-                    start=s,
-                    finish=f,
-                    thread=tid,
-                )
-                for task, s, f, tid in zip(
-                    prep.tasks, prep.starts, prep.finishes, prep.threads
-                )
+            task_timings = _task_timings(
+                prep.tasks, prep.starts, prep.finishes, prep.threads
             )
             prev = 0.0
             calls: List[CallTiming] = []
@@ -1123,8 +1034,8 @@ class VectorSimulator:
         """One pass over the execution under ``schedule``.
 
         Returns ``(first_call_start, calls_before, calls_after, exec_end)``
-        with the exact semantics (and floats) of
-        :func:`repro.core.iar._trace_stats` / :func:`iter_calls`:
+        with the exact semantics (and floats) of the reference's
+        :meth:`~repro.core.engine.ReferenceSimulator.trace_stats`:
         ``calls_before[f]`` counts invocations starting strictly before
         ``before_time`` and ``calls_after[f]`` those starting at or after
         ``after_time``.
@@ -1181,11 +1092,7 @@ class VectorSimulator:
         """
         if self.metrics is not None:
             self.metrics.counter("vecsim.binds").inc()
-        prep = self._prepare(schedule)
-        if validate:
-            validate_for_simulation(
-                self._instance, Schedule(prep.tasks), self._preinstalled
-            )
+        prep = self._prepare(schedule, validate=validate)
         arrays = self._replay(prep, 0, 0.0, 0.0, 0.0)
         self._install(prep, 0, arrays)
         return self._b_makespan

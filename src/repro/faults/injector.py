@@ -144,6 +144,8 @@ class FaultInjector:
         rel = self.spec.mispredict
         if rel == 0.0:
             return instance
+        # Each draw is keyed by its function, so building the view in the
+        # source's order changes no number and lets it share the trace.
         profiles = {
             fname: perturb_times(
                 prof,
@@ -153,13 +155,9 @@ class FaultInjector:
                 ),
                 correlated=True,
             )
-            for fname, prof in sorted(instance.profiles.items())
+            for fname, prof in instance.profiles.items()
         }
-        return OCSPInstance(
-            profiles=profiles,
-            calls=instance.calls,
-            name=f"{instance.name}!mispredict",
-        )
+        return instance._with_profiles(profiles, f"{instance.name}!mispredict")
 
     # ------------------------------------------------------------------
     # The degradation chain

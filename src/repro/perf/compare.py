@@ -16,7 +16,9 @@ The two signals gate differently:
   turn scheduler jitter into alarms).  Drift *warns*, never fails —
   wall time on shared runners is evidence, not proof.  When the machine
   fingerprints differ, timing is not compared at all (noted instead):
-  cross-machine wall-clock deltas are meaningless.
+  cross-machine wall-clock deltas are meaningless.  A kernel update
+  alone does not make another machine: fingerprints that differ only in
+  the kernel release inside ``platform`` still compare timing.
 
 Comparability gates (schema version, scale, params, kind) downgrade to
 ``skip`` with a note — an incomparable baseline is a workflow problem,
@@ -121,6 +123,27 @@ def _skip(name: str, note: str) -> Comparison:
     return Comparison(name=name, status="skip", notes=(note,))
 
 
+def _without_kernel_release(fingerprint: object) -> object:
+    """``fingerprint`` with the kernel release cut out of its ``platform``.
+
+    ``platform.platform()`` writes the system, the release (which may
+    hold dashes) and then the ``machine``: ``Linux-6.1.0-x86_64-with-
+    glibc2.36`` becomes ``Linux-x86_64-with-glibc2.36``.  A fingerprint
+    that does not read that way is returned unchanged.
+    """
+    if not isinstance(fingerprint, dict):
+        return fingerprint
+    name = fingerprint.get("platform")
+    machine = fingerprint.get("machine")
+    if not isinstance(name, str) or not isinstance(machine, str) or not machine:
+        return fingerprint
+    system, _, rest = name.partition("-")
+    at = rest.rfind(f"-{machine}")
+    if at < 0:
+        return fingerprint
+    return dict(fingerprint, platform=f"{system}{rest[at:]}")
+
+
 def _median(doc: Dict[str, object]) -> Optional[float]:
     timing = doc.get("timing")
     if isinstance(timing, dict) and "median_s" in timing:
@@ -207,7 +230,9 @@ def compare_doc(
     comparison_fields: Dict[str, object] = {}
     base_median = _median(baseline)
     cur_median = _median(current)
-    same_machine = baseline.get("machine") == current.get("machine")
+    same_machine = _without_kernel_release(
+        baseline.get("machine")
+    ) == _without_kernel_release(current.get("machine"))
     if base_median is None or cur_median is None:
         notes.append("timing not compared: missing timing stats")
     elif not same_machine:

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..telemetry.admin import AdminPlane, parse_http_request_line
@@ -58,7 +58,6 @@ class ServerConfig:
     batch_max: int = 64
     queue_limit: int = 1024
     admission_limit: int = 4096
-    extra: Dict[str, object] = field(default_factory=dict)
 
 
 class DecisionServer:

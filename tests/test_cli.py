@@ -253,7 +253,7 @@ class TestStudyTraceDir:
         assert main(
             [
                 "study", "--figure", "fig8",
-                "--scale", "0.002",
+                "--scale", "0.0005",
                 "--trace-dir", str(trace_dir),
             ]
         ) == 0

@@ -6,18 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
-    DueDateObjectives,
     DueDateTable,
     FunctionProfile,
     ModelError,
     OCSPInstance,
     Schedule,
-    VectorSimulator,
     due_date_objectives,
     objectives_from_timeline,
     simulate,
 )
-from repro.core.engine import ENGINES, ReferenceSimulator
+from repro.core.engine import ENGINES
 
 
 @pytest.fixture()
@@ -130,14 +128,6 @@ class TestEngineSeam:
             for engine in ENGINES
         ]
         assert objs[0] == objs[1]
-
-    def test_simulator_methods_agree(self, instance, schedule):
-        due = DueDateTable({"a": (3.0, 2.0), "b": (4.5, 1.5)})
-        tasks = tuple(schedule)
-        ref = ReferenceSimulator(instance).due_objectives(tasks, due)
-        vec = VectorSimulator(instance).due_objectives(tasks, due)
-        assert ref == vec
-        assert isinstance(ref, DueDateObjectives)
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -1,11 +1,12 @@
 """The vector engine against the reference's public entry points.
 
 :class:`~repro.core.vecsim.VectorSimulator` promises *bitwise* equality
-with :func:`repro.core.makespan.simulate`, with ``iar._trace_stats`` and
-with local search on the reference engine.  These checks hold it to the
-module-level functions themselves (``tests/test_vecsim_differential.py``
-drives the same contract through the engine classes), on their own
-instances and seeds.  The helpers are shared with that battery.
+with :func:`repro.core.makespan.simulate`, with the reference trace
+pass (``ReferenceSimulator.trace_stats``) and with local search on the
+reference engine.  These checks hold it to those entry points directly
+(``tests/test_vecsim_differential.py`` drives the same contract through
+the engine seam), on their own instances and seeds.  The helpers are
+shared with that battery.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import FunctionProfile, OCSPInstance, Schedule, VectorSimulator, simulate
-from repro.core.iar import _trace_stats
+from repro.core.engine import ReferenceSimulator
 from repro.core.localsearch import improve_schedule
 
 from test_vecsim_differential import (
@@ -84,9 +85,10 @@ def test_trace_stats_matches_iar_helper():
         result = simulate(instance, schedule, record_timeline=True)
         t = result.makespan * rng.random()
         vec = VectorSimulator(instance)
-        assert vec.trace_stats(schedule, before_time=t, after_time=t) == _trace_stats(
-            instance, schedule, before_time=t, after_time=t
-        )
+        ref = ReferenceSimulator(instance)
+        assert vec.trace_stats(
+            schedule, before_time=t, after_time=t
+        ) == ref.trace_stats(schedule, before_time=t, after_time=t)
 
 
 @pytest.mark.parametrize("temperature", [0.0, 0.05])

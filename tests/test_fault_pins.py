@@ -10,7 +10,9 @@ on the nine DaCapo presets at scale 0.002 with default seeds:
   tick drop/dup spec, at 1 and 2 compiler threads;
 * ``apply_to_schedule`` on each preset's IAR schedule: the plan plus the
   injector's summary;
-* the Figure 5, 6 and 8 rows under faults, each with its tally;
+* the Figure 5, 6 and 8 rows under faults, each with its tally, and
+  under a misprediction spec (the schemes plan against a perturbed
+  cost table);
 * the faulty service soak: decision log, ``engine.summary()`` and the
   engine's trace events, with the decision cache on and off;
 * one traced faulty Jikes run's events.
@@ -52,6 +54,8 @@ RUNTIME_SPECS = (RETRY_SPEC, TICK_SPEC)
 HARSH_SPEC = "compile_fail=0.6,retries=0,seed=2"
 PLAN_SPECS = (RETRY_SPEC, HARSH_SPEC)
 FIGURE_SPEC = "compile_fail=0.2,stall=0.2,retries=2,seed=4"
+# The schemes plan against a mispredicted cost table, under faults.
+MISPREDICT_SPEC = "mispredict=0.8,compile_fail=0.2,seed=9"
 SERVICE_SPECS = (
     "compile_fail=0.1,retries=1,seed=3",
     "compile_fail=0.4,stall=0.3,retries=2,seed=5",
@@ -94,9 +98,9 @@ def plan_digest(name: str) -> str:
     return _sha(parts)
 
 
-def figure_digest(driver) -> str:
+def figure_digest(driver, spec: str = FIGURE_SPEC) -> str:
     suite = {name: dacapo.load(name, scale=SCALE) for name in dacapo.BENCHMARKS}
-    return _sha([repr(driver(suite, faults=FIGURE_SPEC))])
+    return _sha([repr(driver(suite, faults=spec))])
 
 
 def service_digest(spec: str, cached: bool, path) -> str:
@@ -182,6 +186,13 @@ FIGURE_DIGESTS = {
     "figure8": "596b595eea21f69d06205cb61534e11e5ffb20d1d43b8a536d60e5fe832cab1f",
 }
 
+# driver: digest of its rows on the nine presets under MISPREDICT_SPEC.
+MISPREDICT_DIGESTS = {
+    "figure5": "06729fa2e4a8e8191c625d43d2020dcad03b779172ef8b1e04122b6c8fc26843",
+    "figure6": "0ffdc8d7ebd02807efe6de9db738988232cc5b29be7fc0ec1738f8628d3cd82d",
+    "figure8": "436a41e40bbd44a29e3c366c4521a3c23bae78ad599ce6bfd78e60dbff936605",
+}
+
 # (spec index, cache on): digest of decision log, summary, trace events.
 SERVICE_DIGESTS = {
     (0, True): "bd5956743e064a89a91ce3cc70290f57ced82dcc0b71bc508d7bba93c0d64533",
@@ -218,6 +229,14 @@ def test_faulty_figure_digests(driver):
     assert figure_digest(driver) == FIGURE_DIGESTS[driver.__name__]
 
 
+@pytest.mark.parametrize(
+    "driver", [figure5, figure6, figure8], ids=lambda d: d.__name__
+)
+def test_mispredict_figure_digests(driver):
+    digest = figure_digest(driver, MISPREDICT_SPEC)
+    assert digest == MISPREDICT_DIGESTS[driver.__name__]
+
+
 @pytest.mark.parametrize("cached", [True, False], ids=["cache", "nocache"])
 @pytest.mark.parametrize("index", range(len(SERVICE_SPECS)))
 def test_faulty_service_soak_digests(index, cached, tmp_path):
@@ -247,6 +266,10 @@ if __name__ == "__main__":
     print("}\nFIGURE_DIGESTS = {")
     for driver in (figure5, figure6, figure8):
         print(f"    {driver.__name__!r}: {figure_digest(driver)!r},")
+    print("}\nMISPREDICT_DIGESTS = {")
+    for driver in (figure5, figure6, figure8):
+        digest = figure_digest(driver, MISPREDICT_SPEC)
+        print(f"    {driver.__name__!r}: {digest!r},")
     print("}\nSERVICE_DIGESTS = {")
     with tempfile.TemporaryDirectory() as tmp:
         for index in range(len(SERVICE_SPECS)):

@@ -125,6 +125,43 @@ class TestCompareDoc:
         assert not result.time_compared
         assert any("fingerprint" in n for n in result.notes)
 
+    HOST = {
+        "platform": "Linux-6.18.44-fc-v130-x86_64-with-glibc2.36",
+        "machine": "x86_64",
+        "python": "3.11.7",
+        "implementation": "CPython",
+        "cpu_count": 2,
+    }
+
+    def test_kernel_update_still_compares_time(self):
+        updated = dict(
+            self.HOST, platform="Linux-6.18.44-fc-v139-x86_64-with-glibc2.36"
+        )
+        result = compare_doc(
+            doc(median=100.0, machine=updated), doc(machine=self.HOST)
+        )
+        assert result.time_compared
+        assert any("drift" in n for n in result.notes)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {
+                "platform": "Linux-6.18.44-fc-v139-aarch64-with-glibc2.36",
+                "machine": "aarch64",
+            },
+            {"platform": "Linux-6.18.44-fc-v139-x86_64-with-glibc2.39"},
+            {"python": "3.12.1"},
+            {"cpu_count": 1},
+        ],
+        ids=["machine", "libc", "python", "cpu_count"],
+    )
+    def test_other_host_skips_timing_across_a_kernel_update(self, change):
+        other = dict(self.HOST, **change)
+        result = compare_doc(doc(median=100.0, machine=other), doc(machine=self.HOST))
+        assert not result.time_compared
+        assert any("fingerprint" in n for n in result.notes)
+
     def test_fingerprint_mismatch_still_gates_counters(self):
         other = dict(machine_fingerprint(), platform="other-os")
         result = compare_doc(

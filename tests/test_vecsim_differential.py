@@ -31,12 +31,18 @@ from repro.core import (
     FunctionProfile,
     OCSPInstance,
     Schedule,
+    ScheduleError,
     VectorSimulator,
     make_simulator,
     simulate,
 )
-from repro.core.engine import ENGINES, ReferenceSimulator, resolve_engine
-from repro.core.iar import _trace_stats, iar
+from repro.core.engine import (
+    ENGINES,
+    ReferenceSimulator,
+    resolve_engine,
+    set_default_engine,
+)
+from repro.core.iar import iar
 from repro.core.localsearch import _propose, improve_schedule
 from repro.faults import simulate_with_faults
 from repro.observability import MetricsRegistry
@@ -690,8 +696,8 @@ def threshold_pairs(thr):
 
 def timeline_trace_stats(timings, before, after):
     """``trace_stats``' ``(firsts, before, after, end)`` derived from a
-    recorded timeline (which, unlike ``iar._trace_stats``, knows
-    preinstalled functions)."""
+    recorded timeline (which, unlike ``ReferenceSimulator.trace_stats``,
+    knows preinstalled functions)."""
     firsts, counts_before, counts_after = {}, {}, {}
     for t in timings:
         firsts.setdefault(t.function, t.start)
@@ -711,14 +717,15 @@ def chunked_engine(instance, **kwargs):
 
 
 def test_trace_stats_matches_reference():
-    """One compile thread, both kernels: the vector trace pass equals the
-    reference ``iar._trace_stats`` at every edge threshold (a threshold
-    between two call starts counts like the later start), on
+    """One compile thread, both kernels: the vector trace pass equals
+    ``ReferenceSimulator.trace_stats`` at every edge threshold (a
+    threshold between two call starts counts like the later start), on
     single-install schedules (which the batched kernel takes) and
     recompiling ones (always the chunked replay's)."""
     rng = random.Random(31)
     for _ in range(20):
         instance = random_instance(rng)
+        ref = ReferenceSimulator(instance)
         for schedule in (
             uniform_schedule(instance, rng),
             random_schedule(instance, rng),
@@ -729,7 +736,7 @@ def test_trace_stats_matches_reference():
                     for before, after in threshold_pairs(thr):
                         assert vec.trace_stats(
                             schedule, before, after
-                        ) == _trace_stats(instance, schedule, before, after)
+                        ) == ref.trace_stats(schedule, before, after)
 
 
 @pytest.mark.parametrize("threads", [2, 4])
@@ -937,6 +944,69 @@ def test_repro_engine_env_sets_default(monkeypatch):
     r = simulate(instance, schedule)  # dispatches through the default
     monkeypatch.delenv("REPRO_ENGINE")
     assert_results_equal(r, simulate(instance, schedule))
+
+
+def test_reference_engine_object_is_the_oracle_under_any_default(monkeypatch):
+    """With the vector engine as the session default, a ``reference``
+    engine object still runs the reference loop in every method."""
+
+    def vector_ran(self, *args, **kwargs):
+        raise AssertionError("VectorSimulator.evaluate ran")
+
+    rng = random.Random(16)
+    instance = random_instance(rng)
+    schedule = random_schedule(instance, rng)
+    expected = simulate(instance, schedule, record_timeline=True)
+    monkeypatch.setattr(VectorSimulator, "evaluate", vector_ran)
+    set_default_engine("vector")
+    try:
+        ref = make_simulator(instance, "reference")
+        assert_results_equal(ref.evaluate(schedule, record_timeline=True), expected)
+        assert ref.bind(schedule) == expected.makespan
+        assert ref.propose(schedule) == expected.makespan
+        assert_results_equal(ref.preview(schedule, record_timeline=True), expected)
+        assert_results_equal(ref.result(record_timeline=True), expected)
+    finally:
+        set_default_engine(None)
+
+
+@pytest.mark.parametrize(
+    "tasks, match",
+    [
+        ((("ghost", 0), ("f", 0), ("g", 0)), "unknown function 'ghost'"),
+        ((("f", 2), ("g", 0)), "'f' at level 2, but it has 2 levels"),
+        ((("f", 1), ("f", 0), ("g", 0)), "recompiles 'f' at level 0 after level 1"),
+        ((("f", 0),), "called functions never compiled: g"),
+    ],
+    ids=["unknown-function", "level-out-of-range", "not-increasing", "uncovered"],
+)
+def test_engines_reject_the_same_schedules(tasks, match):
+    """Every engine runs the one legality check, before any timing."""
+    schedule = Schedule.of(*tasks)
+    for engine in ENGINES:
+        sim = make_simulator(two_function_instance(), engine)
+        with pytest.raises(ScheduleError, match=match):
+            sim.evaluate(schedule, validate=True)
+        with pytest.raises(ScheduleError, match=match):
+            sim.bind(schedule, validate=True)
+
+
+def test_engines_take_preinstalled_code_for_a_task():
+    inst = two_function_instance()
+    schedule = Schedule.of(("f", 0))
+    expected = simulate(inst, schedule, preinstalled={"g": 0})
+    for engine in ENGINES:
+        sim = make_simulator(inst, engine, preinstalled={"g": 0})
+        assert_results_equal(sim.evaluate(schedule, validate=True), expected)
+        assert sim.bind(schedule, validate=True) == expected.makespan
+
+
+def two_function_instance():
+    prof = {
+        "f": FunctionProfile("f", (1.0, 2.0), (3.0, 1.0)),
+        "g": FunctionProfile("g", (1.0,), (2.0,)),
+    }
+    return OCSPInstance(prof, ("f", "g", "f"), name="two")
 
 
 def test_engine_cache_reused_and_bypassed_with_metrics():
