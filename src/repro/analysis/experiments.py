@@ -84,18 +84,6 @@ def table1(scale: float = 0.02) -> List[Dict[str, object]]:
 ModelFactory = "Callable[[OCSPInstance], CostBenefitModel]"
 
 
-def driver_engine() -> str:
-    """The make-span engine of the paper-scale drivers.
-
-    ``--engine`` / ``$REPRO_ENGINE`` when set, else ``"vector"``.  IAR
-    and every ``simulate`` call of a driver run on it, so they share the
-    one engine cached on each projected instance (its cost tables are
-    built once per projection; the call ids come with the trace).  All
-    engines give bitwise identical rows.
-    """
-    return resolve_engine(None, fallback="vector")
-
-
 def _model_levels(instance: OCSPInstance, model: CostBenefitModel) -> Dict[str, int]:
     """The cost-benefit model's suitable level per function (most
     cost-effective under the model's predicted hotness)."""
@@ -198,7 +186,7 @@ def figure7(
     threads.  Speed-up is relative to the 1-thread make-span, with the
     default cost-benefit model, as in the paper.
     """
-    engine = driver_engine()
+    engine = resolve_engine()
     rows: List[Dict[str, object]] = []
     for name, instance in suite.items():
         model = EstimatedModel(instance, seed=model_seed)
@@ -264,10 +252,10 @@ def table2(suite: Suite, model_seed: int = 0) -> List[Dict[str, object]]:
     :func:`repro.core.iar.iar` against the benchmark's simulated
     make-span (virtual microseconds → seconds), matching the paper's
     "percentage over whole program time" column.  The timed call
-    includes building IAR's engine: nothing on the fresh projection
-    has built it before.
+    includes building IAR's engine and the projection's cost tables:
+    nothing on the fresh projection has built them before.
     """
-    engine = driver_engine()
+    engine = resolve_engine()
     rows: List[Dict[str, object]] = []
     for name, instance in suite.items():
         model = EstimatedModel(instance, seed=model_seed)

@@ -112,10 +112,11 @@ _SEED_HELP = (
 _ENGINE_HELP = (
     "make-span engine: 'reference' (pure-Python oracle) or 'vector' "
     "(numpy structure-of-arrays) — bitwise identical.  Without "
-    "this flag, $REPRO_ENGINE picks it when set; otherwise IAR and the "
-    "study/fault-sweep drivers use 'vector' and simulate() (evaluate, "
-    "diagnose) uses 'reference'.  The flag overrides both defaults and "
-    "reaches worker processes through $REPRO_ENGINE"
+    "this flag, $REPRO_ENGINE picks it when set; otherwise simulate() "
+    "(evaluate, diagnose) uses 'reference' and everything else, IAR and "
+    "the study/fault-sweep drivers included, 'vector'.  The flag "
+    "overrides both defaults and reaches worker processes through "
+    "$REPRO_ENGINE"
 )
 
 
@@ -360,7 +361,11 @@ def build_parser() -> argparse.ArgumentParser:
     brun = bench_sub.add_parser(
         "run", help="run a suite, writing one BENCH_<name>.json per benchmark"
     )
-    brun.add_argument("--suite", default="quick")
+    brun.add_argument(
+        "--suite",
+        default="quick",
+        help="suite to run, or one benchmark's name (default: quick)",
+    )
     _add_engine_arg(brun)
     brun.add_argument(
         "--scale",

@@ -9,28 +9,25 @@ identical make-span engines:
 * ``"vector"`` — :class:`repro.core.vecsim.VectorSimulator` (interned
   ids, numpy structure-of-arrays kernels, incremental propose/commit).
 
-This module is the one place the mapping lives.  Callers thread an
-``engine`` argument (``makespan.simulate``, ``localsearch``, ``iar``,
-``faults.simulate_with_faults``, the CLI's ``--engine``); ``None``
-defers to the session default, set via :func:`set_default_engine` or
-the ``REPRO_ENGINE`` environment variable (which worker processes
-inherit), and finally to the call site's historical fallback.
+This module is the one place the mapping lives, and the one place the
+default rule lives: an ``engine`` of ``None`` defers to the session
+default, set via :func:`set_default_engine` or the ``REPRO_ENGINE``
+environment variable (which worker processes inherit), and finally to
+``"vector"``.  Callers thread an ``engine`` argument
+(``makespan.simulate``, ``localsearch``, ``iar``,
+``faults.simulate_with_faults``, the CLI's ``--engine``); only
+:func:`~repro.core.makespan.simulate` keeps the oracle as its own
+default.
 
-:func:`make_simulator` can also cache one engine per
-``(engine, compile_threads, preinstalled)`` combination on the instance
-itself, so repeated ``simulate(..., engine="vector")`` calls — and IAR,
-which takes the same cached engine — pay the per-instance set-up once;
-the cache is bypassed whenever a metrics registry is attached, keeping
-work counters tied to the run that asked for them.  Every vector engine
-built on an instance, cached or not, shares the call ids the instance
-interned when it was built and its cost tables
-(:func:`repro.core.vecsim.instance_arrays`).
+:func:`make_simulator` builds a fresh engine on every call.  Building
+one is cheap: every vector engine on an instance shares the call ids
+and first-call lists the instance interned when it was built, and the
+cost tables it builds once (:func:`repro.core.vecsim.instance_arrays`).
 """
 
 from __future__ import annotations
 
 import os
-import weakref
 from typing import Dict, Optional, Sequence, Tuple
 
 from .makespan import MakespanResult, _check_engine_args, iter_calls, simulate
@@ -64,7 +61,7 @@ def set_default_engine(engine: Optional[str]) -> None:
 
 def get_default_engine() -> Optional[str]:
     """The session default: :func:`set_default_engine`'s value, else
-    ``$REPRO_ENGINE``, else ``None`` (caller falls back per site)."""
+    ``$REPRO_ENGINE``, else ``None``."""
     if _default_engine is not None:
         return _default_engine
     env = os.environ.get("REPRO_ENGINE")
@@ -78,18 +75,16 @@ def get_default_engine() -> Optional[str]:
     return None
 
 
-def resolve_engine(
-    engine: Optional[str] = None, fallback: str = "reference"
-) -> str:
+def resolve_engine(engine: Optional[str] = None) -> str:
     """Resolve an ``engine`` argument to a concrete engine name.
 
     ``None`` defers to :func:`get_default_engine`, then to
-    ``fallback`` (each call site keeps its historical default).
+    ``"vector"``.
 
     Raises:
         ValueError: for a name outside :data:`ENGINES`.
     """
-    name = engine if engine is not None else (get_default_engine() or fallback)
+    name = engine if engine is not None else (get_default_engine() or "vector")
     if name not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {name!r}")
     return name
@@ -125,18 +120,12 @@ class ReferenceSimulator:
         self._preinstalled = _check_engine_args(
             instance, compile_threads, preinstalled
         )
-        # Weak reference plus a keep-alive, as in VectorSimulator.
-        self._instance_ref = weakref.ref(instance)
-        self._owner: Optional[OCSPInstance] = instance
+        self._instance = instance
         self._compile_threads = compile_threads
         self.metrics = metrics
         self._b_tasks: Optional[Tuple[CompileTask, ...]] = None
         self._b_makespan = 0.0
         self._cand: Optional[Tuple[Tuple[CompileTask, ...], float]] = None
-
-    @property
-    def _instance(self) -> OCSPInstance:
-        return self._instance_ref()
 
     @staticmethod
     def _as_tasks(schedule) -> Tuple[CompileTask, ...]:
@@ -264,59 +253,23 @@ def make_simulator(
     compile_threads: int = 1,
     preinstalled: Optional[Dict[str, int]] = None,
     metrics=None,
-    fallback: str = "vector",
-    cached: bool = False,
 ):
-    """Build (or fetch) the evaluator for ``engine`` on ``instance``.
+    """Build the evaluator for ``engine`` on ``instance``.
 
     Args:
         instance: the workload.
         engine: one of :data:`ENGINES`, or ``None`` for the session
-            default / ``fallback``.
+            default, else ``"vector"``.
         compile_threads: compiler threads (fixed per engine object).
         preinstalled: functions available from t = 0.
-        metrics: optional metrics registry; a metrics-carrying request
-            always builds a fresh engine (never served from the cache).
-        fallback: engine used when neither ``engine`` nor a session
-            default picks one.
-        cached: reuse one engine per ``(engine, compile_threads,
-            preinstalled)`` key, memoized on the instance — safe for
-            stateless ``evaluate`` loops, which is what the cache
-            serves; incremental users should build their own engine.
-            A cached engine holds its instance weakly (the instance
-            owns it), so keep the instance alive while using it; an
-            uncached engine holds it strongly.
+        metrics: optional metrics registry for the engine's work
+            counters.
 
     Raises:
         ValueError: for an unknown engine name or invalid engine
             arguments.
     """
-    name = resolve_engine(engine, fallback)
-    if cached and metrics is None:
-        key = (
-            name,
-            compile_threads,
-            tuple(sorted((preinstalled or {}).items())),
-        )
-        cache = getattr(instance, "_engine_cache", None)
-        if cache is None:
-            cache = {}
-            object.__setattr__(instance, "_engine_cache", cache)
-        sim = cache.get(key)
-        if sim is None:
-            sim = _SIMULATORS[name](
-                instance,
-                compile_threads=compile_threads,
-                preinstalled=preinstalled,
-            )
-            # The instance owns the engine through its cache, so the
-            # engine holds it weakly: a strong back-reference would
-            # leave the pair (and the cost tables) to the cyclic
-            # collector instead of freeing them with the last reference.
-            sim._owner = None
-            cache[key] = sim
-        return sim
-    return _SIMULATORS[name](
+    return _SIMULATORS[resolve_engine(engine)](
         instance,
         compile_threads=compile_threads,
         preinstalled=preinstalled,

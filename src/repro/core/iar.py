@@ -62,11 +62,10 @@ class IARParams:
 
     Attributes:
         k: Formula 2's ``K`` constant.
-        refine_slack: run step 3 (slack-filling replacements).
+        refine_slack: run step 3 (slack-filling replacements); its
+            result is kept only when the finished schedule simulates no
+            longer than without it.
         fill_gap: run step 4 (ending-gap appends).
-        keep_better_after_slack: verify step 3 with one simulation and
-            revert it wholesale if it hurt (the conservative slack test
-            ignores the execution-side speed-up shifting calls earlier).
         append_order: ordering of step 2's appended high compiles —
             ``"compile_time"`` (the paper's ascending ``ch``),
             ``"benefit"`` (descending total saving), ``"hotness"``
@@ -76,25 +75,13 @@ class IARParams:
             ``"remaining_calls"`` (the paper's choice),
             ``"benefit_rate"`` (saving per compile microsecond), or
             ``"compile_time"`` (cheapest first).
-        exact_slack: replace step 3's conservative slack test with
-            batch candidate scoring: every eligible upgrade is evaluated
-            individually through the engine's incremental
-            ``bind``/``propose``/``commit`` interface (on the run's
-            engine — ``"vector"`` by default — built privately for this
-            run, never the per-instance cached one) and kept only when
-            it does not lengthen the make-span.  Costs one suffix replay
-            per candidate instead of one closed-form test, but also
-            captures the execution-side speed-up the conservative test
-            ignores.  Off by default (the paper's algorithm).
     """
 
     k: float = DEFAULT_K
     refine_slack: bool = True
     fill_gap: bool = True
-    keep_better_after_slack: bool = True
     append_order: str = "compile_time"
     gap_priority: str = "remaining_calls"
-    exact_slack: bool = False
 
     def __post_init__(self) -> None:
         if self.append_order not in APPEND_ORDERS:
@@ -201,11 +188,9 @@ def iar(
         metrics: optional
             :class:`repro.observability.MetricsRegistry`; when given,
             per-step counters (``iar.category.*``, ``iar.slack_upgrades``,
-            ``iar.gap_appends``, ``iar.step3_reverted``, and with
-            ``exact_slack`` the ``iar.exact_slack.*`` family) record how
-            the schedule was built, and the run's engine — then its own,
-            not the instance's cached one — records its work counters
-            (``vecsim.*`` on the vector engine).
+            ``iar.gap_appends``, ``iar.step3_reverted``) record how the
+            schedule was built, and the run's engine records its work
+            counters (``vecsim.*`` on the vector engine).
         engine: make-span engine for the trace passes and verification
             simulations — ``"vector"`` (the default) or
             ``"reference"``; both walk identical schedules (the engines
@@ -218,17 +203,8 @@ def iar(
     infos = _function_infos(instance, high_levels)
     order = instance.called_functions  # first-appearance order
     # One engine serves every trace pass and verification simulation in
-    # this run.  It is the instance's cached engine — the one later
-    # ``simulate(..., engine=...)`` calls on this instance reuse — except
-    # under ``exact_slack``, whose bind/propose/commit mutates engine
-    # state, and with ``metrics``: both get a private engine.
-    fs = make_simulator(
-        instance,
-        engine,
-        metrics=metrics,
-        fallback="vector",
-        cached=not params.exact_slack,
-    )
+    # this run.
+    fs = make_simulator(instance, engine, metrics=metrics)
 
     # ------------------------------------------------------------ step 1
     init_tasks: List[CompileTask] = [
@@ -268,9 +244,8 @@ def iar(
 
     # One trace pass over the step-2 schedule serves both step 3 (its
     # first-call starts) and step 4 (the calls after its compile phase).
-    slack_test = params.refine_slack and not params.exact_slack
     step2_stats = None
-    if slack_test or params.fill_gap:
+    if params.refine_slack or params.fill_gap:
         step2_stats = fs.trace_stats(
             schedule, after_time=schedule.total_compile_time(instance)
         )
@@ -278,14 +253,7 @@ def iar(
     # ------------------------------------------------------------ step 3
     refined: Optional[Tuple[Schedule, List[str]]] = None
     if params.refine_slack:
-        if params.exact_slack:
-            refined = _fill_slack_exact(
-                instance, infos, order, schedule, fs, metrics
-            )
-        else:
-            refined = _fill_slack(
-                instance, infos, order, schedule, step2_stats[0]
-            )
+        refined = _fill_slack(instance, infos, order, schedule, step2_stats[0])
 
     # ------------------------------------------------------------ step 4
     def _finish(sched: Schedule, stats=None) -> Tuple[Schedule, List[str]]:
@@ -299,16 +267,12 @@ def iar(
     slack_upgrades: List[str] = []
     if refined is not None:
         cand_schedule, cand_appends = _finish(refined[0])
-        if params.keep_better_after_slack:
-            # The conservative slack test ignores the execution-side
-            # speed-up shifting calls earlier and its interaction with
-            # step 4's gap capacity, so compare *finished* schedules.
-            base_span = fs.evaluate(schedule).makespan
-            cand_span = fs.evaluate(cand_schedule).makespan
-            take_refined = cand_span <= base_span
-        else:
-            take_refined = True
-        if take_refined:
+        # The conservative slack test ignores the execution-side
+        # speed-up shifting calls earlier and its interaction with
+        # step 4's gap capacity, so compare *finished* schedules.
+        base_span = fs.evaluate(schedule).makespan
+        cand_span = fs.evaluate(cand_schedule).makespan
+        if cand_span <= base_span:
             schedule, gap_appends = cand_schedule, cand_appends
             slack_upgrades = refined[1]
         elif metrics is not None:
@@ -425,57 +389,6 @@ def _fill_slack(
         if not (t.function in upgraded_set and t.level == infos[t.function].high)
     ]
     return Schedule(tuple(new_tasks)), upgraded
-
-
-def _fill_slack_exact(
-    instance: OCSPInstance,
-    infos: Dict[str, _FunctionInfo],
-    order: List[str],
-    schedule: Schedule,
-    fs,
-    metrics=None,
-) -> Optional[Tuple[Schedule, List[str]]]:
-    """Step 3 variant: score every slack-upgrade candidate exactly.
-
-    Instead of the closed-form suffix-min slack test, each eligible
-    initial compile is upgraded in turn and the resulting schedule is
-    scored on the incremental engine (one suffix replay per candidate —
-    the batch is evaluated against a shared, continually committed
-    baseline).  An upgrade is kept only when the make-span does not
-    grow, so the refined schedule is never worse than the input.
-    """
-    m = len(order)
-    current_span = fs.bind(schedule)
-    tasks = list(schedule.tasks)
-    upgraded: List[str] = []
-    for i, fname in enumerate(order):
-        info = infos[fname]
-        if info.high is None or tasks[i].level != info.low:
-            continue  # already high (R member) or nothing to upgrade to
-        if info.eh >= info.el:
-            continue
-        # Upgrade in place; drop any appended high recompile of the same
-        # function (it would now recompile at a non-increasing level).
-        candidate = [
-            t
-            for j, t in enumerate(tasks)
-            if j < m or t.function != fname
-        ]
-        candidate[i] = CompileTask(fname, info.high)
-        span = fs.propose(candidate, cutoff=current_span)
-        if metrics is not None:
-            metrics.counter("iar.exact_slack.proposed").inc()
-            if span == float("inf"):
-                metrics.counter("iar.exact_slack.cutoff_exits").inc()
-        if span <= current_span:
-            current_span = fs.commit()
-            tasks = candidate
-            upgraded.append(fname)
-            if metrics is not None:
-                metrics.counter("iar.exact_slack.accepted").inc()
-    if not upgraded:
-        return None
-    return Schedule(tuple(tasks)), upgraded
 
 
 def _fill_ending_gap(

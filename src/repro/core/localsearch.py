@@ -203,11 +203,7 @@ def improve_schedule(
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     sim = make_simulator(
-        instance,
-        engine,
-        compile_threads=compile_threads,
-        metrics=metrics,
-        fallback="vector",
+        instance, engine, compile_threads=compile_threads, metrics=metrics
     )
     schedule.validate(instance)
     rng = random.Random(seed)

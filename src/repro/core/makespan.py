@@ -608,11 +608,12 @@ def simulate(
         engine: ``"reference"`` (this module's pure-Python loop, the
             default) or ``"vector"``
             (:class:`~repro.core.vecsim.VectorSimulator`, the numpy
-            structure-of-arrays kernel).  Both are bitwise identical; ``None`` defers to the session default
+            structure-of-arrays kernel).  Both are bitwise identical;
+            ``None`` defers to the session default
             (:func:`repro.core.engine.set_default_engine` /
-            ``$REPRO_ENGINE``), then to ``"reference"``.  Non-reference
-            engines are cached per instance, so tight loops pay the
-            per-instance interning once.
+            ``$REPRO_ENGINE``), then to ``"reference"``.  A vector
+            evaluation builds its engine per call, on the cost tables
+            the instance builds once.
 
     Returns:
         A :class:`MakespanResult`.
@@ -633,8 +634,6 @@ def simulate(
             engine,
             compile_threads=compile_threads,
             preinstalled=preinstalled,
-            fallback="reference",
-            cached=True,
         )
         result = sim.evaluate(
             schedule,

@@ -221,8 +221,10 @@ class _Trace:
     count (one byte per call up to 256 functions).  ``counts`` (calls
     per id), ``first_pos`` (first-call positions, ascending) and
     ``first_fids`` (the called ids in first-call order) are numpy
-    arrays; ``count_of`` and ``first_index_of`` key the same numbers by
-    name, in first-call order.  A projection that keeps every name and
+    arrays, and ``first_pos_list``/``first_fids_list`` the same two as
+    lists (the vector engine's replay bisects them); ``count_of`` and
+    ``first_index_of`` key the same numbers by name, in first-call
+    order.  A projection that keeps every name and
     call (:meth:`OCSPInstance.restricted_to_levels`) shares its source's
     trace, and the trace pickles with its instance.
     """
@@ -234,6 +236,8 @@ class _Trace:
         "counts",
         "first_pos",
         "first_fids",
+        "first_pos_list",
+        "first_fids_list",
         "count_of",
         "first_index_of",
     )
@@ -258,9 +262,11 @@ class _Trace:
         order = first.argsort()
         self.first_pos = first[order]
         self.first_fids = fids[order].astype(np.intp)
-        called = [names[fid] for fid in self.first_fids.tolist()]
+        self.first_pos_list = self.first_pos.tolist()
+        self.first_fids_list = self.first_fids.tolist()
+        called = [names[fid] for fid in self.first_fids_list]
         self.count_of = dict(zip(called, self.counts[self.first_fids].tolist()))
-        self.first_index_of = dict(zip(called, self.first_pos.tolist()))
+        self.first_index_of = dict(zip(called, self.first_pos_list))
 
 
 @dataclass(frozen=True)
@@ -299,12 +305,10 @@ class OCSPInstance:
 
     def __getstate__(self) -> Dict[str, object]:
         # The interned trace ships with the instance; the engines'
-        # per-instance caches stay in their process: they rebuild on
-        # first use, and a cached engine's weak reference back to the
-        # instance cannot be pickled.
+        # per-projection tables stay in their process and rebuild on
+        # first use.
         state = dict(self.__dict__)
         state.pop("_arrays", None)
-        state.pop("_engine_cache", None)
         return state
 
     # ------------------------------------------------------------------

@@ -15,7 +15,9 @@ of times on the *same* instance, and it re-derives everything per call.
 * **per-projection** (paid once per instance, by the first engine built
   on it, and shared by every engine and runtime replay on it — see
   :func:`instance_arrays`): the cost tables as id-indexed rows and
-  matrices, and the per-function call groups on first use;
+  matrices, the per-function call groups on first use, and the last
+  :class:`~repro.core.schedule.Schedule`'s task arrays — so building an
+  engine does no per-function work;
 * **per-schedule** (paid per evaluation): compile-task finish times,
   each function's first install and the later installs that raise its
   level — ``O(S)`` for ``S`` tasks, which is tiny next to the
@@ -80,7 +82,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import weakref
 from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -158,7 +159,9 @@ class _Arrays:
     :func:`instance_arrays` builds it once per instance, and every
     vector engine and runtime replay on the instance shares it
     read-only; the per-fid call-position groups are built on first use
-    (:meth:`call_groups`).
+    (:meth:`call_groups`).  ``sched_arrays`` is a one-slot memo of the
+    last :class:`~repro.core.schedule.Schedule`'s task arrays
+    (:meth:`VectorSimulator._task_arrays`), shared by the engines.
     """
 
     __slots__ = (
@@ -168,6 +171,7 @@ class _Arrays:
         "exec_tab",
         "compile_tab",
         "nlvl_np",
+        "sched_arrays",
         "_groups",
     )
 
@@ -185,6 +189,7 @@ class _Arrays:
         self.exec_tab = table(exec_rows)
         self.compile_tab = table([prof.compile_times for prof in profiles])
         self.nlvl_np = np.asarray([len(row) for row in exec_rows], dtype=np.int64)
+        self.sched_arrays = None
         self._groups = None
 
     def call_groups(self):
@@ -246,11 +251,7 @@ class VectorSimulator:
         self._preinstalled = _check_engine_args(
             instance, compile_threads, preinstalled
         )
-        # The instance is reached through a weak reference and kept
-        # alive by ``_owner``, which the instance's own engine cache
-        # drops (see repro.core.engine.make_simulator).
-        self._instance_ref = weakref.ref(instance)
-        self._owner: Optional[OCSPInstance] = instance
+        self._instance = instance
         self._compile_threads = compile_threads
         self.metrics = metrics
 
@@ -264,21 +265,12 @@ class VectorSimulator:
         self._exec_rows = arrays.exec_rows
         # Distinct called fids and their first-call positions, in
         # first-call order: the only calls that can wait.
-        self._called_fids: List[int] = trace.first_fids.tolist()
-        self._first_pos: List[int] = trace.first_pos.tolist()
-        self._pre_events: List[Tuple[Tuple[float, int], ...]] = [
-            () for _ in range(self._num_fids)
-        ]
-        for fname, level in self._preinstalled.items():
-            self._pre_events[fid_of[fname]] = ((0.0, level),)
+        self._called_fids: List[int] = trace.first_fids_list
+        self._first_pos: List[int] = trace.first_pos_list
+        # Preinstalled code: ``(fid, level)``, installed at t = 0.
         self._pre_pairs = [
-            (fid, ev[0][1]) for fid, ev in enumerate(self._pre_events) if ev
+            (fid_of[fname], level) for fname, level in self._preinstalled.items()
         ]
-        # One-slot cache of the last Schedule's interned task arrays.
-        # Schedules are immutable, so identity implies equality; local
-        # search and the bench loops re-evaluate the same Schedule
-        # object many times.
-        self._sched_arrays = None
 
         # ---- incremental baseline state ------------------------------
         self._b_prep: Optional[_Prep] = None
@@ -289,10 +281,6 @@ class VectorSimulator:
         self._b_cum_bubble: List[float] = []
         self._b_makespan = 0.0
         self._cand: Optional[Tuple[_Prep, int, float]] = None
-
-    @property
-    def _instance(self) -> OCSPInstance:
-        return self._instance_ref()
 
     # ------------------------------------------------------------------
     # Per-schedule precomputation
@@ -330,9 +318,9 @@ class VectorSimulator:
             instance, tasks, self._compile_threads, release_times, task_compile_times
         )
         fid_of = self._fid_of
-        events: List[List[Tuple[float, int]]] = [
-            list(pre) for pre in self._pre_events
-        ]
+        events: List[List[Tuple[float, int]]] = [[] for _ in range(self._num_fids)]
+        for fid, level in self._pre_pairs:
+            events[fid].append((0.0, level))
         for i, (task, finish) in enumerate(zip(tasks, prep.finishes)):
             if task_installs is not None and not task_installs[i]:
                 continue  # failed attempt: thread time, no code
@@ -711,8 +699,11 @@ class VectorSimulator:
 
     def _task_arrays(self, schedule):
         """``(tfids, tlvls)``: the schedule's task fids and levels as
-        arrays (cached for the last :class:`Schedule` object)."""
-        cached = self._sched_arrays
+        arrays, memoized on the projection for the last :class:`Schedule`
+        object.  Schedules are immutable, so identity implies equality;
+        local search and the bench loops re-evaluate one object many
+        times."""
+        cached = self._arrays.sched_arrays
         if (
             cached is not None
             and isinstance(schedule, Schedule)
@@ -726,7 +717,7 @@ class VectorSimulator:
         )
         tlvls = np.asarray([task.level for task in tasks], dtype=np.int64)
         if isinstance(schedule, Schedule):
-            self._sched_arrays = (schedule, tfids, tlvls)
+            self._arrays.sched_arrays = (schedule, tfids, tlvls)
         return tfids, tlvls
 
     def _batched_timeline(self, tfids, tlvls):

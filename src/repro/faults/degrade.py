@@ -24,7 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
+# ``experiments`` imports this module: read its names at call time.
+from ..analysis import experiments
+from ..analysis.metrics import normalized
 from ..core.bounds import lower_bound
+from ..core.engine import resolve_engine
 from ..core.iar import IARParams, iar
 from ..core.makespan import MakespanResult, simulate
 from ..core.model import OCSPInstance
@@ -189,11 +193,11 @@ def simulate_with_faults(
             or ``"vector"`` (:class:`repro.core.vecsim.VectorSimulator`);
             both produce bitwise-identical numbers — including the
             degradation decisions, which happen before any engine runs.
-            ``None`` defers to the session default
+            The plan is measured through
+            :func:`~repro.core.makespan.simulate`, so ``None`` takes its
+            default: the session default
             (:func:`repro.core.engine.set_default_engine` /
-            ``$REPRO_ENGINE``), then to ``"reference"``.  The plan is
-            measured through :func:`~repro.core.makespan.simulate`, so
-            non-reference engines come from the instance's engine cache.
+            ``$REPRO_ENGINE``), then ``"reference"``.
         metrics: optional metrics registry, passed to
             :func:`~repro.core.makespan.simulate` (its ``makespan.*``
             counters) and — when ``faults`` is not already an injector —
@@ -208,9 +212,6 @@ def simulate_with_faults(
         untouched clean path, so its result is bitwise equal to a
         fault-free run.
     """
-    from ..core.engine import resolve_engine
-
-    engine = resolve_engine(engine, fallback="reference")
     injector = active_injector(faults, metrics=metrics)
     if validate:
         schedule.validate(instance)
@@ -243,7 +244,6 @@ def simulate_with_faults(
 def _planned(projected, lb, faults, compile_threads, tracer, engine):
     """Normalized make-span of a planned schedule on ``projected``,
     degraded under ``faults``, traced in its own process group."""
-    from ..analysis import metrics
 
     def span(schedule: Schedule, process: str) -> float:
         result, _ = simulate_with_faults(
@@ -255,7 +255,7 @@ def _planned(projected, lb, faults, compile_threads, tracer, engine):
             engine=engine,
             tracer=None if tracer is None else tracer.scope(process),
         )
-        return metrics.normalized(result.makespan, lb)
+        return normalized(result.makespan, lb)
 
     return span
 
@@ -297,13 +297,10 @@ def scheme_comparison(
             runs with the injector in-line.  An injector's tally then
             holds every fault of the four runs.
     """
-    from ..analysis import metrics
-    from ..analysis.experiments import driver_engine, project_to_model_levels
-
     injector = _as_injector(faults)
-    engine = driver_engine()
+    engine = resolve_engine()
     model = model_factory(instance)
-    projected = project_to_model_levels(instance, model)
+    projected = experiments.project_to_model_levels(instance, model)
     lb = lower_bound(projected)
     planned = _planned(projected, lb, injector, compile_threads, tracer, engine)
     high = {
@@ -327,7 +324,7 @@ def scheme_comparison(
     return {
         "lower_bound": 1.0,
         "iar": iar_span,
-        "default": metrics.normalized(default_result.makespan, lb),
+        "default": normalized(default_result.makespan, lb),
         "base_level": planned(base_level_schedule(projected), "base_level"),
         "optimizing_level": planned(
             optimizing_level_schedule(projected, levels=high), "optimizing_level"
@@ -349,11 +346,8 @@ def v8_comparison(
     ``faults`` work as in :func:`scheme_comparison` (the runtime's
     process group is ``v8``).
     """
-    from ..analysis import metrics
-    from ..analysis.experiments import driver_engine
-
     injector = _as_injector(faults)
-    engine = driver_engine()
+    engine = resolve_engine()
     low, high = levels
     projected = instance.restricted_to_levels(
         {fname: [low, high] for fname in instance.profiles}
@@ -370,7 +364,7 @@ def v8_comparison(
     return {
         "lower_bound": 1.0,
         "iar": planned(iar_sched, "iar"),
-        "default": metrics.normalized(v8_result.makespan, lb),
+        "default": normalized(v8_result.makespan, lb),
         "base_level": planned(base_level_schedule(projected), "base_level"),
         "optimizing_level": planned(
             optimizing_level_schedule(projected), "optimizing_level"

@@ -96,15 +96,19 @@ def suite_names() -> List[str]:
 
 
 def get_suite(suite: str) -> List[BenchSpec]:
-    """The specs tagged with ``suite``, in registration order.
+    """The specs tagged with ``suite``, in registration order; a
+    registered benchmark's name is a suite of that one benchmark.
 
     Raises:
-        KeyError: for a suite no benchmark is tagged with.
+        KeyError: for a name that is neither a suite nor a benchmark.
     """
     specs = [spec for spec in REGISTRY.values() if suite in spec.suites]
+    if not specs and suite in REGISTRY:
+        specs = [REGISTRY[suite]]
     if not specs:
         raise KeyError(
-            f"unknown suite {suite!r}; available: {suite_names()}"
+            f"unknown suite {suite!r}; suites: {suite_names()}; "
+            f"benchmarks: {sorted(REGISTRY)}"
         )
     return specs
 

@@ -377,9 +377,9 @@ class RuntimeSimulator:
 
         # The calls replayed one at a time: first calls, and the calls
         # at which a scheme's declared promotions fire.
-        first_calls = set(trace.first_pos.tolist())
+        first_calls = set(trace.first_pos_list)
         promoted: Dict[int, List[int]] = {}
-        for fid in trace.first_fids.tolist():
+        for fid in trace.first_fids_list:
             fname = fnames[fid]
             declared = scheme.promotions(fname, len(exec_rows[fid]))
             if not declared:

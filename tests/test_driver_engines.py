@@ -1,21 +1,15 @@
 """The limit study's drivers give the oracle's rows on their default engine.
 
 IAR and the paper-scale drivers (figures 5-8, Table 2, the fault sweep)
-default to the vector engine and share one engine cached on each
-projected instance.  These tests pin that the engine changes no number:
-every driver row equals the row computed with the pure-Python reference
-engine as the session default, and an incremental (``exact_slack``) IAR
-run never touches the shared cached engine.
+default to the vector engine.  These tests pin that the engine changes
+no number: every driver row equals the row computed with the
+pure-Python reference engine as the session default.
 """
 
 from __future__ import annotations
 
-import pytest
-
 from repro.analysis import experiments
-from repro.core.engine import make_simulator, set_default_engine
-from repro.core.iar import IARParams, iar
-from repro.core.makespan import simulate
+from repro.core.engine import set_default_engine
 from repro.workloads import dacapo
 
 SCALE = 0.002
@@ -24,8 +18,7 @@ WALL_CLOCK = ("iar_time_s", "percent_of_program")
 
 
 def driver_rows():
-    """Every driver's rows on a freshly generated suite (so no engine
-    is cached on its instances yet)."""
+    """Every driver's rows on a freshly generated suite."""
     suite = dacapo.load_suite(scale=SCALE)
     return {
         "figure5": experiments.figure5(suite),
@@ -47,26 +40,3 @@ def test_driver_rows_equal_on_reference_and_default_engine():
     finally:
         set_default_engine(None)
     assert driver_rows() == reference
-
-
-def test_exact_slack_never_uses_the_cached_engine():
-    """``exact_slack`` binds, proposes and commits on its engine, so it
-    must build a private one; the cached engine later IAR and
-    ``simulate`` calls share stays unbound and their results stay put."""
-    touched = dacapo.load("antlr", scale=SCALE)
-    clean = dacapo.load("antlr", scale=SCALE)
-
-    engine = experiments.driver_engine()  # what iar() resolves to
-    iar(touched, IARParams(exact_slack=True))
-    for inst in (touched, clean):
-        cached = make_simulator(inst, engine, cached=True)
-        with pytest.raises(RuntimeError, match="no baseline bound"):
-            cached.baseline_makespan
-
-    after = iar(touched)
-    expected = iar(clean)
-    assert after.schedule == expected.schedule
-    for threads in (1, 2):
-        assert simulate(
-            touched, after.schedule, compile_threads=threads, engine="vector"
-        ) == simulate(clean, expected.schedule, compile_threads=threads)

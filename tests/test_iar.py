@@ -288,9 +288,6 @@ class TestIARMetrics:
             v for k, v in snap.items() if k.startswith("iar.category.")
         )
         assert category_total == small_synthetic.num_functions
-        assert snap.get("iar.exact_slack.proposed", 0) >= snap.get(
-            "iar.exact_slack.accepted", 0
-        )
         assert snap["iar.slack_upgrades"] == len(result.slack_upgrades)
         assert snap["iar.gap_appends"] == len(result.gap_appends)
 

@@ -46,7 +46,24 @@ class TestBenchRun:
 
     def test_unknown_suite_exits_2(self, capsys):
         assert main(["bench", "run", "--suite", "nope"]) == 2
-        assert "unknown suite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unknown suite" in err
+        assert "'quick'" in err and "'astar_search'" in err
+
+    def test_one_benchmark_rewrites_only_its_baseline(self, tmp_path):
+        code = main(
+            [
+                "bench", "run",
+                "--suite", "astar_search",
+                "--scale", SCALE,
+                "--repeats", "1",
+                "--warmups", "0",
+                "--update-baselines",
+                "--baseline-dir", str(tmp_path),
+            ]
+        )
+        assert code == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["BENCH_astar_search.json"]
 
 
 class TestBenchCompare:

@@ -135,6 +135,11 @@ class TestSuiteRegistry:
             "runner_serial",
         } <= names
 
+    def test_benchmark_name_is_a_suite_of_one(self):
+        from repro.perf import REGISTRY, get_suite
+
+        assert get_suite("astar_search") == [REGISTRY["astar_search"]]
+
     def test_unknown_suite_raises(self):
         from repro.perf import get_suite
 

@@ -1,13 +1,17 @@
 """Tests for the priority-ordered compile queue."""
 
+import dataclasses
+import functools
+
 import pytest
 
 from repro.core import FunctionProfile, OCSPInstance, lower_bound
 from repro.vm.jikes import JikesScheme
-from repro.vm.costbenefit import OracleModel
+from repro.vm.costbenefit import EstimatedModel, OracleModel
 from repro.vm.priorityqueue import PriorityRuntimeSimulator, run_with_policy
-from repro.vm.runtime import RuntimeSimulator
+from repro.vm.runtime import RuntimeRunResult, RuntimeSimulator
 from repro.vm.v8 import V8Scheme
+from repro.workloads import dacapo
 
 
 def honest_oracle(instance):
@@ -36,10 +40,7 @@ class TestFifoEquivalence:
         fifo_event = run_with_policy(
             small_synthetic, scheme2, policy="fifo", sample_period=5.0
         )
-        assert fifo_event.makespan == pytest.approx(fifo_greedy.makespan)
-        assert fifo_event.total_bubble_time == pytest.approx(
-            fifo_greedy.total_bubble_time
-        )
+        assert_same_run(fifo_event, fifo_greedy)
 
     def test_matches_with_two_threads(self, small_synthetic):
         scheme = JikesScheme(honest_oracle(small_synthetic))
@@ -53,7 +54,37 @@ class TestFifoEquivalence:
             compile_threads=2,
             sample_period=5.0,
         )
-        assert event.makespan == pytest.approx(greedy.makespan)
+        assert_same_run(event, greedy)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("scheme", ["jikes", "v8"])
+    @pytest.mark.parametrize("name", sorted(dacapo.BENCHMARKS))
+    def test_matches_on_the_presets(self, name, scheme, threads):
+        instance = preset(name)
+
+        def make_scheme():
+            if scheme == "jikes":
+                return JikesScheme(EstimatedModel(instance, seed=0))
+            return V8Scheme()
+
+        greedy = RuntimeSimulator(
+            instance, make_scheme(), compile_threads=threads
+        ).run()
+        event = run_with_policy(
+            instance, make_scheme(), policy="fifo", compile_threads=threads
+        )
+        assert_same_run(event, greedy)
+
+
+@functools.lru_cache(maxsize=None)
+def preset(name):
+    return dacapo.load(name, scale=0.002)
+
+
+def assert_same_run(event, greedy):
+    """Every result field is equal, floats bit for bit."""
+    for field in dataclasses.fields(RuntimeRunResult):
+        assert getattr(event, field.name) == getattr(greedy, field.name), field.name
 
 
 class _ScriptedScheme:

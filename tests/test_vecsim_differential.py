@@ -1009,18 +1009,39 @@ def two_function_instance():
     return OCSPInstance(prof, ("f", "g", "f"), name="two")
 
 
-def test_engine_cache_reused_and_bypassed_with_metrics():
+@pytest.mark.parametrize("threads", [1, 4])
+@pytest.mark.parametrize("preinstalled", [False, True], ids=["clean", "preinstalled"])
+def test_engines_share_the_projections_first_call_lists(threads, preinstalled):
+    """Building an engine copies no per-function list: every engine on a
+    projection holds the trace's first-call lists themselves."""
+    instance = dacapo.load("antlr", scale=0.002)
+    projected = instance.restricted_to_levels(
+        {fname: [0, 1] for fname in instance.profiles}
+    )
+    pre = {projected.called_functions[-1]: 1} if preinstalled else None
+    trace = projected._trace
+    engines = [
+        VectorSimulator(projected, compile_threads=threads, preinstalled=pre)
+        for _ in range(2)
+    ]
+    for sim in engines:
+        assert sim._first_pos is trace.first_pos_list
+        assert sim._called_fids is trace.first_fids_list
+
+
+def test_fresh_engines_build_a_schedules_task_arrays_once():
+    """The task-array memo lives on the projection, so a fresh engine
+    evaluating the same :class:`Schedule` object reuses its arrays."""
     rng = random.Random(12)
     instance = random_instance(rng)
     schedule = random_schedule(instance, rng)
-    simulate(instance, schedule, engine="vector")
-    cache = instance._engine_cache
-    assert len(cache) == 1
-    simulate(instance, schedule, engine="vector")
-    assert len(cache) == 1  # same engine object reused
-    m = MetricsRegistry()
-    simulate(instance, schedule, engine="vector", metrics=m)
-    assert len(cache) == 1  # metrics runs never enter the cache
+    first = VectorSimulator(instance)
+    second = VectorSimulator(instance)
+    expected = first.evaluate(schedule)
+    tfids, tlvls = first._task_arrays(schedule)
+    assert_results_equal(second.evaluate(schedule), expected)
+    again = second._task_arrays(schedule)
+    assert again[0] is tfids and again[1] is tlvls
 
 
 @pytest.fixture()
@@ -1035,9 +1056,9 @@ def no_cyclic_gc():
 
 
 def test_cached_engines_do_not_keep_their_instance_alive(no_cyclic_gc):
-    """A projection driven through the cached vector engine (IAR and
+    """A projection driven through the vector engine (IAR and
     ``simulate``) and both runtimes is freed with its last reference:
-    the engine cache it owns holds it only weakly."""
+    the tables it keeps hold no engine, so no cycle runs through it."""
     instance = dacapo.load("antlr", scale=0.002)
     projected = instance.restricted_to_levels(
         {fname: [0, 1] for fname in instance.profiles}
@@ -1046,22 +1067,23 @@ def test_cached_engines_do_not_keep_their_instance_alive(no_cyclic_gc):
     simulate(projected, schedule, engine="vector")
     run_jikes(projected)
     run_v8(projected)
-    assert projected._engine_cache and projected._arrays is not None
+    assert projected._arrays is not None
     ref = weakref.ref(projected)
     del projected
     assert ref() is None
 
 
 def test_instance_pickles_without_its_engine_cache():
-    """Cached engines hold their instance weakly, which pickle cannot
-    ship; the per-process caches stay behind and rebuild on first use."""
+    """The per-projection tables (with their schedule memo) stay in
+    their process and rebuild on first use."""
     rng = random.Random(14)
     instance = random_instance(rng)
     schedule = random_schedule(instance, rng)
     expected = simulate(instance, schedule, engine="vector")
     clone = pickle.loads(pickle.dumps(instance))
     assert clone == instance
-    assert not hasattr(clone, "_engine_cache")
+    assert instance._arrays is not None
+    assert not hasattr(clone, "_arrays")
     assert_results_equal(simulate(clone, schedule, engine="vector"), expected)
 
 
@@ -1071,9 +1093,7 @@ def test_uncached_engine_keeps_its_instance(no_cyclic_gc):
     schedule = random_schedule(instance, rng)
     expected = simulate(instance, schedule)
     ref = weakref.ref(instance)
-    engines = [
-        make_simulator(instance, engine=name, cached=False) for name in ENGINES
-    ]
+    engines = [make_simulator(instance, engine=name) for name in ENGINES]
     del instance
     assert ref() is not None
     for engine in engines:
