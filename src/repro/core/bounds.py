@@ -55,7 +55,7 @@ def compile_aware_lower_bound(instance: OCSPInstance) -> float:
     make-span.
     """
     base = lower_bound(instance)
-    if not instance.calls:
+    if not len(instance.calls):
         return base
     first = instance.calls[0]
     return base + instance.profiles[first].compile_times[0]
@@ -81,27 +81,21 @@ def warmup_aware_lower_bound(instance: OCSPInstance) -> float:
     This dominates both :func:`lower_bound` (the ``k = 0`` term) and,
     when the first call opens the sequence, the compile-aware bound.
     It is valid only for ``compile_threads == 1`` — with more threads
-    the warmup compiles overlap.  Computed in O(N).
+    the warmup compiles overlap.  Computed in O(N) numpy passes, each
+    sum added left to right from 0.0 as a per-call loop adds it.
     """
-    calls = instance.calls
-    if not calls:
+    arrays = instance_arrays(instance)
+    trace = arrays.trace
+    if not len(trace):
         return 0.0
-    profiles = instance.profiles
-    # exec_tail[k] = fastest execution of calls k..N-1.
-    tail = 0.0
-    exec_tail = [0.0] * (len(calls) + 1)
-    for i in range(len(calls) - 1, -1, -1):
-        tail += profiles[calls[i]].exec_times[-1]
-        exec_tail[i] = tail
-
-    best = exec_tail[0]
-    seen = set()
-    compile_prefix = 0.0
-    for k, fname in enumerate(calls):
-        if fname not in seen:
-            seen.add(fname)
-            compile_prefix += profiles[fname].compile_times[0]
-        candidate = compile_prefix + exec_tail[k]
-        if candidate > best:
-            best = candidate
-    return best
+    # exec_tail[k] = fastest execution of calls k..N-1, summed from the
+    # end; exec_tail[N] = 0.0.
+    execs = arrays.exec_tab[:, -1].take(trace.ids[::-1])
+    exec_tail = np.cumsum(np.concatenate(([0.0], execs)))[::-1]
+    # The level-0 compiles of the functions first called at or before
+    # each position, summed in first-call order.
+    compiles = arrays.compile_tab[:, 0].take(trace.first_fids)
+    compile_prefix = np.cumsum(np.concatenate(([0.0], compiles)))[1:]
+    covered = np.diff(trace.first_pos, append=len(trace))
+    # candidates[0] >= exec_tail[0], the k = 0 term.
+    return float((np.repeat(compile_prefix, covered) + exec_tail[:-1]).max())

@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
-from itertools import accumulate
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from itertools import accumulate, chain
+from operator import eq
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -214,7 +215,8 @@ class FunctionProfile:
 
 
 class _Trace:
-    """The call sequence interned once, when its instance is built.
+    """The call sequence, stored once as function ids: an instance's
+    ``calls``.
 
     A function's id is its position in ``profiles``.  ``ids`` holds the
     calls as ids, in the narrowest unsigned type that holds the function
@@ -224,10 +226,13 @@ class _Trace:
     arrays, and ``first_pos_list``/``first_fids_list`` the same two as
     lists (the vector engine's replay bisects them); ``count_of`` and
     ``first_index_of`` key the same numbers by name, in first-call
-    order.  A projection that keeps every name and
-    call (:meth:`OCSPInstance.restricted_to_levels`) shares its source's
-    trace, and the trace pickles with its instance.
+    order.  It reads as the tuple of names it stands for (iteration
+    maps ids to names ``_BLOCK`` at a time; slices and ``+`` give
+    tuples), is shared by every instance whose profiles hold the same
+    names in the same order, and pickles with its instance.
     """
+
+    _BLOCK = 1 << 16
 
     __slots__ = (
         "names",
@@ -240,23 +245,18 @@ class _Trace:
         "first_fids_list",
         "count_of",
         "first_index_of",
+        "_name_array",
     )
 
-    def __init__(self, names: List[str], calls: Tuple[str, ...]) -> None:
+    def __init__(self, names: List[str], ids: Sequence[int]) -> None:
+        ids = np.asarray(ids)
+        if len(ids) and not 0 <= ids.min() <= ids.max() < len(names):
+            raise ModelError(f"function ids must lie in 0..{len(names) - 1}")
         self.names = names
-        fid_of = self.fid_of = {name: fid for fid, name in enumerate(names)}
-        try:
-            ids = np.fromiter(
-                map(fid_of.__getitem__, calls),
-                np.min_scalar_type(max(len(names) - 1, 0)),
-                len(calls),
-            )
-        except KeyError:
-            index = min(map(calls.index, set(calls).difference(fid_of)))
-            raise ModelError(
-                f"call #{index} invokes {calls[index]!r} which has no profile"
-            ) from None
-        self.ids = ids
+        self.fid_of = {name: fid for fid, name in enumerate(names)}
+        self._name_array = np.array(names, dtype=object)
+        dtype = np.min_scalar_type(max(len(names) - 1, 0))
+        ids = self.ids = ids.astype(dtype, copy=False)
         self.counts = np.bincount(ids, minlength=len(names))
         fids, first = np.unique(ids, return_index=True)
         order = first.argsort()
@@ -267,6 +267,53 @@ class _Trace:
         called = [names[fid] for fid in self.first_fids_list]
         self.count_of = dict(zip(called, self.counts[self.first_fids].tolist()))
         self.first_index_of = dict(zip(called, self.first_pos_list))
+
+    @classmethod
+    def interned(cls, names: List[str], calls: Sequence[str]) -> "_Trace":
+        """The trace of ``calls``, a sequence of names."""
+        fid_of = {name: fid for fid, name in enumerate(names)}
+        try:
+            ids = np.fromiter(
+                map(fid_of.__getitem__, calls),
+                np.min_scalar_type(max(len(names) - 1, 0)),
+                len(calls),
+            )
+        except KeyError:
+            index = next(i for i, f in enumerate(calls) if f not in fid_of)
+            raise ModelError(
+                f"call #{index} invokes {calls[index]!r} which has no profile"
+            ) from None
+        return cls(names, ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self) -> Iterator[str]:
+        ids, names, block = self.ids, self._name_array, self._BLOCK
+        return chain.from_iterable(
+            names.take(ids[i : i + block]).tolist() for i in range(0, len(ids), block)
+        )
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self._name_array.take(self.ids[index]).tolist())
+        return self.names[self.ids.item(index)]
+
+    def __contains__(self, fname: object) -> bool:
+        return fname in self.count_of
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _Trace) and other.names == self.names:
+            return bool(np.array_equal(self.ids, other.ids))
+        if not isinstance(other, (_Trace, tuple, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __add__(self, other: Iterable[str]) -> Tuple[str, ...]:
+        return tuple(self) + tuple(other)
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} calls to {len(self.count_of)} functions>"
 
 
 @dataclass(frozen=True)
@@ -287,21 +334,23 @@ class OCSPInstance:
 
     Construction interns ``calls`` once: each call becomes its
     function's position in ``profiles``, in one compact numpy array,
-    and the call counts and first calls are read off that array.  The
-    engines, the runtime replays and :func:`~repro.core.bounds.lower_bound`
-    read those ids, and :meth:`restricted_to_levels` hands its
-    projection the same ones.
+    and the call counts and first calls are read off that array.  That
+    array is the only copy of the calls: ``calls`` holds it, read as a
+    sequence of names (:class:`_Trace`).  The engines, the runtime
+    replays and :func:`~repro.core.bounds.lower_bound` read the ids, and
+    an instance built on another's ``calls`` with profiles of the same
+    names in the same order (:meth:`restricted_to_levels`) shares them.
     """
 
     profiles: Mapping[str, FunctionProfile]
-    calls: Tuple[str, ...]
+    calls: Sequence[str]
     name: str = "instance"
-    _trace: _Trace = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "profiles", dict(self.profiles))
-        object.__setattr__(self, "calls", tuple(self.calls))
-        object.__setattr__(self, "_trace", _Trace(list(self.profiles), self.calls))
+        names = list(self.profiles)
+        if not (isinstance(self.calls, _Trace) and self.calls.names == names):
+            object.__setattr__(self, "calls", _Trace.interned(names, self.calls))
 
     def __getstate__(self) -> Dict[str, object]:
         # The interned trace ships with the instance; the engines'
@@ -325,16 +374,16 @@ class OCSPInstance:
 
         This is the paper's ``getSeq1stCalls(Eseq)`` (Figure 3, step 1).
         """
-        return list(self._trace.count_of)
+        return list(self.calls.count_of)
 
     @property
     def num_functions(self) -> int:
         """Number of distinct called functions (``M`` in the paper)."""
-        return len(self._trace.count_of)
+        return len(self.calls.count_of)
 
     def call_count(self, fname: str) -> int:
         """``f.n``: number of invocations of ``fname`` in the sequence."""
-        return self._trace.count_of.get(fname, 0)
+        return self.calls.count_of.get(fname, 0)
 
     def first_call_index(self, fname: str) -> int:
         """Position of the first invocation of ``fname``.
@@ -342,7 +391,7 @@ class OCSPInstance:
         Raises:
             KeyError: if the function is never called.
         """
-        return self._trace.first_index_of[fname]
+        return self.calls.first_index_of[fname]
 
     def profile(self, fname: str) -> FunctionProfile:
         """Profile for ``fname``."""
@@ -363,7 +412,7 @@ class OCSPInstance:
         """
         reduced = {
             fname: self.profiles[fname].reduced_to_two_levels(self.call_count(fname))
-            for fname in self._trace.count_of
+            for fname in self.calls.count_of
         }
         return OCSPInstance(profiles=reduced, calls=self.calls, name=self.name)
 
@@ -394,45 +443,19 @@ class OCSPInstance:
                 compile_times=tuple(prof.compile_times[lvl] for lvl in keep),
                 exec_times=tuple(prof.exec_times[lvl] for lvl in keep),
             )
-        return self._with_profiles(new_profiles, self.name)
-
-    def _with_profiles(
-        self, profiles: Dict[str, FunctionProfile], name: str
-    ) -> "OCSPInstance":
-        """The same calls under new ``profiles``, sharing this instance's
-        interned trace: ``profiles`` must hold the same names in the same
-        order (a function's id is its position there)."""
-        view = object.__new__(OCSPInstance)
-        object.__setattr__(view, "profiles", profiles)
-        object.__setattr__(view, "calls", self.calls)
-        object.__setattr__(view, "name", name)
-        object.__setattr__(view, "_trace", self._trace)
-        return view
+        return OCSPInstance(new_profiles, self.calls, self.name)
 
     def prefix(self, n_calls: int) -> "OCSPInstance":
         """Instance containing only the first ``n_calls`` invocations."""
         return OCSPInstance(
             profiles=self.profiles,
-            calls=self.calls[:n_calls],
+            calls=_Trace(self.calls.names, self.calls.ids[:n_calls]),
             name=f"{self.name}[:{n_calls}]",
         )
 
     # ------------------------------------------------------------------
-    # Aggregates used by bounds and sanity checks
+    # Summary
     # ------------------------------------------------------------------
-    def total_exec_time_at_level(self, pick_level) -> float:
-        """Sum of per-call execution times with ``pick_level(fname)``
-        choosing the level for each function."""
-        level_for: Dict[str, int] = {}
-        total = 0.0
-        for fname in self.calls:
-            lvl = level_for.get(fname)
-            if lvl is None:
-                lvl = pick_level(fname)
-                level_for[fname] = lvl
-            total += self.profiles[fname].exec_times[lvl]
-        return total
-
     def summary(self) -> Dict[str, object]:
         """Basic statistics, matching the columns of the paper's Table 1."""
         return {
@@ -440,7 +463,7 @@ class OCSPInstance:
             "num_functions": self.num_functions,
             "call_seq_length": self.num_calls,
             "levels": max(
-                (self.profiles[f].num_levels for f in self._trace.count_of),
+                (self.profiles[f].num_levels for f in self.calls.count_of),
                 default=0,
             ),
         }

@@ -176,7 +176,7 @@ class _Arrays:
     )
 
     def __init__(self, instance: OCSPInstance) -> None:
-        self.trace = instance._trace
+        self.trace = instance.calls
         profiles = instance.profiles.values()
         exec_rows = self.exec_rows = [prof.exec_times for prof in profiles]
         ml = self.max_levels = max((len(row) for row in exec_rows), default=1)

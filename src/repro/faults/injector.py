@@ -157,7 +157,7 @@ class FaultInjector:
             )
             for fname, prof in instance.profiles.items()
         }
-        return instance._with_profiles(profiles, f"{instance.name}!mispredict")
+        return OCSPInstance(profiles, instance.calls, f"{instance.name}!mispredict")
 
     # ------------------------------------------------------------------
     # The degradation chain

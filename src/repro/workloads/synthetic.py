@@ -30,7 +30,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from ..core.model import FunctionProfile, OCSPInstance
+from ..core.model import FunctionProfile, OCSPInstance, _Trace
 
 __all__ = ["WorkloadSpec", "generate", "DEFAULT_LEVEL_COMPILE_FACTORS"]
 
@@ -252,10 +252,8 @@ def generate(spec: WorkloadSpec, seed: int = 0) -> OCSPInstance:
     if cursor < n:
         fill(cursor, n)
 
-    names = [profiles[i].name for i in range(m)]
-    call_names = tuple(map(names.__getitem__, calls.tolist()))
     return OCSPInstance(
         profiles={prof.name: prof for prof in profiles},
-        calls=call_names,
+        calls=_Trace([prof.name for prof in profiles], calls),
         name=spec.name,
     )

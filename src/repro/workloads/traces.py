@@ -23,7 +23,7 @@ import math
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from ..core.model import FunctionProfile, ModelError, OCSPInstance
+from ..core.model import FunctionProfile, ModelError, OCSPInstance, _Trace
 from ..core.schedule import CompileTask, Schedule, ScheduleError
 
 __all__ = [
@@ -159,7 +159,6 @@ def from_json(text: str) -> OCSPInstance:
         profiles[fname] = prof
         names.append(fname)
 
-    calls = []
     for pos, i in enumerate(raw_calls):
         if isinstance(i, bool) or not isinstance(i, int):
             raise ModelError(
@@ -171,9 +170,8 @@ def from_json(text: str) -> OCSPInstance:
                 f"trace: calls[{pos}] index {i} out of range "
                 f"(have {len(names)} functions)"
             )
-        calls.append(names[i])
     try:
-        return OCSPInstance(profiles=profiles, calls=tuple(calls), name=name)
+        return OCSPInstance(profiles, _Trace(names, raw_calls), name)
     except ModelError as exc:
         raise ModelError(f"trace: {exc}") from exc
 

@@ -1,5 +1,6 @@
 """Tests for the make-span lower bounds (Section 5.2)."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
@@ -9,9 +10,11 @@ from repro.core import (
     lower_bound,
     optimal_schedule,
     simulate,
+    warmup_aware_lower_bound,
 )
 from repro.core.iar import iar_schedule
 from repro.core.single_level import base_level_schedule
+from repro.workloads import dacapo
 
 
 class TestLowerBound:
@@ -109,6 +112,65 @@ class TestCompileAwareLowerBound:
 
     def test_empty_instance(self):
         assert compile_aware_lower_bound(OCSPInstance({}, ())) == 0.0
+
+
+def loop_warmup_aware_lower_bound(instance):
+    """The warmup-aware bound as per-call loops over the names: the
+    reference its numpy passes must match bit for bit."""
+    calls = tuple(instance.calls)
+    if not calls:
+        return 0.0
+    profiles = instance.profiles
+    tail = 0.0
+    exec_tail = [0.0] * (len(calls) + 1)
+    for i in range(len(calls) - 1, -1, -1):
+        tail += profiles[calls[i]].exec_times[-1]
+        exec_tail[i] = tail
+    best = exec_tail[0]
+    seen = set()
+    compile_prefix = 0.0
+    for k, fname in enumerate(calls):
+        if fname not in seen:
+            seen.add(fname)
+            compile_prefix += profiles[fname].compile_times[0]
+        candidate = compile_prefix + exec_tail[k]
+        if candidate > best:
+            best = candidate
+    return best
+
+
+# Costs whose sums depend on the order they are added in.
+order_costs = st.sampled_from([0.0, 1.0, 1e16])
+
+
+@st.composite
+def order_sensitive_instances(draw):
+    """Profiles in a drawn order, unlike the first-call order, with
+    level counts of one to three."""
+    names = draw(st.permutations([f"f{i}" for i in range(draw(st.integers(1, 6)))]))
+    profiles = {}
+    for name in names:
+        levels = draw(st.integers(1, 3))
+        costs = st.lists(order_costs, min_size=levels, max_size=levels)
+        profiles[name] = FunctionProfile(
+            name, tuple(sorted(draw(costs))), tuple(sorted(draw(costs), reverse=True))
+        )
+    calls = draw(st.lists(st.sampled_from(sorted(names)), max_size=60))
+    return OCSPInstance(profiles, tuple(calls), name="order")
+
+
+@settings(max_examples=300, deadline=None)
+@given(order_sensitive_instances())
+def test_warmup_aware_bound_is_the_per_call_loop(instance):
+    expected = loop_warmup_aware_lower_bound(instance)
+    assert warmup_aware_lower_bound(instance).hex() == expected.hex()
+
+
+@pytest.mark.parametrize("name", ["antlr", "jython", "pmd"])
+def test_warmup_aware_bound_is_the_per_call_loop_on_presets(name):
+    instance = dacapo.load(name, scale=0.002)
+    expected = loop_warmup_aware_lower_bound(instance)
+    assert warmup_aware_lower_bound(instance).hex() == expected.hex()
 
 
 class TestWarmupAwareLowerBound:

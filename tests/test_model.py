@@ -189,11 +189,6 @@ class TestOCSPInstance:
         with pytest.raises(ModelError, match="out of range"):
             inst.restricted_to_levels({"b": [5]})
 
-    def test_total_exec_time_at_level(self):
-        inst = self._instance()
-        total = inst.total_exec_time_at_level(lambda f: 0)
-        assert total == 2.0 + 4.0 + 2.0 + 2.0
-
     def test_summary(self):
         inst = self._instance()
         summary = inst.summary()
@@ -254,7 +249,7 @@ class TestInternedTrace:
     @example(OCSPInstance(_ONE_PROFILE, ("f0",)))
     def test_ids_counts_and_first_calls_match_a_per_call_loop(self, inst):
         names = list(inst.profiles)
-        ids = inst._trace.ids
+        ids = inst.calls.ids
         assert ids.dtype.kind == "u" and ids.itemsize == 1
         assert [names[fid] for fid in ids.tolist()] == list(inst.calls)
         counts = {}

@@ -7,15 +7,22 @@
 * **Sharing.**  A projection that keeps every name and call holds its
   source's id array, the study drivers intern no trace of their own,
   and a pickled instance carries its trace instead of re-interning.
+* **The trace is ``calls``.**  It behaves like the tuple of names it
+  replaces, whether built from names or from ids, maps ids to names a
+  block at a time, and is the only per-call store an instance holds.
 """
 
 from __future__ import annotations
 
+import gc
 import pickle
 import random
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.experiments import (
     figure5,
@@ -29,9 +36,9 @@ from repro.core import model
 from repro.core.bounds import lower_bound
 from repro.core.iar import iar
 from repro.core.makespan import simulate
-from repro.core.model import FunctionProfile, OCSPInstance
+from repro.core.model import FunctionProfile, ModelError, OCSPInstance
 from repro.core.single_level import base_level_schedule
-from repro.faults import degrade
+from repro.faults import FaultInjector, degrade
 from repro.vm.costbenefit import EstimatedModel
 from repro.workloads import dacapo
 
@@ -68,7 +75,7 @@ def wide(request):
 
 def test_ids_take_the_narrowest_unsigned_type(wide):
     instance, num_profiles, itemsize = wide
-    ids = instance._trace.ids
+    ids = instance.calls.ids
     assert ids.dtype.kind == "u" and ids.itemsize == itemsize
     assert int(ids.max()) == num_profiles - 1
     names = list(instance.profiles)
@@ -114,13 +121,13 @@ def antlr():
 
 
 def test_projections_hold_their_sources_ids(antlr, monkeypatch):
-    ids = antlr._trace.ids
+    ids = antlr.calls.ids
     restricted = antlr.restricted_to_levels(
         {fname: [0, 1] for fname in antlr.profiles}
     )
-    assert restricted._trace.ids is ids
+    assert restricted.calls.ids is ids
     projected = project_to_model_levels(antlr, EstimatedModel(antlr, seed=0))
-    assert projected._trace.ids is ids
+    assert projected.calls.ids is ids
     seen = []
     run_v8 = degrade.run_v8
 
@@ -131,7 +138,7 @@ def test_projections_hold_their_sources_ids(antlr, monkeypatch):
     monkeypatch.setattr(degrade, "run_v8", recording)
     degrade.v8_comparison(antlr)
     assert len(seen) == 1 and seen[0] is not antlr
-    assert seen[0]._trace.ids is ids
+    assert seen[0].calls.ids is ids
 
 
 @pytest.fixture()
@@ -167,6 +174,132 @@ def test_trace_pickles_with_its_instance(antlr, traces_built):
     clone = pickle.loads(pickle.dumps(projected))
     assert traces_built == []
     assert not hasattr(clone, "_arrays")
-    assert np.array_equal(clone._trace.ids, antlr._trace.ids)
+    assert np.array_equal(clone.calls.ids, antlr.calls.ids)
     assert clone.called_functions == antlr.called_functions
     assert lower_bound(clone) == expected
+
+
+@st.composite
+def built_both_ways(draw):
+    """Names in a drawn profile order and calls drawn apart from it; the
+    same calls interned from names and handed over as ids."""
+    names = draw(st.permutations([f"f{i}" for i in range(draw(st.integers(1, 6)))]))
+    profiles = {name: FunctionProfile(name, (1.0,), (1.0,)) for name in names}
+    calls = tuple(draw(st.lists(st.sampled_from(sorted(names)), max_size=30)))
+    ids = np.array([names.index(fname) for fname in calls], dtype=np.intp)
+    from_names = OCSPInstance(profiles, calls)
+    from_ids = OCSPInstance(profiles, model._Trace(list(names), ids))
+    return calls, from_names, from_ids
+
+
+@settings(max_examples=200, deadline=None)
+@given(built_both_ways(), st.slices(35))
+def test_trace_reads_as_the_tuple_of_its_names(built, cut):
+    calls, *instances = built
+    names = list(instances[0].profiles)
+    for instance in instances:
+        trace = instance.calls
+        assert len(trace) == instance.num_calls == len(calls)
+        assert list(trace) == list(calls) and tuple(trace) == calls
+        for index in range(-len(calls), len(calls)):
+            assert trace[index] == calls[index]
+        for index in (len(calls), -len(calls) - 1):
+            with pytest.raises(IndexError):
+                trace[index]
+        assert trace[cut] == calls[cut] and type(trace[cut]) is tuple
+        for fname in [*instance.profiles, "absent"]:
+            assert (fname in trace) is (fname in calls)
+        assert trace == calls and calls == trace
+        assert trace == list(calls) and list(calls) == trace
+        assert not trace != calls
+        assert trace != calls + ("f0",) and trace != calls[:-1] + ("absent",)
+        assert trace != "f0" and trace != None  # noqa: E711
+        assert trace + ("absent",) == calls + ("absent",)
+        assert type(trace + ()) is tuple
+        assert repr(trace) == f"<{len(calls)} calls to {instance.num_functions} functions>"
+        clone = pickle.loads(pickle.dumps(instance))
+        assert clone == instance and clone.calls == calls
+    from_names, from_ids = instances
+    assert from_names.calls == from_ids.calls and from_names == from_ids
+    longer = OCSPInstance(from_ids.profiles, calls + (names[0],))
+    assert longer.calls != from_ids.calls and longer != from_ids
+    # Profiles in another order re-intern the names; in the same order
+    # they share the trace.
+    reordered = OCSPInstance(dict(reversed(from_ids.profiles.items())), from_ids.calls)
+    assert reordered.calls == from_ids.calls
+    assert (reordered.calls is from_ids.calls) is (len(names) == 1)
+
+
+def test_trace_maps_names_a_block_at_a_time():
+    """Iterating a long trace builds one block of names at a time, and
+    blocks join without a seam."""
+    names = [f"m{i:03d}" for i in range(300)]
+    ids = np.random.default_rng(0).integers(0, len(names), 600_000)
+    trace = model._Trace(names, ids)
+    assert trace.ids.itemsize == 2
+    tracemalloc.start()
+    try:
+        calls = iter(trace)
+        assert next(calls) == names[ids[0]]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * len(ids) / 2
+    assert list(trace) == [names[fid] for fid in ids.tolist()]
+
+
+def test_bad_ids_and_unprofiled_names_raise_model_errors():
+    names = ["f0", "f1"]
+    for ids in ([0, 2], [-1, 0]):
+        with pytest.raises(ModelError, match="function ids must lie in 0..1"):
+            model._Trace(names, np.array(ids))
+    profiles = {name: FunctionProfile(name, (1.0,), (1.0,)) for name in names}
+    with pytest.raises(ModelError, match="^call #2 invokes 'g' which has no profile$"):
+        OCSPInstance(profiles, ("f0", "f1", "g", "g"))
+    other = OCSPInstance({"g": profiles["f0"], **profiles}, ("f1", "g"))
+    with pytest.raises(ModelError, match="^call #1 invokes 'g' which has no profile$"):
+        OCSPInstance(profiles, other.calls)
+
+
+def test_views_of_an_instance_share_its_trace(antlr):
+    restricted = antlr.restricted_to_levels(
+        {fname: [0, 1] for fname in antlr.profiles}
+    )
+    views = [
+        restricted,
+        project_to_model_levels(antlr, EstimatedModel(antlr, seed=0)),
+        FaultInjector("mispredict=0.5,seed=1").scheduler_view(antlr),
+        OCSPInstance(restricted.profiles, restricted.calls),
+        OCSPInstance(antlr.profiles, antlr.calls, name="renamed"),
+    ]
+    for view in views:
+        assert view is not antlr and view.calls is antlr.calls
+    prefix = antlr.prefix(100)
+    assert prefix.calls == antlr.calls[:100] and prefix.calls.names is antlr.calls.names
+
+
+def _per_call_sequences(root, num_calls):
+    """Tuples and lists of ``num_calls`` or more entries reachable from
+    ``root`` (classes, modules and functions are not walked)."""
+    seen, stack, found = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(
+            obj, (type, types.ModuleType, types.FunctionType)
+        ):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, (tuple, list)) and len(obj) >= num_calls:
+            found.append(type(obj).__name__)
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
+def test_an_instance_holds_no_per_call_sequence(antlr):
+    restricted = antlr.restricted_to_levels(
+        {fname: [0, 1] for fname in antlr.profiles}
+    )
+    lower_bound(restricted)  # builds the projection's shared tables
+    assert antlr.num_calls > 2 * len(antlr.profiles)
+    for instance in (antlr, restricted):
+        assert _per_call_sequences(instance, instance.num_calls) == []

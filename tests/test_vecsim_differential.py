@@ -1019,7 +1019,7 @@ def test_engines_share_the_projections_first_call_lists(threads, preinstalled):
         {fname: [0, 1] for fname in instance.profiles}
     )
     pre = {projected.called_functions[-1]: 1} if preinstalled else None
-    trace = projected._trace
+    trace = projected.calls
     engines = [
         VectorSimulator(projected, compile_threads=threads, preinstalled=pre)
         for _ in range(2)
