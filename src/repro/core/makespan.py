@@ -31,6 +31,7 @@ import heapq
 import math
 import os
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .model import ModelError, OCSPInstance
@@ -472,14 +473,14 @@ def _simulate(
         (events[-1][0] for events in by_function.values()), default=0.0
     )
 
-    calls = instance.calls
-    for index, fname in enumerate(calls):
+    calls = iter(instance.calls)
+    for fname in calls:
         if not record_timeline and t >= all_compiled_at:
             final_level = {
                 f: max(lvl for _ft, lvl in events)
                 for f, events in by_function.items()
             }
-            for rest in calls[index:]:
+            for rest in chain((fname,), calls):
                 lvl = final_level.get(rest)
                 if lvl is None:  # unreachable when validated
                     raise ScheduleError(f"function {rest!r} is never compiled")

@@ -58,13 +58,12 @@ class MarkovPredictor:
         ``order`` (shorter contexts serve as back-off)."""
         if not sequence:
             raise ValueError("cannot fit on an empty sequence")
-        for k in range(self.order + 1):
-            table = self._tables[k]
-            for i in range(len(sequence)):
-                if i < k:
-                    continue
-                context = tuple(sequence[i - k : i])
-                table[context][sequence[i]] += 1
+        tables = self._tables
+        window: Tuple[str, ...] = ()
+        for fname in sequence:
+            for k in range(len(window) + 1):
+                tables[k][window[len(window) - k :]][fname] += 1
+            window = (window + (fname,))[-self.order :]
         self._fitted = True
         return self
 
@@ -127,10 +126,11 @@ class MarkovPredictor:
         if not sequence:
             return 0.0
         hits = 0
-        for i in range(len(sequence)):
-            context = tuple(sequence[max(0, i - self.order) : i])
-            if self._next(context) == sequence[i]:
+        window: Tuple[str, ...] = ()
+        for fname in sequence:
+            if self._next(window) == fname:
                 hits += 1
+            window = (window + (fname,))[-self.order :]
         return hits / len(sequence)
 
 

@@ -45,6 +45,18 @@ def base_level_schedule(instance: OCSPInstance) -> Schedule:
     return single_level_schedule(instance, lambda fname: 0)
 
 
+def most_cost_effective_levels(instance: OCSPInstance) -> Dict[str, int]:
+    """The level ``l_i`` per called function minimizing
+    ``n_i * e[i][l] + c[i][l]`` (ties to the lower level), in
+    first-appearance order."""
+    return {
+        fname: instance.profiles[fname].most_cost_effective_level(
+            instance.call_count(fname)
+        )
+        for fname in instance.called_functions
+    }
+
+
 def optimizing_level_schedule(
     instance: OCSPInstance, levels: Optional[Dict[str, int]] = None
 ) -> Schedule:
@@ -58,10 +70,5 @@ def optimizing_level_schedule(
             compilation level".
     """
     if levels is None:
-        levels = {
-            fname: instance.profiles[fname].most_cost_effective_level(
-                instance.call_count(fname)
-            )
-            for fname in instance.called_functions
-        }
+        levels = most_cost_effective_levels(instance)
     return single_level_schedule(instance, lambda fname: levels[fname])

@@ -12,10 +12,9 @@ achieves the optimum.
 
 from __future__ import annotations
 
-from typing import Dict
-
 from .model import OCSPInstance
-from .schedule import CompileTask, Schedule
+from .schedule import Schedule
+from .single_level import most_cost_effective_levels, optimizing_level_schedule
 
 __all__ = [
     "most_cost_effective_levels",
@@ -24,36 +23,23 @@ __all__ = [
 ]
 
 
-def most_cost_effective_levels(instance: OCSPInstance) -> Dict[str, int]:
-    """The level ``l_i`` per function minimizing
-    ``n_i * e[i][l] + c[i][l]`` (ties to the lower level)."""
-    return {
-        fname: instance.profiles[fname].most_cost_effective_level(
-            instance.call_count(fname)
-        )
-        for fname in instance.called_functions
-    }
-
-
 def single_core_optimal_schedule(instance: OCSPInstance) -> Schedule:
     """An optimal single-core schedule (Theorem 1).
 
     Compiles every called function once, at its most cost-effective
     level, in order of first appearance (the on-demand order used by
-    most runtime systems — any order is equally optimal on one core).
+    most runtime systems — any order is equally optimal on one core):
+    the optimizing-level-only schedule at its default levels.
     """
-    levels = most_cost_effective_levels(instance)
-    return Schedule(
-        tuple(CompileTask(fname, levels[fname]) for fname in instance.called_functions)
-    )
+    return optimizing_level_schedule(instance)
 
 
 def single_core_optimal_makespan(instance: OCSPInstance) -> float:
     """Minimum single-core make-span:
     ``sum_i (c[i][l_i] + n_i * e[i][l_i])`` over called functions."""
     total = 0.0
-    for fname in instance.called_functions:
-        prof = instance.profiles[fname]
-        n = instance.call_count(fname)
-        total += prof.total_cost(prof.most_cost_effective_level(n), n)
+    for fname, level in most_cost_effective_levels(instance).items():
+        total += instance.profiles[fname].total_cost(
+            level, instance.call_count(fname)
+        )
     return total

@@ -12,11 +12,23 @@ from __future__ import annotations
 import math
 import random
 import zlib
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
 
 _RESERVOIR_SIZE = 1024
+
+
+def _percentile(ordered: Sequence[float], q: float) -> float:
+    """The ``q``-th percentile (``0 <= q <= 100``) of a non-empty
+    ascending sequence, interpolated linearly between closest ranks."""
+    rank = (len(ordered) - 1) * (q / 100.0)
+    lo = math.floor(rank)
+    hi = math.ceil(rank)
+    if lo == hi:
+        return ordered[lo]
+    frac = rank - lo
+    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
 
 
 class Counter:
@@ -99,14 +111,7 @@ class Histogram:
             raise ValueError(f"percentile must be in [0, 100], got {q}")
         if not self._samples:
             return None
-        ordered = sorted(self._samples)
-        rank = (len(ordered) - 1) * (q / 100.0)
-        lo = math.floor(rank)
-        hi = math.ceil(rank)
-        if lo == hi:
-            return ordered[lo]
-        frac = rank - lo
-        return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+        return _percentile(sorted(self._samples), q)
 
 
 class MetricsRegistry:

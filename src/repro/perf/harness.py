@@ -32,7 +32,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from ..observability.metrics import Counter, Histogram, MetricsRegistry
+from ..observability.metrics import Counter, Histogram, MetricsRegistry, _percentile
 
 __all__ = [
     "HarnessError",
@@ -47,19 +47,6 @@ __all__ = [
 class HarnessError(RuntimeError):
     """A benchmark violated the harness contract (e.g. nondeterministic
     work counters across repeats)."""
-
-
-def _quantile(ordered: Sequence[float], q: float) -> float:
-    """Linear-interpolation quantile of an ascending sequence."""
-    if not ordered:
-        raise ValueError("quantile of empty sequence")
-    if len(ordered) == 1:
-        return ordered[0]
-    pos = q * (len(ordered) - 1)
-    lo = int(pos)
-    hi = min(lo + 1, len(ordered) - 1)
-    frac = pos - lo
-    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
 
 
 @dataclass(frozen=True)
@@ -114,14 +101,14 @@ def robust_stats(times: Sequence[float]) -> TimingStats:
     if not times:
         raise ValueError("no timing samples")
     ordered = sorted(times)
-    q1 = _quantile(ordered, 0.25)
-    q3 = _quantile(ordered, 0.75)
+    q1 = _percentile(ordered, 25.0)
+    q3 = _percentile(ordered, 75.0)
     return TimingStats(
         repeats=len(times),
         times_s=tuple(times),
         min_s=ordered[0],
         q1_s=q1,
-        median_s=_quantile(ordered, 0.5),
+        median_s=_percentile(ordered, 50.0),
         q3_s=q3,
         max_s=ordered[-1],
         mean_s=sum(times) / len(times),

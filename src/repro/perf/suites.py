@@ -494,7 +494,7 @@ def _bench_service_telemetry(scale: float):
     def fn(metrics: MetricsRegistry) -> None:
         # The counters gated by the committed baseline come from the
         # engine's deterministic registry; the plane keeps its own
-        # registries, so they must stay identical to service_decisions'.
+        # registry, so they must stay identical to service_decisions'.
         engine = DecisionEngine(
             faults="compile_fail=0.1,seed=3",
             cache=DecisionCache(),

@@ -194,16 +194,17 @@ class DecisionServer:
                     )
                     await writer.drain()
                     continue
+                enqueued = time.perf_counter()
                 span = None
                 if self.telemetry is not None:
                     span = self.telemetry.metrics.begin_span(
-                        self._corr_of(request), str(request.get("tenant", ""))
+                        self._corr_of(request),
+                        str(request.get("tenant", "")),
+                        enqueued,
                     )
-                await self._queue.put(
-                    (request, writer, time.perf_counter(), span)
-                )
+                await self._queue.put((request, writer, enqueued, span))
                 if span is not None:
-                    self.telemetry.metrics.mark_admitted(span)
+                    self.telemetry.metrics.mark_admitted(span, time.perf_counter())
         finally:
             try:
                 writer.close()
@@ -266,11 +267,12 @@ class DecisionServer:
                     if record is not None:
                         detail = f"internal error: {record['type']}"
                     response = error_response(detail, seq=request.get("seq"))
-                latency_ms = (time.perf_counter() - enqueued_at) * 1e3
+                decided = time.perf_counter()
+                latency_ms = (decided - enqueued_at) * 1e3
                 self._record("service.latency_ms", latency_ms)
                 if telemetry is not None:
                     if span is not None:
-                        telemetry.metrics.mark_decided(span)
+                        telemetry.metrics.mark_decided(span, decided)
                     if response.get("op") == "decision":
                         telemetry.note_latency(
                             str(response["tenant"]), latency_ms
@@ -279,7 +281,7 @@ class DecisionServer:
                     writer.write(encode(response))
                     pending_writers.append(writer)
                 if span is not None:
-                    telemetry.metrics.finish_span(span)
+                    telemetry.metrics.finish_span(span, time.perf_counter())
                 queue.task_done()
             for writer in pending_writers:
                 try:

@@ -97,14 +97,12 @@ class TenantState:
     only on the tenant's own event order).
     """
 
-    __slots__ = ("tenant", "shard", "functions", "decisions", "last_seq")
+    __slots__ = ("tenant", "shard", "functions")
 
     def __init__(self, tenant: str, shard: int = 0) -> None:
         self.tenant = tenant
         self.shard = shard
         self.functions: "OrderedDict[str, FunctionState]" = OrderedDict()
-        self.decisions = 0
-        self.last_seq = -1
 
     def register(self, fname: str, profile: FunctionProfile) -> None:
         state = self.functions.get(fname)
@@ -199,10 +197,9 @@ class DecisionEngine:
         self.policy = policy or ServicePolicy()
         if shards < 1:
             raise ValueError("shards must be >= 1")
-        self.shards: List[Dict[str, TenantState]] = [
-            {} for _ in range(shards)
-        ]
-        self._lru: List["OrderedDict[str, None]"] = [
+        # Each shard maps tenant ids to states in LRU order (most
+        # recently active last).
+        self.shards: List["OrderedDict[str, TenantState]"] = [
             OrderedDict() for _ in range(shards)
         ]
         self.faults = active_injector(faults, metrics=metrics)
@@ -230,12 +227,10 @@ class DecisionEngine:
         if state is None:
             state = shard[tenant] = TenantState(tenant, index)
             self._count("service.tenants.created")
-        lru = self._lru[index]
-        lru[tenant] = None
-        lru.move_to_end(tenant)
+        else:
+            shard.move_to_end(tenant)
         while len(shard) > self.policy.max_tenants:
-            coldest, _ = lru.popitem(last=False)
-            del shard[coldest]
+            shard.popitem(last=False)
             self._count("service.evictions.tenants")
         return state
 
@@ -301,14 +296,11 @@ class DecisionEngine:
             )
         state.functions.move_to_end(fname)
         fstate.calls += 1
-        state.last_seq = seq
 
         action, level, attempts = self._resolve(state, fname, fstate)
 
-        state.decisions += 1
         self.decisions += 1
         self._count("service.decisions")
-        self._count(f"service.tenant.{state.tenant}.decisions")
         if action == "compile":
             self._count("service.compiles")
             fstate.installed = level

@@ -14,7 +14,8 @@ Endpoints:
 * ``/statusz`` — JSON: uptime, queue/admission state, engine summary,
   shard occupancy, drain state, per-tenant SLOs, recent errors.
 * ``/metricsz`` — Prometheus text exposition rendered from the engine's
-  deterministic registry plus both telemetry registries.
+  deterministic registry (the totals) plus the telemetry plane's one
+  registry (the per-tenant and per-shard breakdowns).
 * ``/flightz`` — flight-recorder ring snapshot; ``/flightz/dump``
   dumps a bundle and returns its path.
 
@@ -127,7 +128,7 @@ class AdminPlane:
             registries.append(self.server.engine.metrics)
         telemetry = self.server.telemetry
         if telemetry is not None:
-            registries.extend(telemetry.registries())
+            registries.append(telemetry.metrics.registry)
         return render_prometheus(*registries)
 
     def flightz(self) -> Tuple[int, Dict[str, object]]:

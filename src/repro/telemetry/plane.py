@@ -2,11 +2,12 @@
 
 ``ServiceTelemetry`` is what the CLI attaches to a
 :class:`~repro.service.state.DecisionEngine` and its transports when
-telemetry is enabled.  It owns two registries — the tagged wall-clock
-registry behind :class:`ServiceMetrics` and the SLO tracker's
-per-tenant registry — both strictly separate from the engine's own
-deterministic metrics registry, so attaching or detaching the plane
-never changes an engine counter, a decision, or a journal byte.
+telemetry is enabled.  It owns one registry of tagged wall-clock series,
+which :class:`ServiceMetrics` and the SLO tracker share: the engine's
+own deterministic registry keeps the totals, the plane keeps the
+per-tenant and per-shard breakdowns.  The two stay strictly separate,
+so attaching or detaching the plane never changes an engine counter, a
+decision, or a journal byte.
 
 Every ``note_*`` hook is a plain synchronous call that tolerates being
 invoked from either the asyncio server or the inproc replay loop, and
@@ -18,9 +19,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Callable, Deque, Dict, Optional, Tuple
-
-from repro.observability.metrics import MetricsRegistry
+from typing import Callable, Deque, Dict, Optional
 
 from .flight import FlightRecorder
 from .service_metrics import ServiceMetrics
@@ -40,11 +39,12 @@ class ServiceTelemetry:
         flight_capacity: int = 256,
         flight_dir: Optional[str] = None,
         slo_window_s: float = 60.0,
-        clock: Callable[[], float] = time.perf_counter,
         wall: Callable[[], float] = time.time,
     ) -> None:
-        self.metrics = ServiceMetrics(MetricsRegistry(), clock=clock)
-        self.slo = SloTracker(window_s=slo_window_s, wall=wall)
+        self.metrics = ServiceMetrics()
+        self.slo = SloTracker(
+            window_s=slo_window_s, wall=wall, registry=self.metrics.registry
+        )
         self.flight = FlightRecorder(
             shards=shards, capacity=flight_capacity, wall=wall
         )
@@ -75,7 +75,7 @@ class ServiceTelemetry:
                 "corr": record.get("corr"),
                 "request": dict(event),
                 "decision": dict(record),
-                "faults": dict(tally) if tally else {},
+                "faults": tally or {},
             },
         )
 
@@ -88,7 +88,6 @@ class ServiceTelemetry:
         self.slo.observe_decision(tenant, latency_ms)
 
     def note_rejection(self, tenant: str) -> None:
-        self.metrics.count("service.rejected", tenant=tenant)
         self.slo.observe_rejection(tenant)
 
     def note_queue_depth(self, depth: int) -> None:
@@ -111,17 +110,10 @@ class ServiceTelemetry:
     def uptime_s(self) -> float:
         return max(0.0, self.wall() - self.started_wall)
 
-    def registries(self) -> Tuple[MetricsRegistry, MetricsRegistry]:
-        """The tagged wall-clock registry and the SLO registry."""
-
-        return self.metrics.registry, self.slo.registry
-
     def snapshot(self) -> Dict[str, object]:
-        """Merged plain-data snapshot of both telemetry registries."""
+        """Plain-data snapshot of the plane's registry."""
 
-        merged = dict(self.metrics.registry.snapshot())
-        merged.update(self.slo.registry.snapshot())
-        return dict(sorted(merged.items()))
+        return self.metrics.registry.snapshot()
 
     def dump_flight(self, reason: str) -> Optional[str]:
         """Dump the flight rings if a ``flight_dir`` is configured."""

@@ -19,9 +19,8 @@ undoes the encoding for renderers such as
 
 from __future__ import annotations
 
-import time
 import traceback
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.observability.metrics import MetricsRegistry
 
@@ -106,8 +105,10 @@ class RequestSpan:
     """Wall-clock lifecycle of one request: enqueue→admit→decide→respond.
 
     The span is created when the server reads the request off the wire
-    and is closed when the response hits the socket buffer.  Each stage
-    boundary lands in a histogram (``service.span.queue_ms``,
+    and is closed when the response hits the socket buffer.  The server
+    reads each instant off ``time.perf_counter`` once and hands it to
+    the span methods; the request's latency uses the same reads.  Each
+    stage boundary lands in a histogram (``service.span.queue_ms``,
     ``service.span.decide_ms``, ``service.span.respond_ms`` and the
     per-tenant ``service.span.total_ms{tenant=...}``), correlated with
     the decision journal through ``corr``.
@@ -130,57 +131,36 @@ class ServiceMetrics:
     A thin facade over :class:`MetricsRegistry`; "lock-free in asyncio"
     because every mutation is a plain synchronous dict operation that
     never awaits, so no two coroutines ever interleave inside an
-    update.  Instrument handles are memoized per encoded key to keep the
-    telemetry-on overhead at two dict lookups per event.
+    update.  The registry maps each encoded key to its instrument.
     """
 
-    def __init__(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        clock: Callable[[], float] = time.perf_counter,
-    ) -> None:
+    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.clock = clock
-        self._counters: Dict[str, object] = {}
-        self._gauges: Dict[str, object] = {}
-        self._histograms: Dict[str, object] = {}
 
     # -- instruments -----------------------------------------------------
     def count(self, name: str, amount: int = 1, **labels: object) -> None:
-        key = metric_key(name, **labels)
-        counter = self._counters.get(key)
-        if counter is None:
-            counter = self._counters[key] = self.registry.counter(key)
-        counter.inc(amount)
+        self.registry.counter(metric_key(name, **labels)).inc(amount)
 
     def gauge(self, name: str, value: float, **labels: object) -> None:
-        key = metric_key(name, **labels)
-        gauge = self._gauges.get(key)
-        if gauge is None:
-            gauge = self._gauges[key] = self.registry.gauge(key)
-        gauge.set(value)
+        self.registry.gauge(metric_key(name, **labels)).set(value)
 
     def record(self, name: str, value: float, **labels: object) -> None:
-        key = metric_key(name, **labels)
-        histogram = self._histograms.get(key)
-        if histogram is None:
-            histogram = self._histograms[key] = self.registry.histogram(key)
-        histogram.record(value)
+        self.registry.histogram(metric_key(name, **labels)).record(value)
 
     # -- request lifecycle spans ----------------------------------------
-    def begin_span(self, corr: str, tenant: str) -> RequestSpan:
-        return RequestSpan(corr, tenant, self.clock())
+    def begin_span(self, corr: str, tenant: str, enqueued: float) -> RequestSpan:
+        return RequestSpan(corr, tenant, enqueued)
 
-    def mark_admitted(self, span: RequestSpan) -> None:
-        span.admitted = self.clock()
+    def mark_admitted(self, span: RequestSpan, admitted: float) -> None:
+        span.admitted = admitted
 
-    def mark_decided(self, span: RequestSpan) -> None:
-        span.decided = self.clock()
+    def mark_decided(self, span: RequestSpan, decided: float) -> None:
+        span.decided = decided
 
-    def finish_span(self, span: RequestSpan) -> None:
+    def finish_span(self, span: RequestSpan, responded: float) -> None:
         """Close the span and record each stage that actually happened."""
 
-        span.responded = self.clock()
+        span.responded = responded
         admitted = span.admitted if span.admitted is not None else span.responded
         self.record("service.span.queue_ms", (admitted - span.enqueued) * 1e3)
         if span.decided is not None:

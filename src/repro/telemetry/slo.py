@@ -2,13 +2,16 @@
 
 Two measurement paths, deliberately kept apart:
 
-* **Cumulative** — per-tenant :class:`Histogram` instruments (the PR 4
-  deterministic reservoir) plus decision/rejection counters, living in
-  the tracker's own registry under tagged names
-  (``service.tenant.decide_latency_ms{tenant=...}``).  The *mechanism*
-  is deterministic — seeded reservoirs, sorted snapshots — which is
-  what lets ``/metricsz`` render from a reproducible structure even
-  though latency *values* are wall-clock.
+* **Cumulative** — per-tenant :class:`Histogram` instruments (the
+  deterministic reservoir) plus rejection counters, living under tagged
+  names (``service.tenant.decide_latency_ms{tenant=...}``,
+  ``service.rejected{tenant=...}``) in the registry the tracker is
+  given: the telemetry plane's one registry when it runs inside
+  :class:`~repro.telemetry.ServiceTelemetry`.  A tenant's decision count
+  is its histogram's count.  The *mechanism* is deterministic — seeded
+  reservoirs, sorted snapshots — which is what lets ``/metricsz`` render
+  from a reproducible structure even though latency *values* are
+  wall-clock.
 * **Sliding window** — bounded deques of ``(wall_ts, latency_ms)``
   trimmed to the last ``window_s`` seconds, answering "what is the p99
   *right now*" for ``/statusz`` and ``repro top``.
@@ -24,24 +27,13 @@ import time
 from collections import deque
 from typing import Callable, Deque, Dict, Optional, Tuple
 
-from repro.observability.metrics import Histogram, MetricsRegistry
+from repro.observability.metrics import Histogram, MetricsRegistry, _percentile
 
 from .service_metrics import metric_key
 
 __all__ = ["SloTracker"]
 
 _WINDOW_SAMPLES = 4096
-
-
-def _window_percentile(values, q: float) -> Optional[float]:
-    if not values:
-        return None
-    ordered = sorted(values)
-    rank = (len(ordered) - 1) * (q / 100.0)
-    lo = int(rank)
-    hi = min(lo + 1, len(ordered) - 1)
-    frac = rank - lo
-    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
 
 
 class SloTracker:
@@ -72,15 +64,10 @@ class SloTracker:
             self._latency[tenant] = histogram
             self._window[tenant] = deque(maxlen=_WINDOW_SAMPLES)
         histogram.record(latency_ms)
-        self.registry.counter(
-            metric_key("service.tenant.decisions", tenant=tenant)
-        ).inc()
         self._window[tenant].append((self.wall(), latency_ms))
 
     def observe_rejection(self, tenant: str) -> None:
-        self.registry.counter(
-            metric_key("service.tenant.rejections", tenant=tenant)
-        ).inc()
+        self.registry.counter(metric_key("service.rejected", tenant=tenant)).inc()
         window = self._window_rejects.get(tenant)
         if window is None:
             window = self._window_rejects[tenant] = deque(maxlen=_WINDOW_SAMPLES)
@@ -110,14 +97,12 @@ class SloTracker:
             histogram = self._latency.get(tenant)
             decisions = histogram.count if histogram is not None else 0
             rejections = 0
-            counter = self.registry.get(
-                metric_key("service.tenant.rejections", tenant=tenant)
-            )
+            counter = self.registry.get(metric_key("service.rejected", tenant=tenant))
             if counter is not None:
                 rejections = counter.value
             attempts = decisions + rejections
             window, rejects = self._trimmed(tenant, now)
-            latencies = [latency for _, latency in window]
+            latencies = sorted(latency for _, latency in window)
             window_attempts = len(latencies) + len(rejects)
             out[tenant] = {
                 "decisions": decisions,
@@ -132,8 +117,8 @@ class SloTracker:
                     "rejection_rate": (
                         (len(rejects) / window_attempts) if window_attempts else 0.0
                     ),
-                    "p50_ms": _window_percentile(latencies, 50.0),
-                    "p99_ms": _window_percentile(latencies, 99.0),
+                    "p50_ms": _percentile(latencies, 50.0) if latencies else None,
+                    "p99_ms": _percentile(latencies, 99.0) if latencies else None,
                 },
             }
         return out

@@ -4,6 +4,7 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.observability import (
     MetricsRegistry,
@@ -209,6 +210,62 @@ class TestHistogramPercentiles:
             h.record(float(v))
         assert len(h._samples) == _RESERVOIR_SIZE
         assert h.count == 3 * _RESERVOIR_SIZE
+
+
+def _histogram_body(ordered, q):
+    """``Histogram.percentile``'s interpolation before it became the one rule."""
+    rank = (len(ordered) - 1) * (q / 100.0)
+    lo = math.floor(rank)
+    hi = math.ceil(rank)
+    if lo == hi:
+        return ordered[lo]
+    frac = rank - lo
+    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+
+
+def _slo_window_body(values, q):
+    """The SLO tracker's former ``_window_percentile``."""
+    if not values:
+        return None
+    ordered = sorted(values)
+    rank = (len(ordered) - 1) * (q / 100.0)
+    lo = int(rank)
+    hi = min(lo + 1, len(ordered) - 1)
+    frac = rank - lo
+    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+
+
+def _harness_body(ordered, q):
+    """The benchmark harness's former ``_quantile`` (``q`` in [0, 1])."""
+    if len(ordered) == 1:
+        return ordered[0]
+    pos = q * (len(ordered) - 1)
+    lo = int(pos)
+    hi = min(lo + 1, len(ordered) - 1)
+    frac = pos - lo
+    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+
+
+_SAMPLES = st.lists(
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(samples=_SAMPLES, q=st.floats(min_value=0.0, max_value=100.0))
+def test_one_percentile_rule_is_each_old_body(samples, q):
+    from repro.observability.metrics import _percentile
+
+    ordered = sorted(samples)
+    value = _percentile(ordered, q)
+    assert value == _histogram_body(ordered, q)
+    assert value == _slo_window_body(samples, q)
+    for quantile in (0.25, 0.5, 0.75):  # the harness's quartiles
+        assert _percentile(ordered, 100 * quantile) == _harness_body(
+            ordered, quantile
+        )
 
 
 class TestChromeExport:

@@ -1,9 +1,49 @@
 """Tests for cross-run call-sequence prediction (Section 8)."""
 
+from collections import Counter, defaultdict
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import FunctionProfile, MarkovPredictor, OCSPInstance, cross_run_iar
-from repro.workloads import WorkloadSpec, generate
+from repro.workloads import WorkloadSpec, dacapo, generate
+
+
+def _per_index_tables(order, sequence):
+    """The per-index fit loop the one-pass fit replaced."""
+    tables = [defaultdict(Counter) for _ in range(order + 1)]
+    for k in range(order + 1):
+        table = tables[k]
+        for i in range(len(sequence)):
+            if i < k:
+                continue
+            context = tuple(sequence[i - k : i])
+            table[context][sequence[i]] += 1
+    return tables
+
+
+def _per_index_accuracy(predictor, sequence):
+    """The per-index scoring loop the one-pass accuracy replaced."""
+    hits = 0
+    for i in range(len(sequence)):
+        context = tuple(sequence[max(0, i - predictor.order) : i])
+        if predictor._next(context) == sequence[i]:
+            hits += 1
+    return hits / len(sequence)
+
+
+def _ordered(tables):
+    """Keys, counts and insertion order of every table."""
+    return [
+        [(context, list(counter.items())) for context, counter in table.items()]
+        for table in tables
+    ]
+
+
+def _assert_one_pass_is_per_index(order, train, test):
+    predictor = MarkovPredictor(order=order).fit(train)
+    assert _ordered(predictor._tables) == _ordered(_per_index_tables(order, train))
+    assert predictor.accuracy(test) == _per_index_accuracy(predictor, test)
 
 
 class TestMarkovPredictor:
@@ -42,6 +82,21 @@ class TestMarkovPredictor:
     def test_prediction_emits_requested_length(self):
         predictor = MarkovPredictor().fit(["a", "b"] * 10)
         assert len(predictor.predict(17)) == 17
+
+
+_NAMES = st.lists(st.sampled_from("abcde"), min_size=1, max_size=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(order=st.integers(min_value=1, max_value=4), train=_NAMES, test=_NAMES)
+def test_one_pass_fit_and_accuracy_are_the_per_index_loops(order, train, test):
+    _assert_one_pass_is_per_index(order, train, test)
+
+
+def test_one_pass_is_the_per_index_loop_on_a_preset_trace():
+    calls = dacapo.load("antlr", scale=0.002).calls
+    for order in (1, 2, 3):
+        _assert_one_pass_is_per_index(order, calls, calls)
 
 
 class TestCrossRunIAR:

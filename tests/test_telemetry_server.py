@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from repro.observability import MetricsRegistry
 from repro.service import (
     DecisionEngine,
     DecisionServer,
@@ -287,6 +288,63 @@ class TestTelemetrySignals:
         header, entries = read_flight_bundle(str(bundles[0]))
         assert header["reason"] == "drain"
         assert len(entries) == 2
+
+
+def _tenant_counters(text, tenant, word):
+    """``{sample: value}`` of the exposition's counters that count
+    ``word`` for ``tenant``: by a ``tenant`` label or by a metric name
+    that embeds the tenant id."""
+    found = {}
+    for line in text.splitlines():
+        if not line or line.startswith("#"):
+            continue
+        sample, _, value = line.rpartition(" ")
+        name = sample.partition("{")[0]
+        if not name.endswith("_total") or word not in name:
+            continue
+        if f'tenant="{tenant}"' in sample or f"_{tenant}_" in name:
+            found[sample] = float(value)
+    return found
+
+
+class TestOneRecordPerFact:
+    def test_each_per_tenant_count_is_recorded_once(self):
+        decisions, rejections = 7, 3
+
+        async def scenario():
+            telemetry = ServiceTelemetry(shards=8)
+            engine = DecisionEngine(metrics=MetricsRegistry(), telemetry=telemetry)
+            server = DecisionServer(engine, ServerConfig())
+            await server.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            call = {"op": "call", "tenant": "acme", "function": "f"}
+            await _ask(reader, writer, dict(PROFILE, tenant="acme"))
+            for _ in range(decisions):
+                assert (await _ask(reader, writer, call))["op"] == "decision"
+            server.config.admission_limit = 0
+            for _ in range(rejections):
+                assert (await _ask(reader, writer, call))["error"] == "overloaded"
+            writer.close()
+            await writer.wait_closed()
+            _, body = await _admin(server, "GET", "/metricsz")
+            _, status = await _admin(server, "GET", "/statusz")
+            server.stop()
+            await server.serve_until_stopped()
+            return body.decode(), json.loads(status)
+
+        text, status = _run(scenario())
+        assert list(_tenant_counters(text, "acme", "decision").values()) == [
+            decisions
+        ]
+        assert list(_tenant_counters(text, "acme", "reject").values()) == [
+            rejections
+        ]
+        slo = status["slo"]["acme"]
+        assert (slo["decisions"], slo["rejections"]) == (decisions, rejections)
+        assert status["summary"]["decisions"] == decisions
+        assert status["rejected"] == rejections
 
 
 class TestTelemetryOffParity:

@@ -248,6 +248,26 @@ def test_trace_maps_names_a_block_at_a_time():
     assert list(trace) == [names[fid] for fid in ids.tolist()]
 
 
+def test_reference_replay_holds_no_copy_of_the_trace():
+    """The reference replay's fast tail walks the rest of the trace off
+    the loop's own iterator: beyond the block of names that walking the
+    trace holds, it allocates under 2 bytes a call (a tuple of the
+    remaining names took 8)."""
+    jython = dacapo.load("jython", scale=0.01)
+    schedule = base_level_schedule(jython)
+    tracemalloc.start()
+    try:
+        for _ in jython.calls:
+            pass
+        walk = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        simulate(jython, schedule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - walk < 2 * jython.num_calls
+
+
 def test_bad_ids_and_unprofiled_names_raise_model_errors():
     names = ["f0", "f1"]
     for ids in ([0, 2], [-1, 0]):
