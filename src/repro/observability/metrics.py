@@ -94,7 +94,9 @@ class Histogram:
         if len(self._samples) < _RESERVOIR_SIZE:
             self._samples.append(value)
         else:
-            slot = self._rng.randrange(self.count)
+            # ``random()`` is 53-bit, so the slot stays below ``count``
+            # for any count under 2**53; ``randrange`` runs in Python.
+            slot = int(self._rng.random() * self.count)
             if slot < _RESERVOIR_SIZE:
                 self._samples[slot] = value
 

@@ -56,14 +56,14 @@ class ProtocolError(ValueError):
     """A malformed protocol line (bad JSON, unknown op, missing field)."""
 
 
+# ``json.dumps`` builds a new encoder on every call that passes
+# ``sort_keys`` or ``separators``; the server encodes every response.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def encode(message: Dict[str, object]) -> bytes:
     """One canonical JSONL line: sorted keys, compact, ``\\n``-terminated."""
-    return (
-        json.dumps(
-            message, sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")
-        + b"\n"
-    )
+    return _ENCODER.encode(message).encode("utf-8") + b"\n"
 
 
 def decode(line: bytes) -> Dict[str, object]:

@@ -15,9 +15,10 @@ change a decision.  The moving parts:
   queue (tallied as ``service.rejected``).
 * **Batched decision rounds** — one worker drains up to ``batch_max``
   queued requests per round and runs them through the engine back to
-  back, amortizing scheduling overhead; responses are written per
-  connection, batch size and per-request latency go to ``service.*``
-  histograms.
+  back, amortizing scheduling overhead.  Each response is encoded on
+  its own, but a round's responses to one connection leave in request
+  order as one write, and each connection is drained once per round;
+  batch size and per-request latency go to ``service.*`` histograms.
 * **Graceful shutdown** — a ``shutdown`` op (or :meth:`stop`) stops
   intake, drains the queue, answers everything in flight, then closes
   connections and the listener.
@@ -40,7 +41,7 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from ..telemetry.admin import AdminPlane, parse_http_request_line
 from .protocol import ProtocolError, decode, encode, error_response
@@ -255,7 +256,9 @@ class DecisionServer:
             self._record("service.batch_size", len(batch))
             if telemetry is not None:
                 telemetry.note_queue_depth(queue.qsize())
-            pending_writers = []
+            # Each connection's responses, in request order: written as
+            # one chunk per connection once the whole batch is decided.
+            lines: Dict[asyncio.StreamWriter, List[bytes]] = {}
             for request, writer, enqueued_at, span in batch:
                 try:
                     response = self._answer(request)
@@ -277,13 +280,16 @@ class DecisionServer:
                         telemetry.note_latency(
                             str(response["tenant"]), latency_ms
                         )
-                if not writer.is_closing():
-                    writer.write(encode(response))
-                    pending_writers.append(writer)
+                lines.setdefault(writer, []).append(encode(response))
+            written = [writer for writer in lines if not writer.is_closing()]
+            for writer in written:
+                writer.write(b"".join(lines[writer]))
+            responded = time.perf_counter()
+            for _, _, _, span in batch:
                 if span is not None:
-                    telemetry.metrics.finish_span(span, time.perf_counter())
+                    telemetry.metrics.finish_span(span, responded)
                 queue.task_done()
-            for writer in pending_writers:
+            for writer in written:
                 try:
                     await writer.drain()
                 except (ConnectionError, OSError) as exc:

@@ -65,22 +65,26 @@ class ServiceTelemetry:
         """One decision: tagged counters, chain depth, and flight entry."""
 
         tenant = record["tenant"]
-        self.metrics.count("service.decisions", shard=shard, tenant=tenant)
+        self.metrics.count("service.decisions.by_tenant", shard=shard, tenant=tenant)
         if record["action"] == "compile":
             self.metrics.count("service.promotions", level=record["level"])
         self.metrics.record("service.fault_chain_depth", record["attempts"])
+        # Held by reference: nothing changes a request or its decision
+        # record once decided, and the recorder copies the entry it stamps.
         self.flight.record(
             shard,
             {
                 "corr": record.get("corr"),
-                "request": dict(event),
-                "decision": dict(record),
+                "request": event,
+                "decision": record,
                 "faults": tally or {},
             },
         )
 
     def note_cache(self, tenant: str, shard: int, hit: bool) -> None:
-        name = "service.cache.hits" if hit else "service.cache.misses"
+        name = (
+            "service.cache.hits.by_tenant" if hit else "service.cache.misses.by_tenant"
+        )
         self.metrics.count(name, shard=shard, tenant=tenant)
 
     # -- transport hooks -------------------------------------------------

@@ -19,6 +19,7 @@ undoes the encoding for renderers such as
 
 from __future__ import annotations
 
+import functools
 import traceback
 from typing import Dict, Optional, Tuple
 
@@ -34,8 +35,12 @@ __all__ = [
 ]
 
 _TRACEBACK_FRAMES = 3
+# Series keys kept memoized (the plane labels up to six series a tenant);
+# past the bound the least recently used key is formatted again.
+_KEY_CACHE_SIZE = 4096
 
 
+@functools.lru_cache(maxsize=_KEY_CACHE_SIZE, typed=True)
 def metric_key(name: str, **labels: object) -> str:
     """Encode ``name`` plus ``labels`` into a single registry key.
 
@@ -43,7 +48,8 @@ def metric_key(name: str, **labels: object) -> str:
     the same string: ``metric_key("d", b=1, a=2) == "d{a=2,b=1}"``.
     Label values must not contain ``{``, ``}``, ``,`` or ``=`` (tenant
     ids, shard indices, level numbers and exception type names never
-    do).
+    do), and must be hashable: the service formats each series' key
+    once, on its first use, and looks it up afterwards.
     """
 
     if not labels:
@@ -105,13 +111,17 @@ class RequestSpan:
     """Wall-clock lifecycle of one request: enqueue→admit→decide→respond.
 
     The span is created when the server reads the request off the wire
-    and is closed when the response hits the socket buffer.  The server
-    reads each instant off ``time.perf_counter`` once and hands it to
-    the span methods; the request's latency uses the same reads.  Each
-    stage boundary lands in a histogram (``service.span.queue_ms``,
-    ``service.span.decide_ms``, ``service.span.respond_ms`` and the
-    per-tenant ``service.span.total_ms{tenant=...}``), correlated with
-    the decision journal through ``corr``.
+    and is closed when its decision round has written every response
+    to the transports: ``service.span.respond_ms`` runs from the
+    request's decision to its batch's write, so it includes deciding
+    the rest of the batch.  The server reads each instant off
+    ``time.perf_counter`` once (the respond instant once per batch) and
+    hands it to the span methods; the request's latency uses the same
+    reads.  Each stage boundary lands in a histogram
+    (``service.span.queue_ms``, ``service.span.decide_ms``,
+    ``service.span.respond_ms`` and the per-tenant
+    ``service.span.total_ms{tenant=...}``), correlated with the
+    decision journal through ``corr``.
     """
 
     __slots__ = ("corr", "tenant", "enqueued", "admitted", "decided", "responded")

@@ -5,13 +5,13 @@ Two measurement paths, deliberately kept apart:
 * **Cumulative** — per-tenant :class:`Histogram` instruments (the
   deterministic reservoir) plus rejection counters, living under tagged
   names (``service.tenant.decide_latency_ms{tenant=...}``,
-  ``service.rejected{tenant=...}``) in the registry the tracker is
-  given: the telemetry plane's one registry when it runs inside
-  :class:`~repro.telemetry.ServiceTelemetry`.  A tenant's decision count
-  is its histogram's count.  The *mechanism* is deterministic — seeded
-  reservoirs, sorted snapshots — which is what lets ``/metricsz`` render
-  from a reproducible structure even though latency *values* are
-  wall-clock.
+  ``service.rejected.by_tenant{tenant=...}``) in the registry the
+  tracker is given: the telemetry plane's one registry when it runs
+  inside :class:`~repro.telemetry.ServiceTelemetry`.  A tenant's
+  decision count is its histogram's count.  The *mechanism* is
+  deterministic — seeded reservoirs, sorted snapshots — which is what
+  lets ``/metricsz`` render from a reproducible structure even though
+  latency *values* are wall-clock.
 * **Sliding window** — bounded deques of ``(wall_ts, latency_ms)``
   trimmed to the last ``window_s`` seconds, answering "what is the p99
   *right now*" for ``/statusz`` and ``repro top``.
@@ -34,6 +34,7 @@ from .service_metrics import metric_key
 __all__ = ["SloTracker"]
 
 _WINDOW_SAMPLES = 4096
+_REJECTED = "service.rejected.by_tenant"
 
 
 class SloTracker:
@@ -67,7 +68,7 @@ class SloTracker:
         self._window[tenant].append((self.wall(), latency_ms))
 
     def observe_rejection(self, tenant: str) -> None:
-        self.registry.counter(metric_key("service.rejected", tenant=tenant)).inc()
+        self.registry.counter(metric_key(_REJECTED, tenant=tenant)).inc()
         window = self._window_rejects.get(tenant)
         if window is None:
             window = self._window_rejects[tenant] = deque(maxlen=_WINDOW_SAMPLES)
@@ -97,7 +98,7 @@ class SloTracker:
             histogram = self._latency.get(tenant)
             decisions = histogram.count if histogram is not None else 0
             rejections = 0
-            counter = self.registry.get(metric_key("service.rejected", tenant=tenant))
+            counter = self.registry.get(metric_key(_REJECTED, tenant=tenant))
             if counter is not None:
                 rejections = counter.value
             attempts = decisions + rejections

@@ -163,7 +163,7 @@ class TestTelemetryOnOffParity:
         decisions = sum(
             value
             for key, value in snap.items()
-            if key.startswith("service.decisions{")
+            if key.startswith("service.decisions.by_tenant{")
         )
         assert decisions == engine.decisions
         assert telemetry.flight.recorded == engine.decisions

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 
 import pytest
 
@@ -18,7 +19,10 @@ from repro.service import (
     DecisionServer,
     ServerConfig,
     encode,
+    generate_events,
+    replay_inproc,
 )
+from repro.telemetry import ServiceTelemetry
 
 PROFILE = {
     "op": "profile",
@@ -250,3 +254,131 @@ def test_config_validation():
         DecisionServer(DecisionEngine(), ServerConfig(batch_max=0))
     with pytest.raises(ValueError, match="queue_limit"):
         DecisionServer(DecisionEngine(), ServerConfig(queue_limit=0))
+
+
+# ---------------------------------------------------------------------------
+# Batched writes: one write per connection per decision round
+# ---------------------------------------------------------------------------
+
+
+def _answer_line(event, decided):
+    """The server's answer to ``event``: ``encode`` of the in-process
+    replay's record for a call, the registration echo for a profile."""
+    if event["op"] == "call":
+        return encode({"ok": True, "op": "decision", **decided[event["seq"]]})
+    return encode(
+        {
+            "ok": True,
+            "op": "profile",
+            "tenant": event["tenant"],
+            "function": event["function"],
+        }
+    )
+
+
+@pytest.fixture(scope="module")
+def burst():
+    """Two connections' payloads and expected answers: 4 tenants, each
+    pinned to one connection (so each sees its tenants in stream order),
+    over 200 requests a connection."""
+    events = generate_events(tenants=4, events=800, scale=0.002, seed=0)
+    records, _ = replay_inproc(events, DecisionEngine())
+    decided = {record["seq"]: record for record in records}
+    tenants = sorted({event["tenant"] for event in events})
+    connections = []
+    for pinned in (tenants[0::2], tenants[1::2]):
+        stream = [event for event in events if event["tenant"] in pinned]
+        assert len(stream) >= 200
+        payload = b"".join(encode(event) for event in stream)
+        connections.append((payload, [_answer_line(e, decided) for e in stream]))
+    return connections
+
+
+async def _send_burst(port, payload, answers):
+    """Send ``payload`` in one ``sendall`` and read until ``answers``
+    lines came back (or the server closed); then close."""
+    loop = asyncio.get_running_loop()
+    sock = socket.create_connection(("127.0.0.1", port))
+    sock.setblocking(False)
+    try:
+        await loop.sock_sendall(sock, payload)
+        data = b""
+        while data.count(b"\n") < answers:
+            chunk = await loop.sock_recv(sock, 65536)
+            if not chunk:
+                break
+            data += chunk
+    finally:
+        sock.close()
+    return data.splitlines(keepends=True)
+
+
+def test_pipelined_bursts_get_ordered_answers_in_few_writes(burst, monkeypatch):
+    # Each server-side write, as the number of lines it sent (the
+    # clients write through raw sockets).
+    writes = []
+    real_write = asyncio.StreamWriter.write
+
+    def counting_write(self, data):
+        writes.append(data.count(b"\n"))
+        return real_write(self, data)
+
+    monkeypatch.setattr(asyncio.StreamWriter, "write", counting_write)
+    metrics = MetricsRegistry()
+    telemetry = ServiceTelemetry()
+    engine = DecisionEngine(metrics=metrics, telemetry=telemetry)
+    requests = sum(len(expected) for _, expected in burst)
+
+    async def scenario():
+        server = await _start(engine)
+        try:
+            return await asyncio.wait_for(
+                asyncio.gather(
+                    *(
+                        _send_burst(server.port, payload, len(expected))
+                        for payload, expected in burst
+                    )
+                ),
+                timeout=60.0,
+            )
+        finally:
+            await _shutdown(server)
+
+    received = _run(scenario())
+    for lines, (_, expected) in zip(received, burst):
+        assert lines == expected
+    # One write per connection per round, never one per response.
+    assert sum(writes) == requests
+    assert len(writes) < requests
+    assert len(writes) <= 2 * metrics.histogram("service.batch_size").count
+    # Every request's span is closed at its round's write.
+    respond = telemetry.metrics.snapshot()["service.span.respond_ms"]
+    assert respond["count"] == engine.events == requests
+
+
+def test_connection_closed_mid_burst_does_not_stop_the_other(burst):
+    (payload, expected), (dropped_payload, dropped_expected) = burst
+
+    async def scenario():
+        # A queue of one round's size makes the worker wait for input
+        # between rounds, so the clients run while answers are pending.
+        server = await _start(
+            DecisionEngine(telemetry=ServiceTelemetry()), queue_limit=64
+        )
+        try:
+            # The second connection hangs up after its first answers,
+            # with the rest of its burst still to be answered.
+            kept, dropped = await asyncio.wait_for(
+                asyncio.gather(
+                    _send_burst(server.port, payload, len(expected)),
+                    _send_burst(server.port, dropped_payload, 1),
+                ),
+                timeout=60.0,
+            )
+        finally:
+            await _shutdown(server)
+        return kept, dropped
+
+    kept, dropped = _run(scenario())
+    assert 0 < len(dropped) < len(dropped_expected)
+    assert kept == expected

@@ -48,6 +48,14 @@ class TestMetricKey:
             with pytest.raises(ValueError, match="reserved"):
                 metric_key("d", tenant=bad)
 
+    def test_memoized_keys_keep_equal_values_of_other_types_apart(self):
+        # 1, 1.0 and True are equal dict keys but different labels.
+        assert [metric_key("d", level=v) for v in (1, 1.0, True)] == [
+            "d{level=1}",
+            "d{level=1.0}",
+            "d{level=True}",
+        ]
+
     def test_malformed_key_rejected(self):
         with pytest.raises(ValueError, match="malformed"):
             split_metric_key("d{nolabel}")
@@ -251,7 +259,7 @@ class TestServiceTelemetry:
         }
         plane.note_decision(event, record, shard=1, tally={"compile_fail": 1})
         snap = plane.snapshot()
-        assert snap["service.decisions{shard=1,tenant=t1}"] == 1
+        assert snap["service.decisions.by_tenant{shard=1,tenant=t1}"] == 1
         assert snap["service.promotions{level=2}"] == 1
         entries = list(plane.flight.entries())
         assert len(entries) == 1
@@ -274,4 +282,4 @@ class TestServiceTelemetry:
         text = render_prometheus(plane.metrics.registry)
         assert validate_exposition(text) > 0
         assert 'service_tenant_decide_latency_ms_count{tenant="t1"} 1' in text
-        assert 'service_rejected_total{tenant="t1"} 1' in text
+        assert 'service_rejected_by_tenant_total{tenant="t1"} 1' in text

@@ -15,10 +15,13 @@ import pytest
 
 from repro.observability import MetricsRegistry
 from repro.service import (
+    DecisionCache,
     DecisionEngine,
     DecisionServer,
     ServerConfig,
     encode,
+    generate_events,
+    replay_inproc,
 )
 from repro.telemetry import (
     ServiceTelemetry,
@@ -135,7 +138,7 @@ class TestAdminEndpoints:
             assert 'service_tenant_decide_latency_ms{quantile="0.99"' in text
             # 6 spans: the profile registration rides the queue too.
             assert 'service_span_total_ms_count{tenant="t0"} 6' in text
-            assert "service_decisions_total{" in text
+            assert "service_decisions_by_tenant_total{" in text
 
             status, body = await _admin(server, "GET", "/nope")
             assert status == 404
@@ -237,7 +240,7 @@ class TestTelemetrySignals:
             telemetry = server.telemetry
             assert telemetry.slo.snapshot()["t9"]["rejections"] == 1
             snap = telemetry.metrics.snapshot()
-            assert snap["service.rejected{tenant=t9}"] == 1
+            assert snap["service.rejected.by_tenant{tenant=t9}"] == 1
             server.stop()
             await server.serve_until_stopped()
 
@@ -269,6 +272,34 @@ class TestTelemetrySignals:
             await server.serve_until_stopped()
 
         _run(scenario())
+
+    def test_flight_dump_carries_each_decisions_request_and_record(
+        self, tmp_path
+    ):
+        events = generate_events(tenants=2, events=60, scale=0.002, seed=0)
+        records, _ = replay_inproc(events, DecisionEngine())
+
+        async def scenario():
+            server = await _start(flight_dir=str(tmp_path))
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            for event in events:
+                assert (await _ask(reader, writer, event))["ok"]
+            writer.close()
+            await writer.wait_closed()
+            server.stop()
+            await server.serve_until_stopped()
+
+        _run(scenario())
+        [bundle] = tmp_path.glob("flight-*-drain.jsonl")
+        _, entries = read_flight_bundle(str(bundle))
+        calls = [event for event in events if event["op"] == "call"]
+        assert [entry["request"] for entry in entries] == calls
+        assert [entry["decision"] for entry in entries] == records
+        assert [entry["corr"] for entry in entries] == [
+            record["corr"] for record in records
+        ]
 
     def test_drain_dumps_flight_and_healthz_goes_503(self, tmp_path):
         async def scenario():
@@ -307,7 +338,64 @@ def _tenant_counters(text, tenant, word):
     return found
 
 
+def _counter_families(text):
+    """``{family: label sets}`` of the exposition's counter samples; an
+    unlabelled sample's label set is ``""``."""
+    counters = set()
+    families = {}
+    for line in text.splitlines():
+        if line.startswith("# TYPE "):
+            _, _, family, kind = line.split(" ")
+            if kind == "counter":
+                counters.add(family)
+        elif line and not line.startswith("#"):
+            name, _, labels = line.rpartition(" ")[0].partition("{")
+            if name in counters:
+                families.setdefault(name, set()).add(labels)
+    return families
+
+
 class TestOneRecordPerFact:
+    def test_no_counter_family_holds_a_total_and_a_breakdown(self):
+        events = generate_events(tenants=2, events=100, scale=0.002, seed=0)
+
+        async def scenario():
+            telemetry = ServiceTelemetry(shards=8)
+            engine = DecisionEngine(
+                metrics=MetricsRegistry(),
+                telemetry=telemetry,
+                cache=DecisionCache(),
+            )
+            server = DecisionServer(engine, ServerConfig())
+            await server.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            for event in events:
+                assert (await _ask(reader, writer, event))["ok"]
+            server.config.admission_limit = 0
+            call = next(event for event in events if event["op"] == "call")
+            assert (await _ask(reader, writer, call))["error"] == "overloaded"
+            writer.close()
+            await writer.wait_closed()
+            _, body = await _admin(server, "GET", "/metricsz")
+            server.stop()
+            await server.serve_until_stopped()
+            return body.decode()
+
+        families = _counter_families(_run(scenario()))
+        # A Prometheus sum() over a family must count each event once.
+        assert [
+            family
+            for family, labels in sorted(families.items())
+            if "" in labels and len(labels) > 1
+        ] == []
+        for count in ("decisions", "cache_misses", "rejected"):
+            assert families[f"service_{count}_total"] == {""}
+            breakdown = families[f"service_{count}_by_tenant_total"]
+            assert breakdown and "" not in breakdown
+
+
     def test_each_per_tenant_count_is_recorded_once(self):
         decisions, rejections = 7, 3
 
