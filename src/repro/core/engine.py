@@ -9,6 +9,14 @@ identical make-span engines:
 * ``"vector"`` — :class:`repro.core.vecsim.VectorSimulator` (interned
   ids, numpy structure-of-arrays kernels, incremental propose/commit).
 
+Both engines sit behind one front end: :func:`~repro.core.makespan.simulate`
+checks the arguments, resolves the engine (its own default stays the
+oracle) and, when given a tracer, records the timeline on whichever
+engine runs and emits its spans; an engine's ``evaluate`` only
+replays.  Each engine has one trace pass (``trace_stats``): the oracle
+streams :func:`~repro.core.makespan.iter_calls`, the vector engine
+walks its chunked replay.
+
 This module is the one place the mapping lives, and the one place the
 default rule lives: an ``engine`` of ``None`` defers to the session
 default, set via :func:`set_default_engine` or the ``REPRO_ENGINE``
@@ -103,11 +111,9 @@ class ReferenceSimulator:
     decision identical to the early-exit engines').
 
     Whatever the session default engine, every method runs the
-    reference loop: ``evaluate`` pins ``engine="reference"``.
-
-    ``trace_stats`` does not support ``preinstalled`` functions (the
-    underlying :func:`~repro.core.makespan.iter_calls` stream has no
-    notion of them); the vector engine is the tool for that.
+    reference loop: ``evaluate`` pins ``engine="reference"``, and
+    ``trace_stats`` streams :func:`~repro.core.makespan.iter_calls`,
+    preinstalled code included.
     """
 
     def __init__(
@@ -139,8 +145,10 @@ class ReferenceSimulator:
         release_times: Optional[Sequence[float]] = None,
         task_compile_times: Optional[Sequence[float]] = None,
         task_installs: Optional[Sequence[bool]] = None,
-        tracer=None,
     ) -> MakespanResult:
+        """The reference run of ``schedule`` on this engine's instance,
+        threads and preinstalled code; validation defaults to off, as
+        on the vector engine."""
         return simulate(
             self._instance,
             Schedule(self._as_tasks(schedule)),
@@ -151,7 +159,6 @@ class ReferenceSimulator:
             release_times=release_times,
             task_compile_times=task_compile_times,
             task_installs=task_installs,
-            tracer=tracer,
             metrics=self.metrics,
             engine="reference",
         )
@@ -169,11 +176,6 @@ class ReferenceSimulator:
         strictly before ``before_time`` and ``calls_after[f]`` those
         starting at or after ``after_time``.
         """
-        if self._preinstalled:
-            raise NotImplementedError(
-                "ReferenceSimulator.trace_stats does not support "
-                "preinstalled functions"
-            )
         first_start: Dict[str, float] = {}
         before: Dict[str, int] = {}
         after: Dict[str, int] = {}
@@ -182,6 +184,7 @@ class ReferenceSimulator:
             self._instance,
             Schedule(self._as_tasks(schedule)),
             self._compile_threads,
+            self._preinstalled,
         ):
             if fname not in first_start:
                 first_start[fname] = start

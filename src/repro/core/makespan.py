@@ -29,7 +29,6 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import math
-import os
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -533,25 +532,6 @@ def _simulate(
     )
 
 
-def _active_default_engine() -> Optional[str]:
-    """The session default engine, without importing the seam eagerly.
-
-    The engine module is consulted only when it is already loaded or
-    when ``$REPRO_ENGINE`` asks for it — a bare ``simulate()`` call in a
-    process that never touched the seam pays nothing.
-    """
-    import sys
-
-    mod = sys.modules.get("repro.core.engine")
-    if mod is not None:
-        return mod.get_default_engine()
-    if os.environ.get("REPRO_ENGINE"):
-        from . import engine as mod
-
-        return mod.get_default_engine()
-    return None
-
-
 def simulate(
     instance: OCSPInstance,
     schedule: Schedule,
@@ -596,8 +576,9 @@ def simulate(
             must ensure every called function still gets at least one
             installing task (``validate`` does not model installs).
         tracer: optional :class:`repro.observability.Tracer` (or scope);
-            when given, the full timeline is traced as compile / call /
-            bubble spans.  The numbers are bitwise identical to an
+            when given, the engine records the full timeline and it is
+            traced here as compile / call / bubble spans, whichever
+            engine ran.  The numbers are bitwise identical to an
             untraced run — tracing only records, it never reschedules.
         metrics: optional
             :class:`repro.observability.MetricsRegistry`; records the
@@ -625,48 +606,40 @@ def simulate(
             out of range, ``release_times`` has the wrong length, or
             ``engine`` is unknown.
     """
-    if engine is None:
-        engine = _active_default_engine()
-    if engine is not None and engine != "reference":
-        from .engine import make_simulator
+    # The engine seam imports this module, so it is read at call time.
+    from .engine import get_default_engine, make_simulator
 
-        sim = make_simulator(
+    if engine is None:
+        engine = get_default_engine()
+    # A tracer draws its spans from the timeline, whichever engine runs.
+    timeline = record_timeline or tracer is not None
+    if engine is None or engine == "reference":
+        result = _simulate(
+            instance, schedule, compile_threads, timeline,
+            validate, preinstalled, release_times,
+            task_compile_times, task_installs,
+        )
+    else:
+        result = make_simulator(
             instance,
             engine,
             compile_threads=compile_threads,
             preinstalled=preinstalled,
-        )
-        result = sim.evaluate(
+        ).evaluate(
             schedule,
-            record_timeline=record_timeline,
+            record_timeline=timeline,
             validate=validate,
             release_times=release_times,
             task_compile_times=task_compile_times,
             task_installs=task_installs,
-            tracer=tracer,
         )
-        if metrics is not None:
-            _count_run(metrics, instance, schedule)
-        return result
+    if metrics is not None:
+        _count_run(metrics, instance, schedule)
     if tracer is None:
-        result = _simulate(
-            instance, schedule, compile_threads, record_timeline,
-            validate, preinstalled, release_times,
-            task_compile_times, task_installs,
-        )
-        if metrics is not None:
-            _count_run(metrics, instance, schedule)
         return result
     from repro.observability.instrument import trace_makespan_result
 
-    result = _simulate(
-        instance, schedule, compile_threads, True,
-        validate, preinstalled, release_times,
-        task_compile_times, task_installs,
-    )
     trace_makespan_result(tracer, result)
-    if metrics is not None:
-        _count_run(metrics, instance, schedule)
     if record_timeline:
         return result
     return dataclasses.replace(result, task_timings=None, call_timings=None)
@@ -683,16 +656,17 @@ def iter_calls(
     instance: OCSPInstance,
     schedule: Schedule,
     compile_threads: int = 1,
+    preinstalled: Optional[Mapping[str, int]] = None,
 ):
     """Lazily yield ``(function, level, start, finish, bubble)`` per call.
 
-    A streaming variant of :func:`simulate` used by schedulers (e.g. IAR)
-    that need call start times on long traces without materializing a
-    timeline.  The schedule is not validated; callers must pass a valid
-    one.
+    A streaming variant of :func:`simulate` (``preinstalled`` as there)
+    used by schedulers (e.g. IAR) that need call start times on long
+    traces without materializing a timeline.  Neither the schedule nor
+    ``preinstalled`` is checked; callers must pass valid ones.
     """
     _, finishes, _ = _compile_task_finishes(instance, schedule, compile_threads)
-    by_function = _install_events(schedule, finishes)
+    by_function = _install_events(schedule, finishes, preinstalled)
     cursor: Dict[str, int] = {f: 0 for f in by_function}
     best_level: Dict[str, int] = {}
     profiles = instance.profiles

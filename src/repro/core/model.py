@@ -227,9 +227,10 @@ class _Trace:
     lists (the vector engine's replay bisects them); ``count_of`` and
     ``first_index_of`` key the same numbers by name, in first-call
     order.  It reads as the tuple of names it stands for (iteration
-    maps ids to names ``_BLOCK`` at a time; slices and ``+`` give
-    tuples), is shared by every instance whose profiles hold the same
-    names in the same order, and pickles with its instance.
+    maps ids to names ``_BLOCK`` at a time, and :meth:`blocks` yields
+    those blocks; slices and ``+`` give tuples), is shared by every
+    instance whose profiles hold the same names in the same order, and
+    pickles with its instance.
     """
 
     _BLOCK = 1 << 16
@@ -288,11 +289,17 @@ class _Trace:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __iter__(self) -> Iterator[str]:
-        ids, names, block = self.ids, self._name_array, self._BLOCK
-        return chain.from_iterable(
-            names.take(ids[i : i + block]).tolist() for i in range(0, len(ids), block)
+    def blocks(self, table: Optional[Sequence[object]] = None) -> Iterator[list]:
+        """The calls as lists, ``_BLOCK`` at a time: each call's entry
+        of ``table`` (one per function id), by default its name."""
+        ids, block = self.ids, self._BLOCK
+        table = self._name_array if table is None else np.array(table, dtype=object)
+        return (
+            table.take(ids[i : i + block]).tolist() for i in range(0, len(ids), block)
         )
+
+    def __iter__(self) -> Iterator[str]:
+        return chain.from_iterable(self.blocks())
 
     def __getitem__(self, index):
         if isinstance(index, slice):

@@ -48,6 +48,15 @@ applies the raises its clock has passed and sums the next chunk from
 there.  Cuts track blocking first calls and recompiled functions' next
 calls, not compile events.
 
+Every replay is that walk — timelines, totals, the trace pass, resumed
+and cutoff spans — with one exception: a plain
+:meth:`~VectorSimulator.evaluate` of a single-thread schedule that
+installs each function once takes the batched kernel
+(:meth:`~VectorSimulator._batched_timeline`).  It sums the whole trace
+in a fixed number of numpy passes however many first calls block, where
+on compile-bound input each blocking first call ends a chunk of the
+walk.
+
 On top of the full evaluation sits an **incremental mode** for local
 search: :meth:`~VectorSimulator.bind` caches the per-call trajectory of
 a baseline schedule, and :meth:`~VectorSimulator.propose` evaluates a
@@ -80,7 +89,6 @@ differentially on hypothesis-generated instances.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -742,12 +750,7 @@ class VectorSimulator:
         chunked replay.  Results that do return are bitwise identical
         to the reference by construction.
 
-        Returns ``(result, first_starts, segments)``: the
-        :class:`MakespanResult` totals, the exact start of every first
-        call (first-call order), and the timeline as
-        ``(seg_a, lens, seeds, e)`` — segment ``r`` runs calls
-        ``seg_a[r] .. seg_a[r] + lens[r] - 1`` back to back from
-        ``seeds[r]``, call ``i`` taking ``e[i]``.
+        Returns the :class:`MakespanResult` totals.
         """
         arrays = self._arrays
         trace = arrays.trace
@@ -840,51 +843,28 @@ class VectorSimulator:
         calls_at_level = {
             lvl: int(count) for lvl, count in enumerate(hist.tolist()) if count
         }
-        result = MakespanResult(
+        return MakespanResult(
             makespan=t,
             compile_end=compile_end,
             total_bubble_time=total_bubble,
             total_exec_time=total_exec,
             calls_at_level=calls_at_level,
         )
-        first_starts = np.empty(len(fp))
-        first_starts[binding] = first_F[binding]
-        first_starts[~binding] = qvals
-        return result, first_starts, (seg_a, lens, seeds, e)
-
-    def _segment_crossing(self, segments, thr) -> int:
-        """Index of the first call starting at or after ``thr`` on a
-        batched timeline (``N`` if none).
-
-        A non-empty segment's first call starts at its seed and starts
-        never decrease, so the crossing lies inside the last segment
-        starting before ``thr`` — one exact cumsum of that segment — or
-        at the start of the next one.
-        """
-        seg_a, lens, seeds, e = segments
-        live = np.nonzero(lens)[0]
-        before = int(np.searchsorted(seeds[live], thr, side="left"))
-        if not before:
-            return 0
-        r = int(live[before - 1])
-        a = int(seg_a[r])
-        ln = int(lens[r])
-        arr = np.empty(ln + 1)
-        arr[0] = seeds[r]
-        arr[1:] = e[a : a + ln]
-        np.cumsum(arr, out=arr)
-        return a + int(np.searchsorted(arr[:ln], thr, side="left"))
 
     def _batched_or_none(self, schedule):
-        """The batched timeline when the schedule suits the batched
-        kernel — one compile thread, and every function installed once
-        (no recompile, no task for a preinstalled function) — and its
+        """The batched kernel's totals when the schedule suits it — one
+        compile thread, and every function installed once (no
+        recompile, no task for a preinstalled function) — and its
         verification holds; else ``None`` (take the chunked replay).
 
-        Level changes are the chunked replay's alone: it cuts at the
-        next call of a recompiled function, which on the study's
-        schedules beats re-deriving levels in the batched kernel (see
-        docs/BENCHMARKS.md, "Batched or chunked")."""
+        Only a plain :meth:`evaluate` asks.  Level changes are the
+        chunked replay's alone (it cuts at the next call of a
+        recompiled function, which on the study's schedules beats
+        re-deriving levels here), and so is every trace pass: the walk
+        reads first-call starts and threshold crossings as it goes,
+        where this kernel needs extra scans.  What keeps the kernel is
+        compile-bound input, where each blocking first call ends a
+        chunk (see docs/BENCHMARKS.md, "Batched or chunked")."""
         if self._compile_threads != 1:
             return None
         tfids, tlvls = self._task_arrays(schedule)
@@ -906,31 +886,29 @@ class VectorSimulator:
         release_times: Optional[Sequence[float]] = None,
         task_compile_times: Optional[Sequence[float]] = None,
         task_installs: Optional[Sequence[bool]] = None,
-        tracer=None,
     ) -> MakespanResult:
         """Evaluate ``schedule`` from scratch; exact :func:`simulate` twin.
 
         Unlike the reference, validation defaults to off — the engine is
         built for tight loops whose callers guarantee validity.
-        ``release_times``, ``task_compile_times``/``task_installs``
-        (the fault layer's per-task overrides), and ``tracer`` mirror
-        :func:`~repro.core.makespan.simulate`; tracing never changes the
-        numbers.
+        ``release_times`` and ``task_compile_times``/``task_installs``
+        (the fault layer's per-task overrides) mirror
+        :func:`~repro.core.makespan.simulate`, which traces the timeline
+        recorded here when it is given a tracer.
 
-        Timeline and tracer requests take the full-bookkeeping
-        :meth:`_replay`; plain evaluations skip per-call list
-        materialization entirely: the batched kernel when the schedule
-        suits it (:meth:`_batched_or_none`), else the chunked replay's
-        totals (:meth:`_replay_totals`).  All give the same floats and
-        the same work counters, except ``vecsim.chunks``, which only
-        the chunked replay counts.
+        Timeline requests take the full-bookkeeping :meth:`_replay`;
+        plain evaluations skip per-call list materialization entirely:
+        the batched kernel when the schedule suits it
+        (:meth:`_batched_or_none`), else the chunked replay's totals
+        (:meth:`_replay_totals`).  Both give the same floats and the
+        same work counters, except ``vecsim.chunks``, which only the
+        chunked replay counts.
         """
         metrics = self.metrics
         if metrics is not None:
             metrics.counter("vecsim.evaluations").inc()
-        timeline = record_timeline or tracer is not None
         if not (
-            timeline
+            record_timeline
             or validate
             or release_times is not None
             or task_compile_times is not None
@@ -945,22 +923,14 @@ class VectorSimulator:
                     metrics.counter("vecsim.calls_replayed").inc(
                         len(self._ids)
                     )
-                return batched[0]
+                return batched
         prep = self._prepare(
             schedule, release_times, task_compile_times, task_installs, validate
         )
-        if timeline:
-            result = self._assemble(
+        if record_timeline:
+            return self._assemble(
                 prep, self._replay(prep, 0, 0.0, 0.0, 0.0), True
             )
-            if tracer is None:
-                return result
-            from repro.observability.instrument import trace_makespan_result
-
-            trace_makespan_result(tracer, result)
-            if record_timeline:
-                return result
-            return dataclasses.replace(result, task_timings=None, call_timings=None)
         t, total_exec, total_bubble, calls_at_level = self._replay_totals(prep)
         if metrics is not None:
             metrics.counter("vecsim.replays").inc()
@@ -1034,30 +1004,21 @@ class VectorSimulator:
         Call starts never decrease, so the calls starting before a
         threshold are a prefix of the trace: each threshold costs one
         crossing index, and the per-function counts one
-        ``numpy.bincount`` over the prefix or suffix.  The batched
-        kernel serves the schedules it suits (as in :meth:`evaluate`);
-        the rest take the chunked replay, which sums no exec total.
+        ``numpy.bincount`` over the prefix or suffix.  Every schedule
+        takes the chunked replay (:meth:`_walk`), which reads the
+        first-call starts and the crossings as it goes and sums no exec
+        total.
         """
         wanted = [thr for thr in (before_time, after_time) if thr is not None]
-        batched = self._batched_or_none(schedule)
-        if batched is not None:
-            result, first_starts, segments = batched
-            t = result.makespan
-            crossings = [self._segment_crossing(segments, thr) for thr in wanted]
-            first_starts = first_starts.tolist()
-            if self.metrics is not None:
-                self.metrics.counter("vecsim.prepares").inc()
-                self.metrics.counter("vecsim.tasks_prepared").inc(len(schedule))
-        else:
-            firsts: List[np.ndarray] = []
-            crossings = [len(self._ids)] * len(wanted)
-            t, _reached, _exec, _bubble = self._walk(
-                self._prepare(schedule),
-                firsts=firsts,
-                thresholds=wanted,
-                crossings=crossings,
-            )
-            first_starts = np.concatenate(firsts).tolist() if firsts else []
+        firsts: List[np.ndarray] = []
+        crossings = [len(self._ids)] * len(wanted)
+        t, _reached, _exec, _bubble = self._walk(
+            self._prepare(schedule),
+            firsts=firsts,
+            thresholds=wanted,
+            crossings=crossings,
+        )
+        first_starts = np.concatenate(firsts).tolist() if firsts else []
         fnames = self._fnames
         ids = self._ids
 

@@ -226,8 +226,6 @@ def write_bundle(bundle: InstanceBundle, path: Union[str, Path]) -> Path:
         pad = [""] * (levels - prof.num_levels)
         cost_rows.append([fname] + c + pad + e + pad)
 
-    call_rows = [["call"]] + [[fname] for fname in instance.calls]
-
     files = {
         "machine": _MACHINE_FILE,
         "costs": _COSTS_FILE,
@@ -257,7 +255,13 @@ def write_bundle(bundle: InstanceBundle, path: Union[str, Path]) -> Path:
     }
 
     (root / _COSTS_FILE).write_text(_csv_text(cost_rows), encoding="utf-8")
-    (root / _CALLS_FILE).write_text(_csv_text(call_rows), encoding="utf-8")
+    # A row's encoding depends on its name alone: encode each function's
+    # row once and stream the trace through them a block at a time.
+    rows = [_csv_text([[fname]]) for fname in instance.calls.names]
+    with (root / _CALLS_FILE).open("w", encoding="utf-8") as out:
+        out.write(_csv_text([["call"]]))
+        for block in instance.calls.blocks(rows):
+            out.write("".join(block))
     (root / _MACHINE_FILE).write_text(_canonical_json(machine), encoding="utf-8")
     if bundle.due_dates is not None:
         due_doc = {

@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import random
 
+from ..observability.metrics import _percentile
 from ..perf.harness import TimingStats, robust_stats
 from ..workloads import dacapo
 from .protocol import ProtocolError, encode, validate_event
@@ -203,16 +204,16 @@ class ReplayReport:
         }
 
 
-def _percentile(samples: List[float], engine: DecisionEngine, q: float) -> float:
+def _percentile_ms(samples_s: List[float], engine: DecisionEngine, q: float) -> float:
+    """The ``q``-th latency percentile in ms: the engine's latency
+    histogram when it keeps one, else the same rule on ``samples_s``."""
     if engine.metrics is not None:
         value = engine.metrics.histogram("service.latency_ms").percentile(q)
         if value is not None:
             return value
-    if not samples:
+    if not samples_s:
         return 0.0
-    ordered = sorted(samples)
-    index = min(len(ordered) - 1, int(round(q / 100.0 * (len(ordered) - 1))))
-    return ordered[index] * 1e3
+    return _percentile(sorted(samples_s), q) * 1e3
 
 
 def _build_report(
@@ -236,8 +237,8 @@ def _build_report(
         wall_s=wall_s,
         decisions_per_sec=decisions / wall_s if wall_s > 0 else 0.0,
         latency=stats,
-        p50_ms=_percentile(latencies_s, engine, 50.0),
-        p99_ms=_percentile(latencies_s, engine, 99.0),
+        p50_ms=_percentile_ms(latencies_s, engine, 50.0),
+        p99_ms=_percentile_ms(latencies_s, engine, 99.0),
         summary=engine.summary(),
         slo=slo,
     )

@@ -138,6 +138,7 @@ class DecisionServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        lost = False
         try:
             while not self._stopping.is_set():
                 line = await reader.readline()
@@ -206,13 +207,19 @@ class DecisionServer:
                 await self._queue.put((request, writer, enqueued, span))
                 if span is not None:
                     self.telemetry.metrics.mark_admitted(span, time.perf_counter())
+        except ConnectionError as exc:
+            # The peer reset the connection: the one record of its loss
+            # (the close below raises the same error again).
+            lost = True
+            self._note_error(exc, "connection.read")
         finally:
             try:
                 writer.close()
                 await writer.wait_closed()
             except (ConnectionError, OSError) as exc:
                 # The peer vanished mid-close: harmless, but visible.
-                self._note_error(exc, "connection.close")
+                if not lost:
+                    self._note_error(exc, "connection.close")
 
     @staticmethod
     def _corr_of(request: Dict[str, object]) -> str:
@@ -292,8 +299,10 @@ class DecisionServer:
             for writer in written:
                 try:
                     await writer.drain()
-                except (ConnectionError, OSError) as exc:
-                    self._note_error(exc, "writer.drain")
+                except (ConnectionError, OSError):
+                    # The peer is gone.  Its connection's handler records
+                    # the loss once, where its read or close sees it.
+                    pass
 
     def _answer(self, request: Dict[str, object]) -> Dict[str, object]:
         try:

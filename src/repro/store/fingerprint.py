@@ -89,9 +89,13 @@ def fingerprint_instance(instance: OCSPInstance) -> str:
         h.update(b"\x00")
     h.update(b"calls\x00")
     # The call sequence dominates the payload (up to tens of millions
-    # of entries); hash it as one joined buffer instead of per-call
-    # json.dumps round-trips.
-    h.update("\x1f".join(instance.calls).encode("utf-8"))
+    # of entries): hash the names joined by "\x1f", one block of the
+    # trace at a time, instead of per-call json.dumps round-trips.
+    sep = b""
+    for block in instance.calls.blocks():
+        h.update(sep)
+        h.update("\x1f".join(block).encode("utf-8"))
+        sep = b"\x1f"
     return h.hexdigest()
 
 

@@ -25,7 +25,8 @@ from repro.service import (
     run_replay,
     write_events,
 )
-from repro.service.driver import load_decision_log
+from repro.observability.metrics import _percentile
+from repro.service.driver import _build_report, load_decision_log
 
 FAULTS = "compile_fail=0.1,retries=1,seed=3"
 SOAK_TENANTS = 8
@@ -227,3 +228,18 @@ class TestServeReplayCli:
         code = main(["serve", "replay", "--events-file", str(bad)])
         assert code == 2
         assert "line 1" in capsys.readouterr().err
+
+
+def test_report_without_a_registry_uses_the_one_percentile_rule():
+    """An engine without a metrics registry reports its latency
+    percentiles by the repo's one rule (linear between closest ranks),
+    not by a nearest-rank pick, which would say 3.0 and 10.0 ms here."""
+    latencies = [0.010, 0.001, 0.003, 0.002]
+    report = _build_report(
+        DecisionEngine(), 1, 4, 4, 0, 1.0, latencies
+    )
+    ordered = sorted(latencies)
+    assert report.p50_ms == _percentile(ordered, 50.0) * 1e3
+    assert report.p99_ms == _percentile(ordered, 99.0) * 1e3
+    assert report.p50_ms == pytest.approx(2.5)
+    assert report.p99_ms == pytest.approx(9.79)

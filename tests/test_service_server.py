@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import socket
+import struct
 
 import pytest
 
@@ -294,11 +296,16 @@ def burst():
     return connections
 
 
-async def _send_burst(port, payload, answers):
+async def _send_burst(port, payload, answers, reset=False):
     """Send ``payload`` in one ``sendall`` and read until ``answers``
-    lines came back (or the server closed); then close."""
+    lines came back (or the server closed); then close, with a reset
+    (``SO_LINGER`` of zero) when ``reset``."""
     loop = asyncio.get_running_loop()
     sock = socket.create_connection(("127.0.0.1", port))
+    if reset:
+        sock.setsockopt(
+            socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+        )
     sock.setblocking(False)
     try:
         await loop.sock_sendall(sock, payload)
@@ -382,3 +389,34 @@ def test_connection_closed_mid_burst_does_not_stop_the_other(burst):
     kept, dropped = _run(scenario())
     assert 0 < len(dropped) < len(dropped_expected)
     assert kept == expected
+
+
+def test_connection_reset_mid_burst_is_recorded_once(burst, caplog):
+    """A client that resets its connection before reading all its
+    answers leaves one structured error, recorded where the server's
+    read saw it, and nothing for asyncio to log; the other connection
+    is answered in full."""
+    (payload, expected), (dropped_payload, dropped_expected) = burst
+    caplog.set_level(logging.WARNING, logger="asyncio")
+    telemetry = ServiceTelemetry()
+
+    async def scenario():
+        server = await _start(DecisionEngine(telemetry=telemetry))
+        try:
+            return await asyncio.wait_for(
+                asyncio.gather(
+                    _send_burst(server.port, payload, len(expected)),
+                    _send_burst(server.port, dropped_payload, 1, reset=True),
+                ),
+                timeout=60.0,
+            )
+        finally:
+            await _shutdown(server)
+
+    kept, dropped = _run(scenario())
+    assert 0 < len(dropped) <= len(dropped_expected)
+    assert kept == expected
+    errors = [(e["type"], e["where"]) for e in telemetry.errors]
+    assert errors == [("ConnectionResetError", "connection.read")]
+    assert telemetry.snapshot()["service.errors{type=ConnectionResetError}"] == 1
+    assert [r for r in caplog.records if r.name == "asyncio"] == []

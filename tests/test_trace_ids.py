@@ -9,7 +9,9 @@
   and a pickled instance carries its trace instead of re-interning.
 * **The trace is ``calls``.**  It behaves like the tuple of names it
   replaces, whether built from names or from ids, maps ids to names a
-  block at a time, and is the only per-call store an instance holds.
+  block at a time (and so do the store fingerprint and the bundle
+  writer that read it), and is the only per-call store an instance
+  holds.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ from repro.core.makespan import simulate
 from repro.core.model import FunctionProfile, ModelError, OCSPInstance
 from repro.core.single_level import base_level_schedule
 from repro.faults import FaultInjector, degrade
+from repro.instances.format import InstanceBundle, _csv_text, write_bundle
+from repro.store.fingerprint import fingerprint_instance
 from repro.vm.costbenefit import EstimatedModel
 from repro.workloads import dacapo
 
@@ -246,6 +250,32 @@ def test_trace_maps_names_a_block_at_a_time():
         tracemalloc.stop()
     assert peak < 8 * len(ids) / 2
     assert list(trace) == [names[fid] for fid in ids.tolist()]
+
+
+def test_trace_writers_stream_a_block_at_a_time(tmp_path, monkeypatch):
+    """The store fingerprint and a bundle's ``calls.csv`` read a long
+    trace a block of names at a time, and write the bytes of the
+    whole-trace join and row list they replaced, seams included."""
+    names = [f"m{i:03d}" for i in range(300)]
+    ids = np.random.default_rng(1).integers(0, len(names), 600_000)
+    profiles = {name: FunctionProfile(name, (1.0,), (2.0,)) for name in names}
+    instance = OCSPInstance(profiles, model._Trace(names, ids), name="long")
+    bundle = InstanceBundle(instance=instance, source="synthetic")
+    tracemalloc.start()
+    try:
+        digest = fingerprint_instance(instance)
+        hashed = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        root = write_bundle(bundle, tmp_path / "long")
+        written = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hashed < 8 * len(ids) / 2
+    assert written < 8 * len(ids) / 2
+    rows = [["call"]] + [[fname] for fname in instance.calls]
+    assert (root / "calls.csv").read_text(encoding="utf-8") == _csv_text(rows)
+    monkeypatch.setattr(model._Trace, "_BLOCK", len(ids))  # one block
+    assert fingerprint_instance(instance) == digest
 
 
 def test_reference_replay_holds_no_copy_of_the_trace():

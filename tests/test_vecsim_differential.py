@@ -45,7 +45,7 @@ from repro.core.engine import (
 from repro.core.iar import iar
 from repro.core.localsearch import _propose, improve_schedule
 from repro.faults import simulate_with_faults
-from repro.observability import MetricsRegistry
+from repro.observability import MetricsRegistry, Tracer
 from repro.perf.harness import counters_of
 from repro.vm.jikes import run_jikes
 from repro.vm.v8 import run_v8
@@ -696,8 +696,7 @@ def threshold_pairs(thr):
 
 def timeline_trace_stats(timings, before, after):
     """``trace_stats``' ``(firsts, before, after, end)`` derived from a
-    recorded timeline (which, unlike ``ReferenceSimulator.trace_stats``,
-    knows preinstalled functions)."""
+    recorded timeline."""
     firsts, counts_before, counts_after = {}, {}, {}
     for t in timings:
         firsts.setdefault(t.function, t.start)
@@ -709,34 +708,27 @@ def timeline_trace_stats(timings, before, after):
     return firsts, counts_before, counts_after, end
 
 
-def chunked_engine(instance, **kwargs):
-    """A vector engine that sends every pass to the chunked replay."""
-    vec = VectorSimulator(instance, **kwargs)
-    vec._batched_or_none = lambda schedule: None
-    return vec
-
-
 def test_trace_stats_matches_reference():
-    """One compile thread, both kernels: the vector trace pass equals
+    """One compile thread: the vector trace pass equals
     ``ReferenceSimulator.trace_stats`` at every edge threshold (a
     threshold between two call starts counts like the later start), on
-    single-install schedules (which the batched kernel takes) and
-    recompiling ones (always the chunked replay's)."""
+    single-install schedules (which a plain evaluation sends to the
+    batched kernel) and recompiling ones."""
     rng = random.Random(31)
     for _ in range(20):
         instance = random_instance(rng)
         ref = ReferenceSimulator(instance)
+        vec = VectorSimulator(instance)
         for schedule in (
             uniform_schedule(instance, rng),
             random_schedule(instance, rng),
         ):
             timings = reference_timeline(instance, schedule)
-            for vec in (VectorSimulator(instance), chunked_engine(instance)):
-                for thr in edge_thresholds(timings):
-                    for before, after in threshold_pairs(thr):
-                        assert vec.trace_stats(
-                            schedule, before, after
-                        ) == ref.trace_stats(schedule, before, after)
+            for thr in edge_thresholds(timings):
+                for before, after in threshold_pairs(thr):
+                    assert vec.trace_stats(
+                        schedule, before, after
+                    ) == ref.trace_stats(schedule, before, after)
 
 
 @pytest.mark.parametrize("threads", [2, 4])
@@ -757,25 +749,68 @@ def test_trace_stats_multithread_matches_reference(threads):
                 assert vec.trace_stats(schedule, before, after) == expected
 
 
-@pytest.mark.parametrize("path", ["batched", "chunked"])
-def test_trace_stats_preinstalled_matches_reference(path):
-    rng = random.Random(313)
-    for _ in range(15):
+def preinstalled_cases(seed, count):
+    """``(instance, preinstalled, schedule)`` cases: each instance with
+    some functions preinstalled, under a schedule that installs each of
+    the others once and under one that recompiles (preinstalled
+    functions included)."""
+    rng = random.Random(seed)
+    for _ in range(count):
         instance = random_instance(rng)
         pre = random_preinstalled(instance, rng)
-        schedule = uniform_schedule(instance, rng, skip=pre)
-        make = VectorSimulator if path == "batched" else chunked_engine
-        vec = make(instance, preinstalled=pre)
+        for schedule in (
+            uniform_schedule(instance, rng, skip=pre),
+            random_schedule(instance, rng),
+        ):
+            yield instance, pre, schedule
+
+
+def test_reference_trace_stats_takes_preinstalled_code():
+    """The oracle's trace pass streams preinstalled code as ``simulate``
+    runs it: at every edge threshold it equals the stats read off the
+    reference timeline."""
+    checks = 0
+    for instance, pre, schedule in preinstalled_cases(312, 40):
+        ref = ReferenceSimulator(instance, preinstalled=pre)
         timings = reference_timeline(instance, schedule, preinstalled=pre)
         for thr in edge_thresholds(timings):
             for before, after in threshold_pairs(thr):
                 expected = timeline_trace_stats(timings, before, after)
-                assert vec.trace_stats(schedule, before, after) == expected
+                assert ref.trace_stats(schedule, before, after) == expected
+                checks += 1
+    assert checks > 1000
+
+
+@pytest.mark.parametrize("path", ["batched", "chunked"])
+def test_trace_stats_preinstalled_matches_reference(path):
+    """With preinstalled code the vector trace pass equals the oracle's,
+    on an engine that has just evaluated the schedule along either
+    evaluate path (the trace pass itself is always the chunked
+    replay's)."""
+    make = VectorSimulator if path == "batched" else chunked_engine
+    for instance, pre, schedule in preinstalled_cases(313, 15):
+        ref = ReferenceSimulator(instance, preinstalled=pre)
+        vec = make(instance, preinstalled=pre)
+        assert_results_equal(vec.evaluate(schedule), ref.evaluate(schedule))
+        timings = reference_timeline(instance, schedule, preinstalled=pre)
+        for thr in edge_thresholds(timings):
+            for before, after in threshold_pairs(thr):
+                assert vec.trace_stats(
+                    schedule, before, after
+                ) == ref.trace_stats(schedule, before, after)
 
 
 # ---------------------------------------------------------------------------
 # the evaluate path choice (batched kernel vs chunked replay)
 # ---------------------------------------------------------------------------
+
+
+def chunked_engine(instance, **kwargs):
+    """A vector engine that sends every evaluation to the chunked
+    replay."""
+    vec = VectorSimulator(instance, **kwargs)
+    vec._batched_or_none = lambda schedule: None
+    return vec
 
 
 def spy_kernels(monkeypatch):
@@ -845,6 +880,22 @@ def test_evaluate_path_choice(monkeypatch, make_input, expected):
         chunked_engine(instance, metrics=metrics).evaluate(schedule), reference
     )
     assert kernel_counters(metrics)[0] == evaluate_counters(instance, schedule)
+
+
+def test_trace_stats_never_enters_the_batched_kernel(monkeypatch):
+    """The trace pass is the chunked replay's, even on the single-level
+    schedule a plain evaluation sends to the batched kernel."""
+    instance, schedule = single_level_input()
+    entered = spy_kernels(monkeypatch)
+    vec = VectorSimulator(instance)
+    half = simulate(instance, schedule).makespan / 2
+    stats = vec.trace_stats(schedule, before_time=half, after_time=half)
+    assert entered == []
+    assert stats == ReferenceSimulator(instance).trace_stats(
+        schedule, before_time=half, after_time=half
+    )
+    vec.evaluate(schedule)
+    assert entered == ["_batched_timeline"]
 
 
 # ---------------------------------------------------------------------------
@@ -920,6 +971,30 @@ def test_simulate_engine_counters_identical():
         simulate(instance, schedule, metrics=m, engine=engine)
         snapshots.append(counters_of(m))
     assert snapshots[0] == snapshots[1]
+
+
+@pytest.mark.parametrize("record", [False, True], ids=["plain", "timeline"])
+def test_traced_simulate_is_one_path_on_both_engines(record):
+    """``simulate`` records the timeline and emits the spans whichever
+    engine runs: both engines leave equal tracer events, and a timeline
+    comes back only when asked for."""
+    rng = random.Random(2929 + record)
+    for _ in range(10):
+        instance = random_instance(rng)
+        schedule = random_schedule(instance, rng)
+        threads = rng.randint(1, 3)
+        traced = []
+        for engine in ENGINES:
+            tracer = Tracer()
+            kwargs = dict(
+                compile_threads=threads, record_timeline=record, engine=engine
+            )
+            result = simulate(instance, schedule, tracer=tracer, **kwargs)
+            assert_results_equal(result, simulate(instance, schedule, **kwargs))
+            assert (result.call_timings is not None) == record
+            assert (result.task_timings is not None) == record
+            traced.append(tracer.events)
+        assert traced[0] and traced[0] == traced[1]
 
 
 def test_unknown_engine_rejected_everywhere():

@@ -18,6 +18,8 @@ MODULES = [
     "repro.core.model",
     "repro.core.schedule",
     "repro.core.makespan",
+    "repro.core.engine",
+    "repro.core.vecsim",
     "repro.core.singlecore",
     "repro.core.bounds",
     "repro.core.single_level",
