@@ -10,7 +10,9 @@ it wraps, and asserts the ratio stays under
 discipline covers the perf counter hooks: a ``VectorSimulator`` with no
 registry attached must evaluate at parity with one that never heard of
 metrics — counting happens at call boundaries, never inside the replay
-loops.
+loops.  Each ratio is the median of per-pair ratios over interleaved
+samples (:func:`repro.perf.paired_ratio`), so host drift on a shared
+machine moves both arms of a pair alike.
 
 Also usable as a plain script for the CI smoke job::
 
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 import os
 import sys
-import time
 
 sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -30,6 +31,7 @@ sys.path.insert(
 from repro.core.makespan import _simulate, simulate
 from repro.core.single_level import base_level_schedule
 from repro.observability import Tracer
+from repro.perf import paired_ratio
 from repro.workloads import WorkloadSpec, generate
 
 OVERHEAD_MAX = float(os.environ.get("REPRO_TRACE_OVERHEAD_MAX", "1.05"))
@@ -47,28 +49,15 @@ INSTANCE = generate(SPEC, seed=42)
 SCHEDULE = base_level_schedule(INSTANCE)
 
 
-def _best_of(fn, repeats: int = 5) -> float:
-    """Best-of-N wall time — robust to scheduler noise on CI boxes."""
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        fn()
-        elapsed = time.perf_counter() - started
-        if elapsed < best:
-            best = elapsed
-    return best
-
-
-def measure_overhead_ratio(repeats: int = 5) -> float:
+def measure_overhead_ratio() -> float:
     """public simulate(tracer=None) time / private _simulate time."""
     # Warm both paths first so allocator/caching effects cancel out.
     simulate(INSTANCE, SCHEDULE, validate=False)
     _simulate(INSTANCE, SCHEDULE)
-    wrapped = _best_of(
-        lambda: simulate(INSTANCE, SCHEDULE, validate=False), repeats
+    return paired_ratio(
+        lambda: simulate(INSTANCE, SCHEDULE, validate=False),
+        lambda: _simulate(INSTANCE, SCHEDULE),
     )
-    direct = _best_of(lambda: _simulate(INSTANCE, SCHEDULE), repeats)
-    return wrapped / direct
 
 
 def test_tracing_disabled_overhead_is_negligible():
@@ -86,7 +75,7 @@ def test_traced_run_equals_untraced_run():
     assert traced.total_bubble_time == plain.total_bubble_time
 
 
-def measure_metrics_overhead_ratio(repeats: int = 5) -> float:
+def measure_metrics_overhead_ratio() -> float:
     """VectorSimulator evaluate with metrics=None vs enabled registry.
 
     The disabled path must be at parity (the counter hooks sit at call
@@ -107,9 +96,7 @@ def measure_metrics_overhead_ratio(repeats: int = 5) -> float:
 
     run(disabled)
     run(enabled)
-    t_disabled = _best_of(lambda: run(disabled), repeats)
-    t_enabled = _best_of(lambda: run(enabled), repeats)
-    return t_disabled / t_enabled
+    return paired_ratio(lambda: run(disabled), lambda: run(enabled))
 
 
 def test_metrics_disabled_runs_at_parity():

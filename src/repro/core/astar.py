@@ -27,19 +27,23 @@ path to ``v``:
 Both components are already incurred by any completion of the path
 (future tasks finish after ``t(v)`` and cannot unblock or accelerate
 calls that started inside it), so ``f`` never overestimates and the
-search is optimal.  The same fact prices a whole expansion in one pass
-(:func:`_sweep`): each child adds one task that finishes at the end of
-its own window ``t(v) + c``, so no call inside that window can use it,
-and the node's own path replayed up to ``t(v) + c`` gives the child's
-``f``.  One replay of the call sequence from time 0, visiting the
-children's window ends in ascending order, prices them all; for a node
-that compiles every called function it runs on to the end of the trace,
-where its clock is the exact make-span of stopping there.
-:func:`simulate` confirms only the optimum the search returns.  A
-frontier node is a parent pointer plus one task.  The search is still
-*not* practical: the frontier grows exponentially and the paper reports
-out-of-memory beyond six functions — behaviour reproduced by
-``benchmarks/bench_astar_search.py``.
+search is optimal.  The same fact prices a node from its parent's
+replay.  By ``t(v)`` every compile on the path has finished, so past it
+each call starts when the one before ends and runs at its function's
+top level on the path (or never, if the path does not compile it).  An
+expanded node keeps its *resume state*, where its replay of the calls
+stops for ``t(v)``: calls replayed, clock, bubbles and extra time.  A
+child ``w`` resumes it at the parent's top levels up to
+``t(w) = t(v) + c``.  Each child of ``w`` adds a task that finishes at
+its window's end, which no call inside the window can use, so ``w``'s
+replay on past the children's ends, in ascending order, prices them
+all; for a node that compiles every called function it runs on to the
+end of the trace, where its clock is the exact make-span of stopping
+there.  :func:`simulate` confirms only the optimum the search returns.
+A frontier node is its parent's expansion plus one task, both read off
+its push counter.  The search is still *not* practical: the frontier
+grows exponentially and the paper reports out-of-memory beyond six
+functions — behaviour reproduced by ``benchmarks/bench_astar_search.py``.
 """
 
 from __future__ import annotations
@@ -48,7 +52,9 @@ import heapq
 import math
 from array import array
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from bisect import bisect_right
+from itertools import islice
+from typing import List, Tuple
 
 from .bounds import lower_bound
 from .makespan import simulate
@@ -104,87 +110,58 @@ def _count_paths(level_counts: List[int]) -> int:
     return paths
 
 
-#: A compile event on a path: (finish time, exec time at its level,
-#: that exec time minus the function's fastest).
-_Event = Tuple[float, float, float]
-
-#: Task column of a terminal node: stop after the parent's tasks.
+#: Task of a terminal child: stop after the parent's tasks.
 _STOP = -1
 
 
-def _sweep(
-    calls: Sequence[int],
-    events: Sequence[Sequence[_Event]],
-    ends: Sequence[float],
-    to_end: bool = False,
-) -> Tuple[List[float], float]:
-    """``f = b + e`` for the window ending at each of ``ends``, in one pass.
+class _Config:
+    """What pricing reads of a path: each function's top level on it
+    (``-1`` where the path does not compile the function).
 
-    ``calls`` is the call sequence as function indices and
-    ``events[fn]`` lists that function's compiles on a path, in path
-    order.  The pass replays the calls once from time 0 and visits the
-    ends in ascending order: the calls replayed for one end start before
-    it, so they replay the same way for every later end, and the pass
-    resumes where it stopped.  The value at an end ``t`` is the
-    heuristic of the path's window ``t(v) = t``.
-
-    For the node ``v`` of this path, an end ``t(v) + c`` gives the
-    child that adds a task of compile time ``c``: that task finishes at
-    its window's end, so it can neither unblock nor accelerate a call
-    that starts inside the window, and the node's own events replay that
-    window exactly as the child's would.
-
-    With ``to_end`` the pass then replays the rest of the trace.  On a
-    path that compiles every called function its clock is then the
-    schedule's make-span, bitwise as :func:`simulate` computes it: the
-    same additions in the same order.
-
-    Returns the values, in the order of ``ends``, and the clock where
-    the pass stopped.
+    Attributes:
+        tasks: the children's tasks in push order: the terminal first if
+            the path compiles every called function, then function by
+            function, levels rising, skips included.
+        ascending: ``(push position, compile time)`` of the other
+            children, in ascending compile time.
+        stop: the first call of a function the path does not compile
+            (``len(calls)`` if none): no replay of the path passes it.
+        exec, slowdown: each call before ``stop``: its exec time at its
+            function's top level, and that time minus the fastest.
     """
-    windows = sorted(zip(ends, range(len(ends))))
-    if to_end:
-        # A last window past the end of the trace: only its clock counts.
-        windows.append((math.inf, len(ends)))
-    values = [0.0] * len(windows)
-    i = 0
-    n = len(calls)
-    now = bubbles = extra = 0.0
-    for t_end, j in windows:
-        while i < n and now < t_end:
-            fevents = events[calls[i]]
-            if not fevents:
-                break
-            ready = fevents[0][0]
-            start = now if now >= ready else ready
-            if start >= t_end:
-                break
-            bubbles += start - now
-            # Finish times and levels both rise along the path, so the
-            # last compile finished by ``start`` is the highest level the
-            # call runs at.
-            k = len(fevents) - 1
-            while fevents[k][0] > start:
-                k -= 1
-            _, exec_time, slowdown = fevents[k]
-            extra += slowdown
-            now = start + exec_time
-            i += 1
-        if i < n and now < t_end:
-            # Call ``i`` is blocked until after the window ends: the rest
-            # of the window is pure bubble for any completion of the path.
-            values[j] = bubbles + (t_end - now) + extra
-        else:
-            values[j] = bubbles + extra
-    del values[len(ends):]
-    return values, now
+
+    __slots__ = ("levels", "tasks", "ascending", "stop", "exec", "slowdown")
+
+    def __init__(self, tree: "_Tree", levels: Tuple[int, ...]):
+        first, calls = tree.first, tree.calls
+        self.levels = levels
+        children = [
+            tid
+            for fn, level in enumerate(levels)
+            for tid in range(first[fn] + level + 1, first[fn + 1])
+        ]
+        complete = min(levels) >= 0
+        self.tasks = [_STOP] * complete + children
+        self.ascending = sorted(
+            ((complete + j, tree.compile[tid]) for j, tid in enumerate(children)),
+            key=lambda child: child[1],
+        )
+        self.stop = next(
+            (i for i, fn in enumerate(calls) if levels[fn] < 0), len(calls)
+        )
+        top = {fn: first[fn] + level for fn, level in enumerate(levels) if level >= 0}
+        self.exec = [tree.exec[top[fn]] for fn in calls[: self.stop]]
+        self.slowdown = [
+            tree.exec[top[fn]] - tree.exec[first[fn + 1] - 1]
+            for fn in calls[: self.stop]
+        ]
 
 
 class _Tree:
     """Per-instance tables shared by every node of one search.
 
     A task id numbers one ``(function, level)`` pair, which has one
-    shared :class:`CompileTask`, compile time and exec times; the ids of
+    shared :class:`CompileTask`, compile time and exec time; the ids of
     function ``fn`` run from ``first[fn]`` up to ``first[fn + 1]``.
     """
 
@@ -197,58 +174,28 @@ class _Tree:
         self.level: List[int] = []
         self.task: List[CompileTask] = []
         self.compile: List[float] = []
-        self.exec: List[Tuple[float, float]] = []
+        self.exec: List[float] = []
         for fn, fname in enumerate(functions):
             prof = instance.profiles[fname]
             self.first.append(len(self.task))
             for level in range(prof.num_levels):
-                exec_time = prof.exec_times[level]
                 self.fn.append(fn)
                 self.level.append(level)
                 self.task.append(CompileTask(fname, level))
                 self.compile.append(prof.compile_times[level])
-                self.exec.append((exec_time, exec_time - prof.exec_times[-1]))
+                self.exec.append(prof.exec_times[level])
         self.first.append(len(self.task))
+        self.root = _Config(self, (-1,) * len(functions))
+        self.configs = {self.root.levels: self.root}
 
-    def children(self, last: Sequence[int]) -> List[int]:
-        """Task ids a node whose functions stand at levels ``last``
-        (``-1`` if absent) may append, in push order: function by
-        function, levels rising, skips included."""
-        first = self.first
-        return [
-            tid
-            for fn in range(len(last))
-            for tid in range(first[fn] + last[fn] + 1, first[fn + 1])
-        ]
-
-    def window(
-        self, path: Sequence[int]
-    ) -> Tuple[List[List[_Event]], List[int], float]:
-        """:func:`_sweep`'s events, each function's last level (``-1``
-        if absent) and ``t(v)`` for the task-id ``path``.
-
-        Compiles finish back to back on one compile thread, as in the
-        paper's search formulation.
-        """
-        events: List[List[_Event]] = [[] for _ in range(len(self.first) - 1)]
-        last = [-1] * len(events)
-        t = 0.0
-        for tid in path:
-            t += self.compile[tid]
-            fn = self.fn[tid]
-            events[fn].append((t,) + self.exec[tid])
-            last[fn] = self.level[tid]
-        return events, last, t
-
-
-def _path(parent: Sequence[int], task_of: Sequence[int], node: int) -> List[int]:
-    """Task ids from the root (node 0) to ``node``, in path order."""
-    path: List[int] = []
-    while node:
-        path.append(task_of[node])
-        node = parent[node]
-    path.reverse()
-    return path
+    def child(self, conf: _Config, tid: int) -> _Config:
+        """The configuration of a path ``conf`` extended by task ``tid``."""
+        levels = list(conf.levels)
+        levels[self.fn[tid]] = self.level[tid]
+        key = tuple(levels)
+        if key not in self.configs:
+            self.configs[key] = _Config(self, key)
+        return self.configs[key]
 
 
 def astar_schedule(
@@ -277,62 +224,88 @@ def astar_schedule(
     level_counts = [instance.profiles[f].num_levels for f in functions]
     lb = lower_bound(instance)
     tree = _Tree(instance)
-    calls = tree.calls
+    compile_time = tree.compile
+    n = len(tree.calls)
+    push, pop = heapq.heappush, heapq.heappop
 
-    # Heap entries are (f, counter).  A node is a parent pointer plus one
-    # task id in columns indexed by its counter, which also breaks ties
-    # in push order.  Node 0 is the root, where the path walk stops; a
-    # terminal node's task is _STOP.
+    # Heap entries are (f, counter); the counter numbers a frontier node
+    # and breaks ties in push order.  A node is its parent's expansion
+    # plus one task, and stores neither: an expansion pushes its children
+    # under consecutive counters, so bisecting the expansions' first
+    # counters finds the parent, and the offset the task.  Node 0 is the
+    # root.  Each expansion appends one record: the node, its children's
+    # first counter, its configuration and its resume state (calls
+    # replayed; then t(v), clock, bubbles and extra time).
     frontier: List[Tuple[float, int]] = [(0.0, 0)]
-    parent = array("q", [0])
-    task_of = array("i", [0])
+    expanded = array("q")
+    first = array("q")
+    configs: List[_Config] = []
+    replayed = array("i")
+    state = array("d")
     counter = 0
     nodes_expanded = 0
     max_frontier_seen = 1
 
     while frontier:
-        f_value, node = heapq.heappop(frontier)
-        if task_of[node] == _STOP:
-            path = _path(parent, task_of, parent[node])
-            schedule = Schedule(tuple(tree.task[tid] for tid in path))
-            # The sweep priced every terminal; the reference simulator
-            # confirms the one the search returns.  Its make-span is the
-            # one reported: ``f + LB`` can round away from it.
-            makespan = simulate(instance, schedule, validate=False).makespan
-            if makespan - lb != f_value:
-                raise RuntimeError(
-                    f"A* priced its optimum at {f_value!r} above the lower "
-                    f"bound, but it simulates to {makespan!r}"
-                )
-            return AStarResult(
-                schedule=schedule,
-                makespan=makespan,
-                nodes_expanded=nodes_expanded,
-                max_frontier=max_frontier_seen,
-                paths_total=_count_paths(level_counts),
-            )
+        f_value, node = pop(frontier)
+        if node:
+            exp = bisect_right(first, node) - 1
+            conf = configs[exp]
+            tid = conf.tasks[node - first[exp]]
+            if tid == _STOP:
+                break
         nodes_expanded += 1
         if nodes_expanded > max_expansions:
             raise RuntimeError(f"A* exceeded {max_expansions} node expansions")
 
-        path = _path(parent, task_of, node)
-        events, last, t_end = tree.window(path)
-        tids = tree.children(last)
-        complete = min(last) >= 0
-        values, clock = _sweep(
-            calls, events, [t_end + tree.compile[tid] for tid in tids], complete
-        )
-        if complete:
-            # Stopping here is a legal schedule: attach its exact cost.
-            counter += 1
-            heapq.heappush(frontier, (clock - lb, counter))
-            parent.append(node)
-            task_of.append(_STOP)
-        for tid, f_child in zip(tids, values):
-            counter += 1
-            heapq.heappush(frontier, (f_child, counter))
-            parent.append(node)
-            task_of.append(tid)
+        if node:
+            # Resume the parent's replay at its top levels up to t(v).
+            i = replayed[exp]
+            t, now, bubbles, extra = state[4 * exp : 4 * exp + 4]
+            t += compile_time[tid]
+            stop, run, slowdown = conf.stop, conf.exec, conf.slowdown
+            while i < stop and now < t:
+                now += run[i]
+                extra += slowdown[i]
+                i += 1
+            conf = tree.child(conf, tid)
+            if i < conf.stop and now < t:
+                # Call i waits for its function's first compile, which
+                # finishes at t(v): any completion has that bubble.
+                bubbles += t - now
+                now = t
+        else:
+            conf, i, t, now, bubbles, extra = tree.root, 0, 0.0, 0.0, 0.0, 0.0
+        expanded.append(node)
+        first.append(counter + 1)
+        configs.append(conf)
+        replayed.append(i)
+        state.extend((t, now, bubbles, extra))
+
+        # Each child's f is the replay up to its window's end t(v) + c.
+        stop, run, slowdown = conf.stop, conf.exec, conf.slowdown
+        k = len(conf.tasks)
+        values = [0.0] * k
+        for j, c in conf.ascending:
+            end = t + c
+            while i < stop and now < end:
+                now += run[i]
+                extra += slowdown[i]
+                i += 1
+            if i < n and now < end:
+                # Call i waits past the end: the rest is pure bubble.
+                values[j] = bubbles + (end - now) + extra
+            else:
+                values[j] = bubbles + extra
+        if stop == n:
+            # Stopping here is a legal schedule: its exact cost is the
+            # replay's clock at the end of the trace.
+            for e in islice(run, i, None):
+                now += e
+            values[0] = now - lb
+        for entry in zip(values, range(counter + 1, counter + 1 + k)):
+            push(frontier, entry)
+        counter += k
         if len(frontier) > max_frontier_seen:
             max_frontier_seen = len(frontier)
         if len(frontier) > max_frontier:
@@ -342,4 +315,28 @@ def astar_schedule(
                 nodes_expanded=nodes_expanded,
                 frontier_size=len(frontier),
             )
-    raise RuntimeError("A* exhausted the frontier without finding a terminal")
+    else:
+        raise RuntimeError("A* exhausted the frontier without finding a terminal")
+
+    tids: List[int] = []
+    while exp:
+        node = expanded[exp]
+        exp = bisect_right(first, node) - 1
+        tids.append(configs[exp].tasks[node - first[exp]])
+    schedule = Schedule(tuple(tree.task[tid] for tid in reversed(tids)))
+    # Pricing covered every terminal; the reference simulator confirms
+    # the one the search returns.  Its make-span is the one reported:
+    # ``f + LB`` can round away from it.
+    makespan = simulate(instance, schedule, validate=False).makespan
+    if makespan - lb != f_value:
+        raise RuntimeError(
+            f"A* priced its optimum at {f_value!r} above the lower "
+            f"bound, but it simulates to {makespan!r}"
+        )
+    return AStarResult(
+        schedule=schedule,
+        makespan=makespan,
+        nodes_expanded=nodes_expanded,
+        max_frontier=max_frontier_seen,
+        paths_total=_count_paths(level_counts),
+    )

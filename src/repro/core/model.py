@@ -258,16 +258,44 @@ class _Trace:
         self._name_array = np.array(names, dtype=object)
         dtype = np.min_scalar_type(max(len(names) - 1, 0))
         ids = self.ids = ids.astype(dtype, copy=False)
-        self.counts = np.bincount(ids, minlength=len(names))
-        fids, first = np.unique(ids, return_index=True)
-        order = first.argsort()
-        self.first_pos = first[order]
-        self.first_fids = fids[order].astype(np.intp)
+        self.counts, self.first_pos, self.first_fids = self._scan(ids, len(names))
         self.first_pos_list = self.first_pos.tolist()
         self.first_fids_list = self.first_fids.tolist()
         called = [names[fid] for fid in self.first_fids_list]
         self.count_of = dict(zip(called, self.counts[self.first_fids].tolist()))
         self.first_index_of = dict(zip(called, self.first_pos_list))
+
+    @classmethod
+    def _scan(
+        cls, ids: np.ndarray, num_names: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Calls per id, first-call positions (ascending) and the ids
+        they call, ``_BLOCK`` calls at a time.
+
+        No transient grows with the trace: the first-call pass stops
+        once every called id is found, and sorts only the calls whose id
+        is new at its block's start.
+        """
+        starts = range(0, len(ids), cls._BLOCK)
+        counts = np.zeros(num_names, dtype=np.intp)
+        for start in starts:
+            counts += np.bincount(ids[start : start + cls._BLOCK], minlength=num_names)
+        called = int(np.count_nonzero(counts))
+        seen = np.zeros(num_names, dtype=bool)
+        positions, fids = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
+        for start in starts:
+            if not called:
+                break
+            block = ids[start : start + cls._BLOCK]
+            fresh = np.flatnonzero(~seen[block])
+            if len(fresh):
+                new, index = np.unique(block[fresh], return_index=True)
+                order = index.argsort()
+                positions.append(start + fresh[index[order]])
+                fids.append(new[order].astype(np.intp))
+                seen[new] = True
+                called -= len(new)
+        return counts, np.concatenate(positions), np.concatenate(fids)
 
     @classmethod
     def interned(cls, names: List[str], calls: Sequence[str]) -> "_Trace":

@@ -54,6 +54,7 @@ from .harness import (
     HarnessError,
     TimingStats,
     counters_of,
+    paired_ratio,
     robust_stats,
     run_benchmark,
 )
@@ -92,6 +93,7 @@ __all__ = [
     "HarnessError",
     "TimingStats",
     "counters_of",
+    "paired_ratio",
     "robust_stats",
     "run_benchmark",
     "render_markdown",

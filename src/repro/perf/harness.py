@@ -41,6 +41,7 @@ __all__ = [
     "robust_stats",
     "counters_of",
     "run_benchmark",
+    "paired_ratio",
 ]
 
 
@@ -212,3 +213,39 @@ def run_benchmark(
         counters=counters or {},
         params=dict(params or {}),
     )
+
+
+#: Interleaved pairs :func:`paired_ratio` times.  Odd, so the median is
+#: one pair's ratio, and the median of the inverse ratios its inverse.
+PAIRS = 31
+
+
+def paired_ratio(
+    numerator: Callable[[], object],
+    denominator: Callable[[], object],
+    clock: Callable[[], float] = time.perf_counter,
+) -> float:
+    """Median over :data:`PAIRS` pairs of ``numerator``'s wall time over
+    ``denominator``'s, each pair timing both back to back.
+
+    The arms alternate which runs first, so a host that slows down or
+    speeds up mid-pair biases neither, and the median discards the pairs
+    that drift hit anyway.  A best-of-N per arm instead compares two
+    minima taken at different moments of a shared host's load.
+    """
+
+    def timed(fn: Callable[[], object]) -> float:
+        started = clock()
+        fn()
+        return clock() - started
+
+    ratios = []
+    for pair in range(PAIRS):
+        if pair % 2:
+            den = timed(denominator)
+            num = timed(numerator)
+        else:
+            num = timed(numerator)
+            den = timed(denominator)
+        ratios.append(num / den)
+    return _percentile(sorted(ratios), 50.0)

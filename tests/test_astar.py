@@ -15,6 +15,7 @@ from repro.core import (
     simulate,
 )
 from repro.workloads import WorkloadSpec, generate
+from tests.astar_oracle import bitwise, oracle_pushes, search_pushes
 
 
 class TestOptimality:
@@ -120,6 +121,20 @@ class TestSearchPins:
         assert result.makespan == makespan
         assert result.paths_total == paths
         assert result.schedule == Schedule.of(*tasks)
+
+
+class TestPushOrder:
+    @pytest.mark.parametrize("case", sorted(set(SEARCH_PINS) - {"m7"}))
+    def test_pushes_equal_the_from_zero_oracle(self, case, request):
+        """Every ``(f, counter)`` pushed equals the from-zero oracle's,
+        bitwise and in order (m7's 227,973 pushes are left to the pins)."""
+        if case.startswith("fig"):
+            instance = request.getfixturevalue(f"{case}_instance")
+        else:
+            instance = _astar_instance(int(case[1:]))
+        pushes = bitwise(search_pushes(instance, max_frontier=200_000))
+        assert pushes == bitwise(oracle_pushes(instance, max_frontier=200_000))
+        assert len(pushes) > 1
 
 
 class TestPathsTotal:

@@ -1,10 +1,13 @@
 """Tests for the OCSP data model (Definition 1)."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core import FunctionProfile, ModelError, OCSPInstance
-from repro.core.model import merge_instances, validate_monotone_levels
+from repro.core.model import _Trace, merge_instances, validate_monotone_levels
 
 
 class TestValidateMonotoneLevels:
@@ -280,3 +283,65 @@ class TestInternedTrace:
         index = min(i for i, fname in enumerate(calls) if fname in ("x", "y"))
         with pytest.raises(ModelError, match=rf"^call #{index} invokes "):
             OCSPInstance(profiles, tuple(calls))
+
+
+def _sorted_first_calls(ids):
+    """First-call positions and ids as one sort of the whole trace finds
+    them (``np.unique``), in first-call order."""
+    fids, first = np.unique(ids, return_index=True)
+    order = first.argsort()
+    return first[order], fids[order].astype(np.intp)
+
+
+class TestFirstCallScan:
+    """``_Trace`` counts calls and finds first calls ``_BLOCK`` calls at
+    a time: the arrays equal one sort's, and no transient grows with the
+    trace."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        num_names=st.sampled_from([1, 2, 5, 255, 256, 300, 2000]),
+        length=st.sampled_from(
+            [0, 1, 7, _Trace._BLOCK - 1, _Trace._BLOCK, _Trace._BLOCK + 1,
+             3 * _Trace._BLOCK + 5]
+        ),
+        data=st.data(),
+    )
+    def test_arrays_equal_np_unique(self, num_names, length, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        # Some profiles go uncalled; one may be called only at the end.
+        called = rng.choice(
+            num_names, size=data.draw(st.integers(1, num_names)), replace=False
+        )
+        ids = rng.choice(called, size=length).astype(
+            np.min_scalar_type(num_names - 1)
+        )
+        if length and data.draw(st.booleans()):
+            ids[-1] = rng.integers(num_names)
+        assert ids.itemsize == (1 if num_names <= 256 else 2)
+        trace = _Trace([f"f{i}" for i in range(num_names)], ids)
+        first_pos, first_fids = _sorted_first_calls(ids)
+        counts = np.bincount(ids, minlength=num_names)
+        for got, want in (
+            (trace.first_pos, first_pos),
+            (trace.first_fids, first_fids),
+            (trace.counts, counts),
+        ):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    def test_peak_memory_is_a_block_not_the_trace(self):
+        """2M two-byte calls over 2,000 functions, one first called by the
+        last call: sorting the whole trace peaks near 28 MB, the scan at
+        under 2 MB."""
+        ids = np.random.default_rng(0).integers(0, 1999, 2_000_000, dtype=np.uint16)
+        ids[-1] = 1999
+        names = [f"f{i}" for i in range(2000)]
+        tracemalloc.start()
+        try:
+            trace = _Trace(names, ids)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trace.first_index_of["f1999"] == len(ids) - 1
+        assert peak < 4_000_000, f"peak {peak / 1e6:.1f} MB"

@@ -9,9 +9,11 @@ from repro.perf import (
     HarnessError,
     TimingStats,
     counters_of,
+    paired_ratio,
     robust_stats,
     run_benchmark,
 )
+from repro.perf.harness import PAIRS
 
 
 class TestRobustStats:
@@ -39,6 +41,33 @@ class TestRobustStats:
     def test_round_trips_through_dict(self):
         stats = robust_stats([1.0, 2.0, 3.0])
         assert TimingStats.from_dict(stats.as_dict()) == stats
+
+
+class TestPairedRatio:
+    def test_pairs_alternate_and_the_median_drops_disturbed_pairs(self):
+        """The host's speed changes between pairs, and in eight pairs the
+        arm that runs second is 50 times slower or 10 times faster.  The
+        undisturbed pairs still read the arms' 1.1; the arms' fastest
+        runs, taken in different pairs, do not."""
+        now = [0.0]
+        calls = []
+        slowness = []
+        for pair in range(PAIRS):
+            speed = (1.0, 3.0, 0.5, 2.0)[pair % 4]
+            disturb = {3: 50.0, 5: 0.1}.get(pair % 7, 1.0)
+            slowness += [speed, speed * disturb]
+        slowness = iter(slowness)
+
+        def arm(name, cost):
+            def run():
+                calls.append(name)
+                now[0] += cost * next(slowness)
+
+            return run
+
+        ratio = paired_ratio(arm("a", 1.1), arm("b", 1.0), clock=lambda: now[0])
+        assert ratio == pytest.approx(1.1)
+        assert calls == ["a", "b", "b", "a"] * (PAIRS // 2) + ["a", "b"]
 
 
 class TestCountersOf:

@@ -235,11 +235,22 @@ def _task_ids(tree, path):
 
 
 @settings(max_examples=200, deadline=None)
+@given(instances(max_functions=3, max_levels=3, values=zero_times))
+def test_astar_pushes_equal_the_from_zero_oracle(inst):
+    """Every heap entry the search pushes, priced from its parent's
+    resume state, equals the from-zero oracle's, bitwise and in order
+    (zero compile and exec times make finish and start ties common)."""
+    from tests.astar_oracle import bitwise, oracle_pushes, search_pushes
+
+    assert bitwise(search_pushes(inst)) == bitwise(oracle_pushes(inst))
+
+
+@settings(max_examples=200, deadline=None)
 @given(instance_and_task_path())
 def test_astar_resumed_replay_equals_full_replay(case):
     """At every node on the path, one sweep over the children's window
     ends gives each child the f of its own replay from time 0, bitwise."""
-    from repro.core.astar import _Tree, _sweep
+    from tests.astar_oracle import _Tree, _sweep
 
     inst, path = case
     tree = _Tree(inst)
@@ -261,7 +272,7 @@ def test_astar_sweep_prices_every_window_end(case, data):
     """For window ends at or after t(v), in any order and with repeats,
     the sweep's value at each end is, bitwise, a replay from time 0 of
     the path plus a task finishing at that end."""
-    from repro.core.astar import _Tree, _sweep
+    from tests.astar_oracle import _Tree, _sweep
 
     inst, path = case
     tree = _Tree(inst)
@@ -288,7 +299,7 @@ def test_astar_sweep_to_the_end_is_the_makespan(case):
     """On every path that compiles all called functions, the sweep run
     past its children's windows to the end of the trace stops its clock
     at simulate's make-span, bitwise."""
-    from repro.core.astar import _Tree, _sweep
+    from tests.astar_oracle import _Tree, _sweep
 
     inst, path = case
     tree = _Tree(inst)
@@ -309,7 +320,7 @@ def test_astar_heuristic_never_overestimates(case):
     """f(v) + LB is at most the make-span of any completion of v, here v
     itself once it compiles every called function (ties in finish and
     start times included)."""
-    from repro.core.astar import _Tree, _sweep
+    from tests.astar_oracle import _Tree, _sweep
 
     inst, path = case
     tree = _Tree(inst)
