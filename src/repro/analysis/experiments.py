@@ -27,7 +27,18 @@ import traceback
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Type,
+    Union,
+)
 
 from ..core.astar import AStarMemoryExceeded, astar_schedule
 from ..store import (
@@ -41,9 +52,9 @@ from ..store import (
 )
 from ..core.bounds import lower_bound
 from ..core.engine import resolve_engine
-from ..core.iar import IARParams, iar
+from ..core.iar import IARResult, iar
 from ..core.makespan import simulate
-from ..core.model import OCSPInstance
+from ..core.model import FunctionProfile, OCSPInstance
 from ..core.single_level import base_level_schedule, optimizing_level_schedule
 from ..faults.degrade import scheme_comparison, v8_comparison
 from ..faults.injector import active_injector
@@ -67,6 +78,8 @@ __all__ = [
     "table2",
     "faults_sweep",
     "astar_scaling",
+    "ModelPlan",
+    "model_plan",
     "average_row",
     "PARALLEL_DRIVERS",
     "SuiteRun",
@@ -79,9 +92,6 @@ Suite = Dict[str, OCSPInstance]
 def table1(scale: float = 0.02) -> List[Dict[str, object]]:
     """Table 1: benchmark characteristics (paper vs generated)."""
     return dacapo.table1_rows(scale=scale)
-
-
-ModelFactory = "Callable[[OCSPInstance], CostBenefitModel]"
 
 
 def _model_levels(instance: OCSPInstance, model: CostBenefitModel) -> Dict[str, int]:
@@ -109,6 +119,75 @@ def project_to_model_levels(
     return instance.restricted_to_levels(
         {fname: sorted({0, lvl}) for fname, lvl in levels.items()}
     )
+
+
+@dataclass(frozen=True)
+class ModelPlan:
+    """One benchmark's plan under one cost-benefit model: the part of
+    Figures 5–7, Table 2 and every fault-sweep rate that depends on the
+    model alone.
+
+    Attributes:
+        profiles: the cost table of the model's two-level projection
+            (:func:`project_to_model_levels`).  The plan keeps the
+            table, not the projected instance, which holds its engine's
+            per-call arrays once they are built; :meth:`project`
+            rebuilds the instance around the benchmark's own trace.
+        lower_bound: the projection's lower bound.
+        iar: IAR's result on the projection, with IAR's own choice of
+            high level (on two levels, each function's top level).
+        iar_time_s: host seconds of that IAR call.  It is the first
+            call on its fresh projection, so it includes building the
+            engine and the projection's cost tables.
+    """
+
+    profiles: Mapping[str, FunctionProfile]
+    lower_bound: float
+    iar: IARResult
+    iar_time_s: float
+
+    def project(self, instance: OCSPInstance) -> OCSPInstance:
+        """The projection of ``instance`` that this plan was made on."""
+        return OCSPInstance(self.profiles, instance.calls, instance.name)
+
+
+# Set for the length of one :func:`run_parallel` call: (instance id,
+# model class, model seed) -> (instance, plan).  The entry holds the
+# instance, so its id cannot be reused while the run lasts.  It opens
+# before any fork pool starts, so each worker inherits it empty and
+# plans alone.  ``None`` outside a run: each call then plans afresh.
+_PLANS: Optional[Dict[Tuple[int, type, int], Tuple[OCSPInstance, ModelPlan]]] = None
+
+
+def model_plan(
+    instance: OCSPInstance,
+    model: Type[CostBenefitModel] = EstimatedModel,
+    model_seed: int = 0,
+) -> Tuple[ModelPlan, OCSPInstance]:
+    """The plan of ``instance`` under ``model(instance, seed=model_seed)``,
+    and the projection it was made on.
+
+    Within one :func:`run_parallel` call each (instance, model, seed)
+    is planned once, and later calls only rebuild its projection.  A
+    plan is stored once it is complete, so a unit that fails while
+    planning leaves nothing behind for its retry.
+    """
+    key = (id(instance), model, model_seed)
+    entry = None if _PLANS is None else _PLANS.get(key)
+    if entry is not None:
+        plan = entry[1]
+        return plan, plan.project(instance)
+    engine = resolve_engine()
+    projected = project_to_model_levels(instance, model(instance, seed=model_seed))
+    # IAR runs before anything else touches the projection, so its
+    # timing includes the cost-table build, as Table 2 reports it.
+    started = time.perf_counter()
+    result = iar(projected, engine=engine)
+    elapsed = time.perf_counter() - started
+    plan = ModelPlan(projected.profiles, lower_bound(projected), result, elapsed)
+    if _PLANS is not None:
+        _PLANS[key] = (instance, plan)
+    return plan, projected
 
 
 def _figure_rows(
@@ -158,10 +237,7 @@ def figure5(
     that spec (see :mod:`repro.faults`) and each row gains a
     ``"faults"`` tally.
     """
-    compare = functools.partial(
-        scheme_comparison,
-        model_factory=lambda inst: EstimatedModel(inst, seed=model_seed),
-    )
+    compare = functools.partial(scheme_comparison, model_seed=model_seed)
     return _figure_rows(suite, "figure5", compare, trace_dir, faults)
 
 
@@ -171,7 +247,7 @@ def figure6(
     faults: Optional[str] = None,
 ) -> List[Dict[str, object]]:
     """Figure 6: normalized make-spans under the oracle model."""
-    compare = functools.partial(scheme_comparison, model_factory=OracleModel)
+    compare = functools.partial(scheme_comparison, model=OracleModel)
     return _figure_rows(suite, "figure6", compare, trace_dir, faults)
 
 
@@ -184,17 +260,15 @@ def figure7(
 
     The IAR task order is fixed; tasks are served by ``k`` compiler
     threads.  Speed-up is relative to the 1-thread make-span, with the
-    default cost-benefit model, as in the paper.
+    default cost-benefit model, as in the paper.  The schedule and its
+    1-thread make-span are Figure 5's (:func:`model_plan`).
     """
     engine = resolve_engine()
     rows: List[Dict[str, object]] = []
     for name, instance in suite.items():
-        model = EstimatedModel(instance, seed=model_seed)
-        projected = project_to_model_levels(instance, model)
-        sched = iar(projected, engine=engine).schedule
-        base = simulate(
-            projected, sched, compile_threads=1, validate=False, engine=engine
-        ).makespan
+        plan, projected = model_plan(instance, EstimatedModel, model_seed)
+        sched = plan.iar.schedule
+        base = plan.iar.makespan
         row: Dict[str, object] = {"benchmark": name}
         for k in core_counts:
             span = base if k == 1 else simulate(
@@ -251,30 +325,22 @@ def table2(suite: Suite, model_seed: int = 0) -> List[Dict[str, object]]:
     ``percent_of_program`` compares the host seconds spent inside
     :func:`repro.core.iar.iar` against the benchmark's simulated
     make-span (virtual microseconds → seconds), matching the paper's
-    "percentage over whole program time" column.  The timed call
-    includes building IAR's engine and the projection's cost tables:
-    nothing on the fresh projection has built them before.
+    "percentage over whole program time" column.  The timed call is
+    the plan's (:func:`model_plan`): in a study, the run's one IAR call
+    per benchmark, which Figures 5 and 7 share.  It is still the first
+    call on its fresh projection, so it includes building IAR's engine
+    and the projection's cost tables.
     """
-    engine = resolve_engine()
     rows: List[Dict[str, object]] = []
     for name, instance in suite.items():
-        model = EstimatedModel(instance, seed=model_seed)
-        projected = project_to_model_levels(instance, model)
-        started = time.perf_counter()
-        result = iar(projected, engine=engine)
-        elapsed = time.perf_counter() - started
-        span_seconds = (
-            simulate(
-                projected, result.schedule, validate=False, engine=engine
-            ).makespan
-            / 1e6
-        )
+        plan, _ = model_plan(instance, EstimatedModel, model_seed)
+        span_seconds = plan.iar.makespan / 1e6
         rows.append(
             {
                 "benchmark": name,
-                "iar_time_s": elapsed,
+                "iar_time_s": plan.iar_time_s,
                 "program_time_s": span_seconds,
-                "percent_of_program": 100.0 * elapsed / span_seconds
+                "percent_of_program": 100.0 * plan.iar_time_s / span_seconds
                 if span_seconds > 0
                 else float("inf"),
             }
@@ -338,14 +404,15 @@ def astar_scaling(
 
 def grand_comparison(
     instance: OCSPInstance,
-    model_factory=EstimatedModel,
-    iar_params: IARParams = IARParams(),
+    model: Type[CostBenefitModel] = EstimatedModel,
+    model_seed: int = 0,
 ) -> Dict[str, float]:
     """Every scheduler in the library on one benchmark (extension).
 
     Beyond the paper's five bars, this adds the HotSpot-style tiered
-    scheme and the static baseline policies, all on the model-level
-    projection and normalized to its lower bound.
+    scheme and the static baseline policies, all on the projection of
+    ``model(instance, seed=model_seed)`` (:func:`model_plan`) and
+    normalized to its lower bound.
     """
     from ..core.baselines import (
         greedy_budget_schedule,
@@ -354,17 +421,18 @@ def grand_comparison(
     )
     from ..vm.hotspot import run_tiered
 
-    model = model_factory(instance)
-    projected = project_to_model_levels(instance, model)
-    lb = lower_bound(projected)
+    plan, projected = model_plan(instance, model, model_seed)
+    lb = plan.lower_bound
 
     def span_of(schedule) -> float:
         return simulate(projected, schedule, validate=False).makespan / lb
 
     row = {
         "lower_bound": 1.0,
-        "iar": span_of(iar(projected, iar_params).schedule),
-        "jikes": run_jikes(projected, model=model_factory(projected)).makespan / lb,
+        "iar": plan.iar.makespan / lb,
+        "jikes": run_jikes(
+            projected, model=model(projected, seed=model_seed)
+        ).makespan / lb,
         "v8": run_v8(projected).makespan / lb,
         "tiered": run_tiered(projected, thresholds=(1, 100)).makespan / lb,
         "ondemand": span_of(ondemand_promotion_schedule(projected)),
@@ -923,6 +991,7 @@ def run_parallel(
             but is damaged (strict read — corruption aborts the run
             rather than being silently recomputed and re-journaled).
     """
+    global _PLANS
     driver_kwargs = driver_kwargs or {}
     for name in drivers:
         if name not in PARALLEL_DRIVERS:
@@ -1013,6 +1082,7 @@ def run_parallel(
             )
 
     used_jobs = 1
+    _PLANS = {}
     try:
         for state in states:
             if state.status == "cached":
@@ -1040,6 +1110,7 @@ def run_parallel(
                     metrics,
                 )
     finally:
+        _PLANS = None
         if journal is not None:
             journal.close()
 

@@ -120,6 +120,10 @@ class IARResult:
         slack_upgrades: functions upgraded in place by step 3.
         gap_appends: functions whose high compile step 4 appended.
         high_level: the high candidate level chosen per function.
+        makespan: the schedule's single-thread make-span on the
+            instance IAR planned with, from IAR's own engine (bitwise
+            equal to :func:`~repro.core.makespan.simulate` on either
+            engine).
     """
 
     schedule: Schedule
@@ -127,6 +131,7 @@ class IARResult:
     slack_upgrades: Tuple[str, ...]
     gap_appends: Tuple[str, ...]
     high_level: Dict[str, int]
+    makespan: float
 
 
 def _function_infos(
@@ -265,16 +270,19 @@ def iar(
 
     schedule, gap_appends = _finish(schedule, step2_stats)
     slack_upgrades: List[str] = []
-    if refined is not None:
+    if refined is None:
+        makespan = fs.evaluate(schedule).makespan
+    else:
         cand_schedule, cand_appends = _finish(refined[0])
         # The conservative slack test ignores the execution-side
         # speed-up shifting calls earlier and its interaction with
         # step 4's gap capacity, so compare *finished* schedules.
-        base_span = fs.evaluate(schedule).makespan
+        makespan = fs.evaluate(schedule).makespan
         cand_span = fs.evaluate(cand_schedule).makespan
-        if cand_span <= base_span:
+        if cand_span <= makespan:
             schedule, gap_appends = cand_schedule, cand_appends
             slack_upgrades = refined[1]
+            makespan = cand_span
         elif metrics is not None:
             metrics.counter("iar.step3_reverted").inc()
 
@@ -290,6 +298,7 @@ def iar(
         slack_upgrades=tuple(slack_upgrades),
         gap_appends=tuple(gap_appends),
         high_level={f: i.high for f, i in infos.items() if i.high is not None},
+        makespan=makespan,
     )
 
 

@@ -22,19 +22,19 @@ injector, so their fault-free rows are the paper's figures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Type, Union
 
 # ``experiments`` imports this module: read its names at call time.
 from ..analysis import experiments
 from ..analysis.metrics import normalized
 from ..core.bounds import lower_bound
 from ..core.engine import resolve_engine
-from ..core.iar import IARParams, iar
+from ..core.iar import iar
 from ..core.makespan import MakespanResult, simulate
 from ..core.model import OCSPInstance
 from ..core.schedule import CompileTask, Schedule
 from ..core.single_level import base_level_schedule, optimizing_level_schedule
-from ..vm.costbenefit import EstimatedModel
+from ..vm.costbenefit import CostBenefitModel, EstimatedModel
 from ..vm.jikes import run_jikes
 from ..vm.v8 import run_v8
 from .injector import FaultInjector, active_injector
@@ -241,30 +241,41 @@ def simulate_with_faults(
     return result, plan
 
 
-def _planned(projected, lb, faults, compile_threads, tracer, engine):
+def _planned(projected, lb, injector, compile_threads, tracer, engine):
     """Normalized make-span of a planned schedule on ``projected``,
-    degraded under ``faults``, traced in its own process group."""
+    degraded under ``injector``, traced in its own process group.
 
-    def span(schedule: Schedule, process: str) -> float:
-        result, _ = simulate_with_faults(
-            projected,
-            schedule,
-            faults,
-            compile_threads=compile_threads,
-            validate=False,
-            engine=engine,
-            tracer=None if tracer is None else tracer.scope(process),
-        )
-        return normalized(result.makespan, lb)
+    ``makespan`` is the schedule's fault-free single-thread make-span
+    when the caller already has it (IAR returns its own).  It stands in
+    for the run when the run could change nothing: no fault can fire,
+    no trace is recorded, and one compiler thread serves the schedule.
+    """
+    replay = not injector.null or tracer is not None or compile_threads != 1
+
+    def span(
+        schedule: Schedule, process: str, makespan: Optional[float] = None
+    ) -> float:
+        if makespan is None or replay:
+            result, _ = simulate_with_faults(
+                projected,
+                schedule,
+                injector,
+                compile_threads=compile_threads,
+                validate=False,
+                engine=engine,
+                tracer=None if tracer is None else tracer.scope(process),
+            )
+            makespan = result.makespan
+        return normalized(makespan, lb)
 
     return span
 
 
 def scheme_comparison(
     instance: OCSPInstance,
-    model_factory=EstimatedModel,
+    model: Type[CostBenefitModel] = EstimatedModel,
+    model_seed: int = 0,
     compile_threads: int = 1,
-    iar_params: IARParams = IARParams(),
     tracer=None,
     faults: Optional[FaultsLike] = None,
 ) -> Dict[str, float]:
@@ -281,11 +292,14 @@ def scheme_comparison(
 
     Args:
         instance: the benchmark.
-        model_factory: builds the cost-benefit model for an instance
-            (:class:`EstimatedModel` for Figure 5, :class:`OracleModel`
-            for Figure 6).
+        model: the cost-benefit model class (:class:`EstimatedModel`
+            for Figure 5, :class:`OracleModel` for Figure 6), built as
+            ``model(instance, seed=model_seed)``.  The projection, its
+            lower bound and the clean IAR schedule come from its plan
+            (:func:`repro.analysis.experiments.model_plan`), which a
+            run shares between drivers and fault rates.
+        model_seed: seed of the cost-benefit model.
         compile_threads: compiler threads for every scheme.
-        iar_params: IAR knobs.
         tracer: optional :class:`repro.observability.Tracer`; each
             scheme's run lands in its own process group (``iar``,
             ``jikes``, ``base_level``, ``optimizing_level``) so one
@@ -299,24 +313,25 @@ def scheme_comparison(
     """
     injector = _as_injector(faults)
     engine = resolve_engine()
-    model = model_factory(instance)
-    projected = experiments.project_to_model_levels(instance, model)
-    lb = lower_bound(projected)
+    plan, projected = experiments.model_plan(instance, model, model_seed)
+    lb = plan.lower_bound
     planned = _planned(projected, lb, injector, compile_threads, tracer, engine)
     high = {
         fname: projected.profiles[fname].num_levels - 1
         for fname in projected.called_functions
     }
     # What the schedulers believe the costs are; the simulators keep
-    # charging ``projected`` (the truth).
+    # charging ``projected`` (the truth).  Only an active injector
+    # mispredicts, so a make-span IAR took on another view never
+    # stands in for a run.
     view = injector.scheduler_view(projected)
-    iar_sched = iar(view, iar_params, high_levels=high, engine=engine).schedule
+    iar_result = plan.iar if view is projected else iar(view, engine=engine)
     # The runs go in figure order, which fixes the order of the trace
     # and of the injector's wasted-time sum.
-    iar_span = planned(iar_sched, "iar")
+    iar_span = planned(iar_result.schedule, "iar", iar_result.makespan)
     default_result = run_jikes(
         projected,
-        model=model_factory(view),
+        model=model(view, seed=model_seed),
         compile_threads=compile_threads,
         tracer=None if tracer is None else tracer.scope("jikes"),
         faults=injector,
@@ -360,10 +375,10 @@ def v8_comparison(
         tracer=None if tracer is None else tracer.scope("v8"),
         faults=injector,
     )
-    iar_sched = iar(injector.scheduler_view(projected), engine=engine).schedule
+    iar_result = iar(injector.scheduler_view(projected), engine=engine)
     return {
         "lower_bound": 1.0,
-        "iar": planned(iar_sched, "iar"),
+        "iar": planned(iar_result.schedule, "iar", iar_result.makespan),
         "default": normalized(v8_result.makespan, lb),
         "base_level": planned(base_level_schedule(projected), "base_level"),
         "optimizing_level": planned(

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from ..core.model import OCSPInstance
-from ..vm.costbenefit import EstimatedModel
 from .degrade import scheme_comparison
 from .injector import FaultInjector
 from .spec import DIMENSIONS, FaultSpecError, parse_fault_spec
@@ -76,7 +75,7 @@ def fault_sweep_rows(
             row.update(
                 scheme_comparison(
                     instance,
-                    model_factory=lambda inst: EstimatedModel(inst, seed=model_seed),
+                    model_seed=model_seed,
                     compile_threads=compile_threads,
                     faults=injector,
                 )

@@ -151,12 +151,11 @@ class TestSimulateWithFaults:
 
 class TestFaultyComparison:
     def test_null_delegates_to_clean(self, instance):
-        def factory(inst):
-            return EstimatedModel(inst, seed=0)
-
-        clean = scheme_comparison(instance, model_factory=factory)
+        clean = scheme_comparison(instance, model=EstimatedModel, model_seed=0)
         injector = FaultInjector("")
-        row = scheme_comparison(instance, model_factory=factory, faults=injector)
+        row = scheme_comparison(
+            instance, model=EstimatedModel, model_seed=0, faults=injector
+        )
         assert row == clean
         summary = injector.summary()
         assert all(v == 0 for k, v in summary.items() if k != "wasted_compile_time")
@@ -164,9 +163,7 @@ class TestFaultyComparison:
     def test_faulty_row_shape(self, instance):
         injector = FaultInjector(FaultSpec(compile_fail=0.3))
         row = scheme_comparison(
-            instance,
-            model_factory=lambda inst: EstimatedModel(inst, seed=0),
-            faults=injector,
+            instance, model=EstimatedModel, model_seed=0, faults=injector
         )
         assert set(row) == {
             "lower_bound", "iar", "default", "base_level", "optimizing_level",
@@ -177,12 +174,11 @@ class TestFaultyComparison:
         assert injector.summary()["compile_failures"] > 0
 
     def test_mispredict_only_changes_planning(self, instance):
-        def factory(inst):
-            return EstimatedModel(inst, seed=0)
-
-        clean = scheme_comparison(instance, model_factory=factory)
+        clean = scheme_comparison(instance, model=EstimatedModel, model_seed=0)
         injector = FaultInjector(FaultSpec(mispredict=0.8))
-        row = scheme_comparison(instance, model_factory=factory, faults=injector)
+        row = scheme_comparison(
+            instance, model=EstimatedModel, model_seed=0, faults=injector
+        )
         summary = injector.summary()
         # No execution-side faults fire: nothing fails, stalls, or retries.
         assert summary["compile_failures"] == 0

@@ -42,8 +42,7 @@ class TestSweepRows:
         rows = fault_sweep_rows(suite, rates=(0.0,), model_seed=0)
         for row in rows:
             clean = scheme_comparison(
-                suite[row["benchmark"]],
-                model_factory=lambda inst: EstimatedModel(inst, seed=0),
+                suite[row["benchmark"]], model=EstimatedModel, model_seed=0
             )
             for key in SERIES:
                 assert row[key] == clean[key]

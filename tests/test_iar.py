@@ -313,3 +313,34 @@ def test_init_phase_end_adds_left_to_right():
     profiles["h"] = FunctionProfile("h", (1.0, 3.0), (2.0, 1.0))
     inst = OCSPInstance(profiles, tuple(profiles) + ("h",) * 9, name="fp")
     assert iar(inst).categories["h"] == "A"
+
+
+class TestReturnedMakespan:
+    """``IARResult.makespan`` is the returned schedule's make-span,
+    bitwise, on either engine: the drivers read it in place of a run."""
+
+    @pytest.fixture(scope="class")
+    def projections(self):
+        from repro.analysis.experiments import project_to_model_levels
+        from repro.vm.costbenefit import EstimatedModel, OracleModel
+        from repro.workloads import dacapo
+
+        out = {}
+        for name, inst in dacapo.load_suite(scale=0.002).items():
+            out[f"figure5-{name}"] = project_to_model_levels(
+                inst, EstimatedModel(inst, seed=0)
+            )
+            out[f"figure6-{name}"] = project_to_model_levels(inst, OracleModel(inst))
+            out[f"figure8-{name}"] = inst.restricted_to_levels(
+                {f: [0, 1] for f in inst.profiles}
+            )
+        return out
+
+    @pytest.mark.parametrize("engine", ["vector", "reference"])
+    def test_equals_simulate_on_the_figure_projections(self, projections, engine):
+        for label, projected in projections.items():
+            result = iar(projected, engine=engine)
+            expected = simulate(
+                projected, result.schedule, validate=False, engine=engine
+            ).makespan
+            assert result.makespan.hex() == expected.hex(), label

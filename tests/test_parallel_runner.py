@@ -13,18 +13,19 @@ import pytest
 from repro.analysis import (
     PARALLEL_DRIVERS,
     figure5,
+    figure7,
     format_errors,
     run_parallel,
     table2,
 )
+from repro.analysis import experiments
 from repro.cli import main
 from repro.core import FunctionProfile, OCSPInstance
+from repro.faults import degrade
 from repro.workloads import WorkloadSpec, generate
 
 
-@pytest.fixture(scope="module")
-def suite():
-    """A small deterministic three-benchmark suite."""
+def _suite():
     out = {}
     for i, name in enumerate(("alpha", "beta", "gamma")):
         spec = WorkloadSpec(
@@ -32,6 +33,29 @@ def suite():
         )
         out[name] = generate(spec, seed=100 + i)
     return out
+
+
+@pytest.fixture(scope="module")
+def suite():
+    """A small deterministic three-benchmark suite."""
+    return _suite()
+
+
+@pytest.fixture()
+def iar_runs(monkeypatch):
+    """The instance of every IAR run the drivers make during the test."""
+    runs = []
+
+    def counted(run):
+        def wrapper(instance, *args, **kwargs):
+            runs.append(instance)
+            return run(instance, *args, **kwargs)
+
+        return wrapper
+
+    for owner in (experiments, degrade):
+        monkeypatch.setattr(owner, "iar", counted(owner.iar))
+    return runs
 
 
 def test_registry_covers_the_paper_drivers():
@@ -58,11 +82,53 @@ def test_serial_rows_match_direct_driver_calls(suite):
 
 
 def test_parallel_rows_equal_serial_rows(suite):
-    serial = run_parallel(suite, drivers=("figure5", "figure6"), jobs=1)
-    parallel = run_parallel(suite, drivers=("figure5", "figure6"), jobs=2)
+    # Fork workers each plan alone; their rows must still agree.
+    drivers = ("figure5", "figure6", "figure7", "table2")
+    serial = run_parallel(suite, drivers=drivers, jobs=1)
+    parallel = run_parallel(suite, drivers=drivers, jobs=2)
+    for run in (serial, parallel):
+        for row in run.rows["table2"]:  # wall-clock columns
+            del row["iar_time_s"], row["percent_of_program"]
     assert serial.rows == parallel.rows
     assert parallel.jobs == 2
     assert serial.ok and parallel.ok
+
+
+def test_drivers_share_one_plan_per_benchmark(suite, iar_runs):
+    run = run_parallel(suite, drivers=("figure5", "figure7", "table2"), jobs=1)
+    assert run.ok
+    assert len(iar_runs) == len(suite)
+    fresh = _suite()
+    assert run.rows["figure7"] == figure7(fresh)
+    assert [r["program_time_s"] for r in run.rows["table2"]] == [
+        r["program_time_s"] for r in table2(fresh)
+    ]
+
+
+def test_sweep_rates_share_the_plan(suite, iar_runs):
+    def sweep(spec):
+        del iar_runs[:]
+        kwargs = {"faults_sweep": {"spec": spec, "rates": (0.1, 0.4)}}
+        run = run_parallel(
+            suite, drivers=("faults_sweep",), jobs=1, driver_kwargs=kwargs
+        )
+        assert run.ok
+        return len(iar_runs)
+
+    assert sweep("") == len(suite)
+    # Mispredicted views differ from rate to rate, so each rate plans
+    # on its own view; the plan's run on the true projection stays.
+    assert sweep("mispredict=0.2") == len(suite) * (1 + 2)
+
+
+def test_no_plan_outlives_its_run(suite, iar_runs):
+    for _ in range(2):
+        del iar_runs[:]
+        run_parallel(suite, drivers=("figure5", "figure7"), jobs=1)
+        assert len(iar_runs) == len(suite)
+    del iar_runs[:]
+    figure7(suite)
+    assert len(iar_runs) == len(suite)
 
 
 def test_row_order_is_suite_insertion_order(suite):

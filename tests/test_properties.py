@@ -15,12 +15,14 @@ from repro.core import (
     FunctionProfile,
     OCSPInstance,
     Schedule,
+    iar,
     iar_schedule,
     lower_bound,
     optimal_schedule,
     simulate,
     simulate_single_core,
 )
+from repro.core.iar import IARParams
 from repro.core.singlecore import (
     single_core_optimal_makespan,
     single_core_optimal_schedule,
@@ -183,6 +185,22 @@ def test_iar_produces_valid_schedule(inst):
 def test_iar_never_beats_lower_bound(inst):
     span = simulate(inst, iar_schedule(inst), validate=False).makespan
     assert span >= lower_bound(inst) - 1e-9
+
+
+@pytest.mark.parametrize(
+    "params",
+    [IARParams(), IARParams(refine_slack=False), IARParams(fill_gap=False)],
+    ids=["default", "no-slack", "no-gap"],
+)
+@settings(max_examples=200, deadline=None)
+@given(inst=instances())
+def test_iar_returns_its_schedules_makespan(params, inst):
+    for engine in ("vector", "reference"):
+        result = iar(inst, params, engine=engine)
+        expected = simulate(
+            inst, result.schedule, validate=False, engine=engine
+        ).makespan
+        assert result.makespan.hex() == expected.hex()
 
 
 @settings(max_examples=30, deadline=None)

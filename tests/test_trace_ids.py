@@ -32,6 +32,7 @@ from repro.analysis.experiments import (
     figure7,
     figure8,
     project_to_model_levels,
+    run_parallel,
     table2,
 )
 from repro.core import model
@@ -163,6 +164,8 @@ def test_study_drivers_intern_no_further_trace(antlr, traces_built):
     suite = {"antlr": antlr}
     for driver in (figure5, figure6, figure7, figure8, table2):
         assert driver(suite)
+    # In a run, the drivers after the first rebuild each plan's projection.
+    assert run_parallel(suite, jobs=1).ok
     assert traces_built == []
     antlr.reduced_to_two_levels()  # new profiles, so a trace of its own
     assert len(traces_built) == 1
