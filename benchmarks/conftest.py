@@ -34,19 +34,12 @@ def suite():
 
 @pytest.fixture(scope="session")
 def report():
-    """Print a rendered table and persist it under benchmarks/output/.
-
-    Each table is written twice: the human-readable ``{name}.txt`` and
-    a schema-versioned ``BENCH_{name}.json`` sidecar (via the perf
-    baseline writer) carrying the text plus machine fingerprint, scale,
-    and git revision — so archived outputs say where they came from.
-    """
-    from repro.perf import write_legacy_sidecar
+    """Print a rendered table and persist it as
+    ``benchmarks/output/{name}.txt``."""
 
     def _report(name: str, text: str) -> None:
         OUTPUT_DIR.mkdir(exist_ok=True)
         (OUTPUT_DIR / f"{name}.txt").write_text(text + "\n")
-        write_legacy_sidecar(OUTPUT_DIR, name, text, scale=SCALE)
         print()
         print(text)
 

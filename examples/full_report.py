@@ -52,14 +52,14 @@ def main() -> None:
 
     emit("table1", table1(scale=scale), "Table 1 — benchmarks")
 
-    # All five paper drivers in one fault-tolerant, resumable pass;
-    # with cache_dir, already-computed cells are served from the store.
+    # All five paper drivers in one fault-tolerant pass; with cache_dir,
+    # already-computed cells (those of a killed run too) are served from
+    # the store.
     print("running figures 5-8 and table 2 ...")
     run = run_parallel(
         suite,
         drivers=("figure5", "figure6", "figure7", "figure8", "table2"),
         cache=cache_dir,
-        resume=cache_dir is not None,
         max_retries=2,
     )
     warnings = format_errors(run.errors)

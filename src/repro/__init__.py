@@ -21,7 +21,7 @@ The package is organized as:
   metrics: record any engine's run on a virtual-time timeline and
   export it as a Chrome/Perfetto trace file;
 * :mod:`repro.store` — the content-addressed experiment result store
-  and suite-run checkpoints behind ``repro study --cache-dir/--resume``;
+  behind ``repro study --cache-dir``, which a killed run reruns through;
 * :mod:`repro.faults` — deterministic fault injection (compile
   failures, compiler stalls, cost-model misprediction, sampler-tick
   loss) and the graceful-degradation studies behind

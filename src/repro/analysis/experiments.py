@@ -45,10 +45,7 @@ from ..store import (
     StoreCorruptionError,
     CODE_VERSION,
     ResultStore,
-    RunState,
-    UnitRecord,
     fingerprint_unit,
-    load_runstate,
 )
 from ..core.bounds import lower_bound
 from ..core.engine import resolve_engine
@@ -462,10 +459,11 @@ def grand_comparison(
 # suite order, yielding results numerically identical to the serial
 # path.  Units are treated as idempotent jobs, in the sense of the
 # scheduling-at-scale literature: results live in a content-addressed
-# :class:`repro.store.ResultStore`, progress is journaled per unit so a
-# killed run resumes where it stopped, and worker failures — a raising
-# driver, a hung worker, a worker killed by the OS — retry with
-# exponential backoff instead of aborting the suite.
+# :class:`repro.store.ResultStore`, which receives each unit the moment
+# it finishes, so a killed run reruns through the same store and
+# recomputes only the units that had not finished; and worker failures
+# — a raising driver, a hung worker, a worker killed by the OS — retry
+# with exponential backoff instead of aborting the suite.
 
 PARALLEL_DRIVERS: Dict[str, Callable[..., List[Dict[str, object]]]] = {}
 
@@ -497,19 +495,23 @@ class SuiteRun:
         rows: driver name → rows, in driver order then suite order —
             exactly what the serial driver would have returned, minus
             the rows of failed units.
-        errors: one entry per failed (driver, benchmark) unit:
-            ``{"driver", "benchmark", "error"}``.
+        errors: one entry per failed (driver, benchmark) unit, every
+            value a string: ``driver``, ``benchmark``, ``error`` (the
+            one-line summary), ``type`` (the exception class, or the
+            status when no exception was caught), ``attempts``, and
+            ``traceback`` (the last frames as ``file:line in name``,
+            joined by ``"; "``; empty when no exception was caught).
         jobs: worker processes actually used (1 = serial).
         statuses: unit key (``"driver/benchmark"``) → final status:
-            ``cached`` (served from the result store or the resume
-            journal), ``computed`` (ran, first attempt), ``retried``
-            (ran, after at least one failed attempt or pool rebuild),
-            ``failed`` (attempts exhausted), or ``timed_out`` (attempts
-            exhausted, last attempt exceeded the wall-clock budget).
+            ``cached`` (served from the result store), ``computed``
+            (ran, first attempt), ``retried`` (ran, after at least one
+            failed attempt or pool rebuild), ``failed`` (attempts
+            exhausted), or ``timed_out`` (attempts exhausted, last
+            attempt exceeded the wall-clock budget).
         cache_hits: units served without recomputation (= the number of
-            ``cached`` statuses); 0 when no store/journal was in play.
+            ``cached`` statuses); 0 when no store was in play.
         cache_misses: units that had to be (re)computed despite a store
-            or journal being available.
+            being available.
     """
 
     rows: Dict[str, List[Dict[str, object]]]
@@ -549,7 +551,7 @@ class _UnitState:
         self.rows: Optional[List[Dict[str, object]]] = None
         self.error: Optional[str] = None
         # Structured failure record (exception type, unit key, message,
-        # traceback tail) journaled alongside the one-line ``error``.
+        # traceback tail) behind the one-line ``error``.
         self.failure: Optional[Dict[str, object]] = None
         # Set when this unit was in flight during a pool breakage: the
         # crasher is indistinguishable from its victims, so all of them
@@ -570,7 +572,7 @@ _FORK_SUITE: Optional[Suite] = None
 
 
 def _failure_record(exc: BaseException, unit: str) -> Dict[str, object]:
-    """A structured, journal-able description of one unit failure."""
+    """A structured description of one unit failure."""
     frames = traceback.extract_tb(exc.__traceback__)[-3:]
     return {
         "unit": unit,
@@ -690,8 +692,8 @@ def _execute_pool(
       victims become *suspects* and are re-probed one at a time on the
       rebuilt pool, so the next breakage identifies its culprit
       unambiguously and innocents complete unharmed.  Completed units
-      are never recomputed — ``finalize`` journals them the moment
-      they finish.
+      are never recomputed — ``finalize`` stores them the moment they
+      finish.
     """
     global _FORK_SUITE
     try:
@@ -942,15 +944,13 @@ def run_parallel(
     jobs: Optional[int] = None,
     driver_kwargs: Optional[Dict[str, Dict[str, object]]] = None,
     cache: Optional[Union[str, Path, ResultStore]] = None,
-    checkpoint: Optional[Union[str, Path]] = None,
-    resume: bool = False,
     timeout: Optional[float] = None,
     max_retries: int = 2,
     retry_backoff: float = 0.1,
     metrics=None,
 ) -> SuiteRun:
     """Run experiment drivers over a suite, fanning benchmarks out
-    across processes, with caching, checkpointing, and fault tolerance.
+    across processes, with caching and fault tolerance.
 
     Args:
         suite: ``{benchmark: instance}`` (e.g. from
@@ -962,13 +962,9 @@ def run_parallel(
             ``{"figure5": {"model_seed": 1}}``).
         cache: a :class:`repro.store.ResultStore` or a directory for
             one.  Units whose fingerprint is already in the store are
-            served from it; newly computed rows are written back.
-        checkpoint: path of the per-run journal.  Defaults to
-            ``<cache>/runstate.jsonl`` when ``cache`` is given; with
-            neither, no journal is written.
-        resume: reuse completed units from an existing ``checkpoint``
-            journal (fingerprints must still match — a changed input
-            forces recomputation).
+            served from it; each newly computed unit is written back
+            the moment it finishes, so a killed run reruns through the
+            same store and recomputes only what had not finished.
         timeout: per-unit wall-clock budget in seconds (enforced on the
             process-pool path only; the serial path cannot preempt).
         max_retries: failed/timed-out attempts retried per unit before
@@ -989,7 +985,7 @@ def run_parallel(
         KeyError: for an unknown driver name.
         StoreCorruptionError: a cache entry for a planned unit exists
             but is damaged (strict read — corruption aborts the run
-            rather than being silently recomputed and re-journaled).
+            rather than being silently recomputed and rewritten).
     """
     global _PLANS
     driver_kwargs = driver_kwargs or {}
@@ -1008,10 +1004,13 @@ def run_parallel(
     store: Optional[ResultStore] = None
     if cache is not None:
         store = cache if isinstance(cache, ResultStore) else ResultStore(cache)
-    if checkpoint is None and store is not None:
-        checkpoint = store.root / "runstate.jsonl"
-    keyed = store is not None or checkpoint is not None
-    if keyed:
+
+    store_hits_before = store.hits if store is not None else 0
+    store_misses_before = store.misses if store is not None else 0
+    store_puts_before = store.puts if store is not None else 0
+
+    # Resolve units that need no computation from the store.
+    if store is not None:
         for state in states:
             state.fingerprint = fingerprint_unit(
                 suite[state.bench],
@@ -1019,59 +1018,19 @@ def run_parallel(
                 state.kwargs,
                 benchmark=state.bench,
             )
-
-    store_hits_before = store.hits if store is not None else 0
-    store_misses_before = store.misses if store is not None else 0
-    store_puts_before = store.puts if store is not None else 0
-
-    # Resolve units that need no computation: the resume journal first
-    # (no store round-trip), then the content-addressed store.
-    if resume and checkpoint is not None:
-        previous = load_runstate(checkpoint)
-        for state in states:
-            record = previous.get(state.key)
-            if (
-                record is not None
-                and record.resumable
-                and record.fingerprint == state.fingerprint
-            ):
-                state.rows = record.rows
-                state.status = "cached"
-                state.attempts = record.attempts
-    if store is not None:
-        for state in states:
-            if state.status != "pending":
-                continue
             # Strict: a damaged entry raises StoreCorruptionError
             # (ValueError) instead of being silently recomputed — the
-            # journal this run writes must not paper over a rotting
+            # rows this run writes back must not paper over a rotting
             # store.
             rows = store.get(state.fingerprint, strict=True)
             if rows is not None:
                 state.rows = rows
                 state.status = "cached"
 
-    journal: Optional[RunState] = None
-    if checkpoint is not None:
-        journal = RunState(checkpoint)
-        journal.begin({state.key: state.fingerprint for state in states})
-
     def finalize(state: _UnitState) -> None:
-        """Journal + persist a unit the moment its status is final."""
+        """Count and persist a unit the moment its status is final."""
         if metrics is not None:
             metrics.counter(f"runner.units.{state.status}").inc()
-        if journal is not None:
-            journal.record(
-                UnitRecord(
-                    state.key,
-                    state.fingerprint,
-                    state.status,
-                    rows=state.rows,
-                    error=state.error,
-                    attempts=max(state.attempts, 1),
-                    failure=state.failure,
-                )
-            )
         if store is not None and state.status in ("computed", "retried"):
             store.put(
                 state.fingerprint,
@@ -1111,8 +1070,6 @@ def run_parallel(
                 )
     finally:
         _PLANS = None
-        if journal is not None:
-            journal.close()
 
     if metrics is not None and store is not None:
         metrics.counter("store.hits").inc(store.hits - store_hits_before)
@@ -1133,6 +1090,7 @@ def run_parallel(
                     "error": state.error or state.status,
                     "type": str(failure.get("type", state.status)),
                     "attempts": str(max(state.attempts, 1)),
+                    "traceback": "; ".join(failure.get("traceback", ())),
                 }
             )
             continue
@@ -1143,8 +1101,8 @@ def run_parallel(
         errors=tuple(errors),
         jobs=used_jobs,
         statuses=statuses,
-        cache_hits=cached_count if keyed else 0,
-        cache_misses=(len(states) - cached_count) if keyed else 0,
+        cache_hits=cached_count if store is not None else 0,
+        cache_misses=(len(states) - cached_count) if store is not None else 0,
     )
 
 

@@ -12,8 +12,9 @@ Subcommands mirror the library's workflow:
 * ``trace`` — record a scheme's run as a Chrome trace-event JSON file
   (open it at https://ui.perfetto.dev or ``chrome://tracing``);
 * ``study`` — regenerate the paper's tables and figures, optionally
-  through the content-addressed result cache (``--cache-dir``) with
-  crash-resume (``--resume``), per-unit timeouts, and bounded retries;
+  through the content-addressed result cache (``--cache-dir``: a killed
+  run reruns through it and recomputes only unfinished units), with
+  per-unit timeouts and bounded retries;
 * ``cache`` — inspect and maintain a result cache
   (``stats``/``gc``/``clear``);
 * ``bench`` — the continuous-performance harness: ``run`` a benchmark
@@ -314,17 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "content-addressed result store: (driver, benchmark) cells "
-            "already in the cache are served from it, newly computed "
-            "rows are written back"
-        ),
-    )
-    study.add_argument(
-        "--resume",
-        action="store_true",
-        help=(
-            "reuse completed units from the previous run's checkpoint "
-            "journal in --cache-dir (a killed run continues where it "
-            "stopped)"
+            "already in the cache are served from it, and each newly "
+            "computed cell is written back as it finishes (a killed "
+            "run reruns through the same store)"
         ),
     )
     study.add_argument(
@@ -456,7 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (benchmarks fan out; 0 = one per CPU)",
     )
     fsw.add_argument("--cache-dir", default=None)
-    fsw.add_argument("--resume", action="store_true")
     fsw.add_argument(
         "--strict",
         action="store_true",
@@ -978,7 +970,6 @@ def _cmd_study(args: argparse.Namespace) -> int:
             jobs=jobs,
             driver_kwargs=driver_kwargs,
             cache=args.cache_dir,
-            resume=args.resume,
             timeout=args.timeout,
             max_retries=args.max_retries,
             metrics=registry,
@@ -1093,7 +1084,6 @@ def _cmd_faults(args: argparse.Namespace) -> int:
             }
         },
         cache=args.cache_dir,
-        resume=args.resume,
         metrics=registry,
     )
     rows = run.rows["faults_sweep"]

@@ -27,7 +27,6 @@ from .baselines import (
     random_schedule,
 )
 from .bounds import (
-    compile_aware_lower_bound,
     lower_bound,
     warmup_aware_lower_bound,
 )
@@ -120,7 +119,6 @@ __all__ = [
     "get_default_engine",
     # bounds
     "lower_bound",
-    "compile_aware_lower_bound",
     "warmup_aware_lower_bound",
     # single core
     "most_cost_effective_levels",

@@ -6,11 +6,8 @@ running at its function's highest compilation level:
 
     LB = sum_{i=1..N} e[f_i][K_{f_i}]
 
-where ``K_f`` is the highest level available for ``f``.  We additionally
-provide a slightly tighter *compile-aware* refinement used for ablation:
-execution cannot start before the cheapest possible compilation of the
-first called function finishes, so that latency can be added to the
-pure-execution bound.
+where ``K_f`` is the highest level available for ``f``.
+:func:`warmup_aware_lower_bound` tightens it for one compile thread.
 """
 
 from __future__ import annotations
@@ -22,7 +19,6 @@ from .vecsim import instance_arrays
 
 __all__ = [
     "lower_bound",
-    "compile_aware_lower_bound",
     "warmup_aware_lower_bound",
 ]
 
@@ -45,22 +41,6 @@ def lower_bound(instance: OCSPInstance) -> float:
     return float(np.cumsum(execs, out=execs)[-1])
 
 
-def compile_aware_lower_bound(instance: OCSPInstance) -> float:
-    """Refinement: add the unavoidable initial compile latency.
-
-    The first invocation cannot start before its function's cheapest
-    compilation (level 0) completes, and no execution overlaps that
-    initial compile on the execution thread.  This dominates
-    :func:`lower_bound` and stays a valid lower bound on the minimum
-    make-span.
-    """
-    base = lower_bound(instance)
-    if not len(instance.calls):
-        return base
-    first = instance.calls[0]
-    return base + instance.profiles[first].compile_times[0]
-
-
 def warmup_aware_lower_bound(instance: OCSPInstance) -> float:
     """A tighter bound for the single-compile-thread case (extension).
 
@@ -78,11 +58,12 @@ def warmup_aware_lower_bound(instance: OCSPInstance) -> float:
         makespan >= max over k of ( sum_{f in F_k} c[f][0]
                                     + sum_{i >= k} e_top[f_i] )
 
-    This dominates both :func:`lower_bound` (the ``k = 0`` term) and,
-    when the first call opens the sequence, the compile-aware bound.
-    It is valid only for ``compile_threads == 1`` — with more threads
-    the warmup compiles overlap.  Computed in O(N) numpy passes, each
-    sum added left to right from 0.0 as a per-call loop adds it.
+    This dominates :func:`lower_bound`: the ``k = 0`` term is that
+    bound plus the first called function's level-0 compile, which no
+    execution can overlap.  It holds only with one compile thread
+    (``compile_threads == 1``); with more, the warmup compiles overlap.
+    Computed in O(N) numpy passes, each sum added left to right from
+    0.0 as a per-call loop adds it.
     """
     arrays = instance_arrays(instance)
     trace = arrays.trace

@@ -31,14 +31,12 @@ from .baseline import (
     BaselineError,
     baseline_path,
     git_revision,
-    legacy_doc,
     load_baseline,
     load_baseline_dir,
     machine_fingerprint,
     result_doc,
     write_baseline,
     write_doc,
-    write_legacy_sidecar,
 )
 from .compare import (
     IQR_SCALE,
@@ -74,14 +72,12 @@ __all__ = [
     "BaselineError",
     "baseline_path",
     "git_revision",
-    "legacy_doc",
     "load_baseline",
     "load_baseline_dir",
     "machine_fingerprint",
     "result_doc",
     "write_baseline",
     "write_doc",
-    "write_legacy_sidecar",
     "IQR_SCALE",
     "REL_FLOOR",
     "Comparison",

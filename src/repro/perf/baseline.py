@@ -12,12 +12,9 @@ with everything needed to judge comparability later:
   different scale measured different work and is incomparable;
 * ``git_revision`` — provenance for the trajectory, best-effort.
 
-Two kinds share the envelope: ``"perf"`` documents from the
-:mod:`repro.perf.harness`, and ``"legacy-text"`` sidecars the benchmark
-suite's ``report`` fixture writes next to its ``.txt`` tables so the
-existing 29 pytest benchmarks feed the machine-readable trajectory for
-free.  Writes are atomic (``*.tmp`` + ``os.replace``), matching the
-result store's crash discipline.
+Every document is a :mod:`repro.perf.harness` measurement of kind
+``"perf"``, the one kind the comparator gates (it skips any other).
+Writes are atomic (``*.tmp`` + ``os.replace``).
 """
 
 from __future__ import annotations
@@ -39,10 +36,8 @@ __all__ = [
     "git_revision",
     "baseline_path",
     "result_doc",
-    "legacy_doc",
     "write_doc",
     "write_baseline",
-    "write_legacy_sidecar",
     "load_baseline",
     "load_baseline_dir",
 ]
@@ -89,37 +84,21 @@ def baseline_path(directory: Union[str, Path], name: str) -> Path:
     return Path(directory) / f"{_PREFIX}{name}.json"
 
 
-def _envelope(name: str, kind: str) -> Dict[str, object]:
+def result_doc(result: BenchResult) -> Dict[str, object]:
+    """The on-disk document for a harness measurement."""
     return {
         "schema_version": SCHEMA_VERSION,
-        "kind": kind,
-        "name": name,
+        "kind": "perf",
+        "name": result.name,
         "created_at": time.time(),
         "git_revision": git_revision(),
         "machine": machine_fingerprint(),
+        "scale": result.scale,
+        "warmups": result.warmups,
+        "params": dict(result.params),
+        "timing": result.timing.as_dict(),
+        "counters": dict(result.counters),
     }
-
-
-def result_doc(result: BenchResult) -> Dict[str, object]:
-    """The on-disk document for a harness measurement."""
-    doc = _envelope(result.name, "perf")
-    doc.update(
-        {
-            "scale": result.scale,
-            "warmups": result.warmups,
-            "params": dict(result.params),
-            "timing": result.timing.as_dict(),
-            "counters": dict(result.counters),
-        }
-    )
-    return doc
-
-
-def legacy_doc(name: str, text: str, scale: float) -> Dict[str, object]:
-    """Sidecar document for a legacy free-form ``.txt`` benchmark report."""
-    doc = _envelope(name, "legacy-text")
-    doc.update({"scale": scale, "text": text})
-    return doc
 
 
 def write_doc(path: Union[str, Path], doc: Dict[str, object]) -> Path:
@@ -135,13 +114,6 @@ def write_doc(path: Union[str, Path], doc: Dict[str, object]) -> Path:
 def write_baseline(directory: Union[str, Path], result: BenchResult) -> Path:
     """Write ``BENCH_<name>.json`` for a harness result; returns the path."""
     return write_doc(baseline_path(directory, result.name), result_doc(result))
-
-
-def write_legacy_sidecar(
-    directory: Union[str, Path], name: str, text: str, scale: float
-) -> Path:
-    """Write a legacy-text sidecar next to a ``.txt`` benchmark report."""
-    return write_doc(baseline_path(directory, name), legacy_doc(name, text, scale))
 
 
 def load_baseline(path: Union[str, Path]) -> Dict[str, object]:

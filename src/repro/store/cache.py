@@ -20,15 +20,18 @@ audit and garbage-collect it::
       "rows": [...]
     }
 
-Writes are atomic: the entry is serialized to a ``*.tmp`` file in the
-final directory and ``os.replace``d into place, so readers never see a
-torn file and a crash mid-write leaves only a stray ``*.tmp`` (removed
-by :meth:`ResultStore.gc`).  Corrupt or truncated entries read as
-misses by default, never as errors — the cache must only ever be able
-to save work, not break a run.  Callers that would rather surface the
-damage than silently recompute (the experiment runner, whose journal
-must stay trustworthy) pass ``strict=True`` and get a
-:class:`StoreCorruptionError` naming the entry instead.
+Writes are atomic and durable: the entry is serialized to a ``*.tmp``
+file in the final directory, fsynced, and ``os.replace``d into place.
+Readers never see a torn file, a crash mid-write leaves only a stray
+``*.tmp`` (removed by :meth:`ResultStore.gc`), and an entry the rename
+made visible survives a crash whole.  That makes the store the
+experiment runner's checkpoint: a killed run reruns through the same
+store and finds every unit that finished.  Corrupt or truncated entries
+read as misses by default, never as errors — the cache must only ever
+be able to save work, not break a run.  Callers that would rather
+surface the damage than silently recompute (the experiment runner,
+whose rows must not come from a rotting store) pass ``strict=True``
+and get a :class:`StoreCorruptionError` naming the entry instead.
 """
 
 from __future__ import annotations
@@ -153,7 +156,7 @@ class ResultStore:
         benchmark: str = "",
         code_version: str = "",
     ) -> Path:
-        """Atomically write an entry; returns its path."""
+        """Durably and atomically write an entry; returns its path."""
         path = self.path_for(fingerprint)
         path.parent.mkdir(parents=True, exist_ok=True)
         doc = {
@@ -166,7 +169,12 @@ class ResultStore:
             "rows": rows,
         }
         tmp = path.with_suffix(f".{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(doc, separators=(",", ":")))
+        with open(tmp, "w") as fh:
+            fh.write(json.dumps(doc, separators=(",", ":")))
+            fh.flush()
+            # Durable before visible: a crash after the rename must not
+            # leave a torn entry, which the runner's strict read aborts on.
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
         self.puts += 1
         return path

@@ -334,17 +334,6 @@ class TestStudyCache:
         assert warm["cache_misses"] == 0
         assert set(warm["statuses"].values()) == {"cached"}
 
-    def test_resume_flag_accepts_existing_checkpoint(self, tmp_path, capsys):
-        store = str(tmp_path / "store")
-        args = [
-            "study", "--figure", "fig5", "--scale", "0.002",
-            "--cache-dir", store, "--resume",
-        ]
-        assert main(args) == 0
-        capsys.readouterr()
-        assert main(args) == 0
-        assert "cache: 9 hits / 0 misses" in capsys.readouterr().out
-
 
 class TestCacheCommand:
     def _populate(self, tmp_path, capsys):

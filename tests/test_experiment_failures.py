@@ -1,12 +1,12 @@
 """Failure handling in the parallel runner (the narrowed handlers).
 
 The broad ``except Exception`` blocks in ``analysis/experiments.py``
-used to flatten every failure into one string.  Now a failing unit
-attaches a structured failure record (type, message, trimmed traceback)
-to the run journal, ``SuiteRun.errors`` carries the exception type and
-attempt count, and store corruption — the one failure that poisons
-*every* unit — aborts the run with :class:`StoreCorruptionError`
-instead of being silently recomputed around.
+used to flatten every failure into one string.  Now each
+``SuiteRun.errors`` entry carries the exception type, the attempt
+count and a trimmed traceback, and store corruption — the one failure
+that poisons *every* unit — aborts the run with
+:class:`StoreCorruptionError` instead of being silently recomputed
+around.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import pytest
 from repro.analysis import run_parallel
 from repro.core import FunctionProfile, OCSPInstance
 from repro.store import ResultStore, StoreCorruptionError
-from repro.store.runstate import load_runstate
 from repro.workloads import WorkloadSpec, generate
 
 
@@ -53,31 +52,22 @@ def test_errors_carry_type_and_attempts(suite, jobs):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_journal_gets_a_structured_failure_record(suite, tmp_path, jobs):
-    checkpoint = tmp_path / f"runstate-{jobs}.jsonl"
+def test_errors_carry_a_traceback_tail(suite, jobs):
     run = run_parallel(
-        _poisoned(suite),
-        drivers=("figure5",),
-        jobs=jobs,
-        checkpoint=checkpoint,
-        max_retries=0,
+        _poisoned(suite), drivers=("figure5",), jobs=jobs, max_retries=0
     )
     assert not run.ok
-    records = load_runstate(checkpoint)
-    failed = records["figure5/bad"]
-    assert failed.status == "failed"
-    failure = failed.failure
-    assert failure is not None
-    assert failure["unit"] == "figure5/bad"
-    assert failure["type"] and failure["message"]
-    # the trimmed traceback is file:line frames, machine-minable
-    assert isinstance(failure["traceback"], list)
-    if failure["traceback"]:  # synthetic records may carry none
-        assert all(":" in frame for frame in failure["traceback"])
-    # healthy units carry no failure
-    assert records["figure5/ok"].failure is None
-    # and the record survives a JSON round trip (it is journaled JSON)
-    assert json.loads(json.dumps(failure)) == failure
+    assert run.statuses["figure5/bad"] == "failed"
+    (entry,) = run.errors  # healthy units carry no entry
+    assert (entry["driver"], entry["benchmark"]) == ("figure5", "bad")
+    assert entry["type"] and entry["error"].startswith(entry["type"] + ": ")
+    # every value is a string, so the entry goes into --json-out as is
+    assert all(isinstance(value, str) for value in entry.values())
+    # the trimmed traceback: up to three "; "-joined file:line frames
+    frames = entry["traceback"].split("; ")
+    assert 1 <= len(frames) <= 3
+    assert all(":" in frame and " in " in frame for frame in frames)
+    assert json.loads(json.dumps(entry)) == entry
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

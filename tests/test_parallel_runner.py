@@ -218,16 +218,3 @@ def test_cache_dir_round_trip_preserves_rows(suite, tmp_path):
     assert cold.rows == warm.rows == {"figure5": figure5(suite)}
     assert cold.cache_misses == len(suite) and cold.cache_hits == 0
     assert warm.cache_hits == len(suite) and warm.cache_misses == 0
-
-
-def test_checkpoint_journal_is_written_without_a_store(suite, tmp_path):
-    checkpoint = tmp_path / "runstate.jsonl"
-    run = run_parallel(
-        suite, drivers=("figure5",), jobs=1, checkpoint=checkpoint
-    )
-    assert run.ok
-    from repro.store import load_runstate
-
-    records = load_runstate(checkpoint)
-    assert set(records) == set(run.statuses)
-    assert all(record.resumable for record in records.values())

@@ -225,16 +225,3 @@ class TestDiagnoseJson:
         out = capsys.readouterr().out
         doc = json.loads(out)  # the whole stdout is one JSON document
         assert "per_function" in doc
-
-
-class TestLegacySidecar:
-    def test_report_fixture_writes_schema_versioned_sidecar(self, tmp_path):
-        from repro.perf import SCHEMA_VERSION, write_legacy_sidecar
-
-        path = write_legacy_sidecar(tmp_path, "table1", "| x |", scale=0.01)
-        doc = json.loads(path.read_text())
-        assert path.name == "BENCH_table1.json"
-        assert doc["schema_version"] == SCHEMA_VERSION
-        assert doc["kind"] == "legacy-text"
-        assert doc["text"] == "| x |"
-        assert doc["machine"]["cpu_count"] >= 1

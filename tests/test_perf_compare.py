@@ -12,7 +12,6 @@ from repro.perf import (
     baseline_path,
     compare_dirs,
     compare_doc,
-    legacy_doc,
     load_baseline,
     load_baseline_dir,
     machine_fingerprint,
@@ -75,9 +74,10 @@ class TestCompareDoc:
         result = compare_doc(doc(params={"threads": 2}), doc())
         assert result.status == "skip"
 
-    def test_legacy_kind_not_gated(self):
-        result = compare_doc(doc(kind="legacy-text"), doc(kind="legacy-text"))
+    def test_non_perf_kind_not_gated(self):
+        result = compare_doc(doc(kind="notes"), doc(kind="notes"))
         assert result.status == "skip"
+        assert "is not gated" in result.notes[0]
 
     def test_counter_regression_fails_even_with_unchanged_wall_time(self):
         # The dual-signal point: identical timing, more work — a real
@@ -187,12 +187,6 @@ class TestBaselineStore:
         with pytest.raises(BaselineError, match="unreadable"):
             load_baseline(bad)
         assert set(load_baseline_dir(tmp_path)) == {"good"}
-
-    def test_legacy_sidecar_document(self):
-        sidecar = legacy_doc("table1", "| a | b |", scale=0.01)
-        assert sidecar["kind"] == "legacy-text"
-        assert sidecar["schema_version"] == SCHEMA_VERSION
-        assert sidecar["text"] == "| a | b |"
 
     def test_missing_dir_is_empty_not_error(self, tmp_path):
         assert load_baseline_dir(tmp_path / "absent") == {}

@@ -1,10 +1,10 @@
-"""Fault injection for the resumable experiment runner.
+"""Fault injection for the fault-tolerant experiment runner.
 
 Three ways a unit can go wrong — its driver raises, it runs past the
 wall-clock budget, its worker process dies — and the recovery contract
 for each: retries with backoff, pool rebuilds that never take innocent
-units down with the culprit, and a checkpoint journal that lets a
-killed run resume to bitwise-identical rows.
+units down with the culprit, and a result store that lets a killed run
+rerun to bitwise-identical rows.
 """
 
 import json
@@ -188,9 +188,9 @@ class TestWorkerCrash:
 
 
 # ----------------------------------------------------------------------
-# Kill-and-resume: the acceptance test for the checkpoint journal.
+# Kill-and-rerun: the result store is the checkpoint.
 # ----------------------------------------------------------------------
-_RESUME_SCRIPT = """
+_RERUN_SCRIPT = """
 import json, os, sys
 from repro.analysis import PARALLEL_DRIVERS, run_parallel
 from repro.analysis.experiments import figure5
@@ -199,7 +199,7 @@ from repro.workloads import WorkloadSpec, generate
 def _crashy(suite, *, kill_file=""):
     # Dies with the whole process (no cleanup, like SIGKILL) when the
     # kill switch exists — but only on the last benchmark, so earlier
-    # units have already been journaled.
+    # units are already in the store.
     rows = figure5(suite)
     if kill_file and os.path.exists(kill_file) and "gamma" in suite:
         os._exit(17)
@@ -212,13 +212,12 @@ for i, name in enumerate(("alpha", "beta", "gamma")):
     spec = WorkloadSpec(name=name, num_functions=6, num_calls=80, num_levels=3)
     suite[name] = generate(spec, seed=300 + i)
 
-checkpoint, kill_file, out_path, resume = sys.argv[1:5]
+cache_dir, kill_file, out_path = sys.argv[1:4]
 run = run_parallel(
     suite,
     drivers=("_crashy",),
     jobs=1,
-    checkpoint=checkpoint,
-    resume=resume == "1",
+    cache=cache_dir,
     driver_kwargs={"_crashy": {"kill_file": kill_file}},
 )
 doc = {
@@ -233,16 +232,15 @@ with open(out_path, "w") as fh:
 """
 
 
-def _run_resume_script(tmp_path, checkpoint, kill_file, out, resume):
-    script = tmp_path / "resume_script.py"
-    script.write_text(_RESUME_SCRIPT)
+def _run_rerun_script(tmp_path, cache_dir, kill_file, out):
+    script = tmp_path / "rerun_script.py"
+    script.write_text(_RERUN_SCRIPT)
     env = dict(os.environ)
     env["PYTHONPATH"] = str(
         Path(__file__).resolve().parent.parent / "src"
     ) + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
-        [sys.executable, str(script), str(checkpoint), str(kill_file),
-         str(out), "1" if resume else "0"],
+        [sys.executable, str(script), str(cache_dir), str(kill_file), str(out)],
         env=env,
         capture_output=True,
         text=True,
@@ -252,29 +250,29 @@ def _run_resume_script(tmp_path, checkpoint, kill_file, out, resume):
 
 class TestKillAndResume:
     def test_killed_run_resumes_to_bitwise_identical_rows(self, tmp_path):
-        checkpoint = tmp_path / "runstate.jsonl"
+        store_dir = tmp_path / "store"
         kill_file = tmp_path / "kill.switch"
         kill_file.write_text("armed")
 
         # 1. The run dies mid-flight on the last unit.
-        proc = _run_resume_script(
-            tmp_path, checkpoint, kill_file, tmp_path / "dead.json", False
+        proc = _run_rerun_script(
+            tmp_path, store_dir, kill_file, tmp_path / "dead.json"
         )
         assert proc.returncode == 17, proc.stderr
-        assert checkpoint.is_file(), "journal must survive the kill"
+        stats = ResultStore(store_dir).stats()
+        assert stats.entries == 2, "finished units must survive the kill"
 
-        # 2. Disarm the fault and resume from the checkpoint.
+        # 2. Disarm the fault and rerun through the same store.
         kill_file.unlink()
-        proc = _run_resume_script(
-            tmp_path, checkpoint, kill_file, tmp_path / "resumed.json", True
+        proc = _run_rerun_script(
+            tmp_path, store_dir, kill_file, tmp_path / "resumed.json"
         )
         assert proc.returncode == 0, proc.stderr
         resumed = json.loads((tmp_path / "resumed.json").read_text())
 
-        # 3. An uninterrupted run, fresh journal, same inputs.
-        proc = _run_resume_script(
-            tmp_path, tmp_path / "fresh.jsonl", kill_file,
-            tmp_path / "clean.json", False,
+        # 3. An uninterrupted run, fresh store, same inputs.
+        proc = _run_rerun_script(
+            tmp_path, tmp_path / "fresh", kill_file, tmp_path / "clean.json"
         )
         assert proc.returncode == 0, proc.stderr
         clean = json.loads((tmp_path / "clean.json").read_text())

@@ -1,4 +1,4 @@
-"""The content-addressed result store: fingerprints, cache, journal.
+"""The content-addressed result store: fingerprints and cache.
 
 The store's one inviolable property is *no stale hits*: every input
 that can change a unit's rows must change its fingerprint, and every
@@ -7,6 +7,7 @@ skew) must read as a miss, never as wrong data.
 """
 
 import json
+import os
 
 import pytest
 
@@ -14,12 +15,9 @@ from repro.core import FunctionProfile, OCSPInstance
 from repro.store import (
     CODE_VERSION,
     ResultStore,
-    RunState,
-    UnitRecord,
     canonical_encode,
     fingerprint_instance,
     fingerprint_unit,
-    load_runstate,
 )
 
 
@@ -129,6 +127,30 @@ class TestResultStore:
         assert path == tmp_path / "objects" / "ab" / f"{fp}.json"
         assert path.is_file()
 
+    def test_put_syncs_the_entry_before_renaming_it(self, tmp_path, monkeypatch):
+        # The rename makes an entry visible; if it reached the disk
+        # before the entry's bytes, a crash could leave a torn entry
+        # that the runner's strict read aborts on.
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            events.append(("fsync", os.fstat(fd).st_ino, os.fstat(fd).st_size))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", os.stat(src).st_ino, str(dst)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        path = ResultStore(tmp_path).put("7a" + "0" * 62, ROWS)
+        assert [event[0] for event in events] == ["fsync", "replace"]
+        (_, synced_ino, synced_size), (_, renamed_ino, target) = events
+        assert synced_ino == renamed_ino
+        assert synced_size == path.stat().st_size
+        assert target == str(path)
+
     def test_atomic_write_leaves_no_tmp_behind(self, tmp_path):
         store = ResultStore(tmp_path)
         store.put("cd" + "0" * 62, ROWS)
@@ -219,79 +241,3 @@ class TestResultStore:
         store.put("6b" + "0" * 62, ROWS)
         assert store.clear() == 2
         assert store.stats().entries == 0
-
-
-class TestRunState:
-    def plan(self):
-        return {"figure5/alpha": "f" * 64, "figure5/beta": "e" * 64}
-
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "runstate.jsonl"
-        with RunState(path) as journal:
-            journal.begin(self.plan())
-            journal.record(
-                UnitRecord("figure5/alpha", "f" * 64, "computed", rows=ROWS)
-            )
-            journal.record(
-                UnitRecord(
-                    "figure5/beta",
-                    "e" * 64,
-                    "failed",
-                    error="ValueError: boom",
-                    attempts=3,
-                )
-            )
-        records = load_runstate(path)
-        assert set(records) == {"figure5/alpha", "figure5/beta"}
-        assert records["figure5/alpha"].resumable
-        assert records["figure5/alpha"].rows == ROWS
-        assert not records["figure5/beta"].resumable
-        assert records["figure5/beta"].attempts == 3
-        assert records["figure5/beta"].error == "ValueError: boom"
-
-    def test_missing_journal_is_empty(self, tmp_path):
-        assert load_runstate(tmp_path / "absent.jsonl") == {}
-
-    def test_torn_final_line_is_dropped(self, tmp_path):
-        path = tmp_path / "runstate.jsonl"
-        with RunState(path) as journal:
-            journal.begin(self.plan())
-            journal.record(
-                UnitRecord("figure5/alpha", "f" * 64, "computed", rows=ROWS)
-            )
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"kind": "unit", "key": "figure5/beta", "sta')  # crash
-        records = load_runstate(path)
-        assert set(records) == {"figure5/alpha"}
-
-    def test_mid_file_corruption_raises(self, tmp_path):
-        path = tmp_path / "runstate.jsonl"
-        with RunState(path) as journal:
-            journal.begin(self.plan())
-            journal.record(
-                UnitRecord("figure5/alpha", "f" * 64, "computed", rows=ROWS)
-            )
-            journal.record(
-                UnitRecord("figure5/beta", "e" * 64, "computed", rows=ROWS)
-            )
-        lines = path.read_text().splitlines()
-        lines[1] = lines[1][:20]  # damage a non-final line
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="corrupt journal line 2"):
-            load_runstate(path)
-
-    def test_begin_truncates_previous_journal(self, tmp_path):
-        path = tmp_path / "runstate.jsonl"
-        with RunState(path) as journal:
-            journal.begin(self.plan())
-            journal.record(
-                UnitRecord("figure5/alpha", "f" * 64, "computed", rows=ROWS)
-            )
-        with RunState(path) as journal:
-            journal.begin(self.plan())
-        assert load_runstate(path) == {}
-
-    def test_record_before_begin_raises(self, tmp_path):
-        journal = RunState(tmp_path / "runstate.jsonl")
-        with pytest.raises(RuntimeError):
-            journal.record(UnitRecord("k", "f" * 64, "computed", rows=ROWS))
